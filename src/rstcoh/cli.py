@@ -19,20 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, numcore as nc, rst_data, trainer
-from .errors import (ConfigError, DegenerateTreeError, DuplicateIdError,
-                     EmptyDocumentError, EmptyEvaluationError, EmptyVocabError,
-                     FormatError, IngestError, ParseError, RstcohError,
-                     TrainingDiverged, ValidationError)
+from .errors import ConfigError, ParseError, RstcohError, StateError, TrainingDiverged
 from .tree_model import AblationConfig
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_DIVERGED = 3
-
-_DATA_ERRORS = (IngestError, DuplicateIdError, FormatError, ParseError,
-                EmptyDocumentError, EmptyVocabError, ValidationError,
-                DegenerateTreeError, EmptyEvaluationError)
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_DATA = RstcohError.exit_code
+EXIT_DIVERGED = TrainingDiverged.exit_code
 
 ABLATION_ROWS = (
     ("majority", None),
@@ -100,6 +93,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> dict:
 
 
 def make_train_config(config: dict) -> trainer.TrainConfig:
+    for key in ("n_runs", "workers"):
+        value = config[key]
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     t = config["train"]
     try:
         cfg = trainer.TrainConfig(
@@ -108,9 +105,9 @@ def make_train_config(config: dict) -> trainer.TrainConfig:
             seed=t["seed"], model=config["model"],
             features=AblationConfig.from_features(config["features"]),
             shuffle=t["shuffle"])
-    except (KeyError, TypeError) as exc:
+        cfg.validate()
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
-    cfg.validate()
     return cfg
 
 
@@ -128,7 +125,10 @@ def make_generator_config(config: dict) -> corpus.GeneratorConfig:
     for key, value in gen.items():
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     cfg = corpus.GeneratorConfig(**kwargs)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except (TypeError, IndexError) as exc:
+        raise ConfigError(f"bad generator config: {exc}") from exc
     return cfg
 
 
@@ -224,15 +224,18 @@ def cmd_train(config: dict) -> int:
 
 def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
     meta, tensors = nc.load_checkpoint(path)
-    vocab = None
-    if meta.get("vocab") is not None:
-        vocab = rst_data.RelationVocabulary(meta["vocab"])
-    cfg = trainer.TrainConfig(
-        hidden_size=meta["hidden_size"], relation_dim=meta["relation_dim"],
-        model=meta["model"],
-        features=AblationConfig.from_features(meta["features"]))
-    model = trainer.build_model(cfg, vocab, meta["wv_dim"],
-                                np.random.default_rng(0))
+    try:
+        vocab = None
+        if meta.get("vocab") is not None:
+            vocab = rst_data.RelationVocabulary(meta["vocab"])
+        cfg = trainer.TrainConfig(
+            hidden_size=meta["hidden_size"], relation_dim=meta["relation_dim"],
+            model=meta["model"],
+            features=AblationConfig.from_features(meta["features"]))
+        model = trainer.build_model(cfg, vocab, meta["wv_dim"],
+                                    np.random.default_rng(0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise StateError(f"checkpoint {path}: bad meta: {exc!r}") from None
     model.bundle.load_state(tensors)
     return model, meta["wv_dim"]
 
@@ -390,18 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(config)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except RstcohError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_DATA
-    except TrainingDiverged as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_DIVERGED
+        return exc.exit_code
 
 
 if __name__ == "__main__":

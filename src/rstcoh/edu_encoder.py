@@ -2,37 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import numcore as nc
 from .corpus import WordVectors
-from .errors import DimensionError, ValidationError
-
-
-@dataclass
-class EduEncoderParams:
-    cell: nc.LstmCellParams
-
-
-def init_edu_encoder(bundle: nc.ParameterBundle, rng: np.random.Generator,
-                     wv_dim: int, hidden_size: int,
-                     prefix: str = "edu") -> EduEncoderParams:
-    return EduEncoderParams(nc.init_lstm_cell(bundle, prefix, rng, wv_dim, hidden_size))
+from .errors import ValidationError
 
 
 def encode_edu(tokens: list[str], wv: WordVectors,
-               p: EduEncoderParams) -> tuple[nc.Tensor, nc.Tensor]:
+               p: nc.CellParams) -> tuple[nc.Tensor, nc.Tensor]:
     """Run the LSTM over the tokens' word vectors from the zero state.
 
     Returns the final hidden state (the EDU embedding) and the final cell
-    state, both of which seed the tree recursion at this leaf.
+    state, both of which seed the tree recursion at this leaf. Word vectors
+    of the wrong dimension raise DimensionError at the first step.
     """
     if not tokens:
         raise ValidationError("cannot encode an EDU with no tokens")
-    if wv.dimension != p.cell.input_size:
-        raise DimensionError(
-            f"word vectors are {wv.dimension}-d, cell expects {p.cell.input_size}-d")
     inputs = [nc.constant(wv.lookup(tok)) for tok in tokens]
-    return nc.run_lstm(inputs, p.cell)
+    return nc.run_lstm(inputs, p)

@@ -1,10 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``exit_code`` is the CLI's exit status for each error: 1 for a config
+error, 3 when training diverged, 2 (the base class's) for everything else.
+"""
 
 from __future__ import annotations
 
 
 class RstcohError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 # --- numerics ---------------------------------------------------------------
@@ -71,12 +77,16 @@ class EmptyDocumentError(RstcohError):
 class ConfigError(RstcohError):
     """A configuration value is illegal or inconsistent."""
 
+    exit_code = 1
+
 
 # --- training / evaluation --------------------------------------------------
 
 
 class TrainingDiverged(RstcohError):
     """Loss became non-finite during training."""
+
+    exit_code = 3
 
     def __init__(self, doc_id: str):
         super().__init__(f"non-finite loss on document {doc_id!r}")

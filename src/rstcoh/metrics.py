@@ -37,6 +37,9 @@ class ConfusionMatrix:
     def from_pairs(cls, true_labels: Sequence[int], predicted: Sequence[int]) -> "ConfusionMatrix":
         arr = np.zeros((3, 3), dtype=np.int64)
         for t, p in zip(true_labels, predicted, strict=True):
+            if t not in CLASSES or p not in CLASSES:
+                raise EmptyEvaluationError(
+                    f"label outside 1..3: true {t!r}, predicted {p!r}")
             arr[t - 1, p - 1] += 1
         return cls(arr)
 

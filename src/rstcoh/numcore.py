@@ -1,5 +1,10 @@
-"""Dense float64 tensors with reverse-mode differentiation, an LSTM cell,
-and the Adam optimizer.
+"""Dense float64 tensors with reverse-mode differentiation, one N-ary gated
+cell, and the Adam optimizer.
+
+The gated cell is the N-ary Tree-LSTM unit of Tai et al. (2015): gates i,
+o, u and one forget gate per child, all read one input vector z. The
+sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
+is its 2-ary case.
 
 Graphs are built eagerly: each op returns a :class:`Tensor` that remembers
 its parents plus a closure that pushes gradients to them, and
@@ -69,16 +74,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # sugar for the common binary ops; the full op set lives at module level
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matvec(self, other)
 
 
 def constant(values) -> Tensor:
@@ -317,8 +312,7 @@ def backward(loss: Tensor, params: "ParameterBundle") -> None:
     """
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-    for t in params.tensors():
-        t.grad = np.zeros_like(t.data)
+    params.zero_grads()
     if not loss.requires_grad:
         return
     order = _toposort(loss)
@@ -362,15 +356,9 @@ class ParameterBundle:
     def tensors(self) -> Iterator[Tensor]:
         return iter(self._entries.values())
 
-    def total_size(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
-
     def zero_grads(self) -> None:
         for t in self._entries.values():
             t.grad = np.zeros_like(t.data)
-
-    def state_dict(self) -> dict[str, Array]:
-        return {name: t.data.copy() for name, t in self._entries.items()}
 
     def load_state(self, state: dict[str, Array]) -> None:
         for name, t in self._entries.items():
@@ -396,65 +384,78 @@ def embedding_init(rng: np.random.Generator, shape: tuple[int, int]) -> Array:
     return rng.uniform(-0.1, 0.1, size=shape)
 
 
-# --- LSTM cell --------------------------------------------------------------
+# --- gated cell -------------------------------------------------------------
 
 
 @dataclass
-class LstmCellParams:
-    """Gate weights of a single-forget-gate LSTM cell.
+class CellParams:
+    """Gate weights of an N-ary gated cell with one forget gate per child.
 
-    Each gate weight is shaped (hidden, input+hidden) and multiplies the
-    concatenation [x; h]; biases start at zero so the all-zero cell is a
-    fixpoint.
+    Each gate weight is shaped (hidden, cols) and multiplies the cell input
+    z; biases start at zero so the all-zero cell is a fixpoint. ``w`` and
+    ``b`` are keyed by gate name: "i", the names in ``forget``, "o", "u".
     """
 
-    input_size: int
+    cols: int
     hidden_size: int
-    w_i: Tensor
-    b_i: Tensor
-    w_f: Tensor
-    b_f: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    w_u: Tensor
-    b_u: Tensor
+    forget: tuple[str, ...]
+    w: dict[str, Tensor]
+    b: dict[str, Tensor]
+
+
+def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
+              cols: int, hidden: int, forget: Sequence[str]) -> CellParams:
+    """Register ``{prefix}.w_<g>`` and ``{prefix}.b_<g>`` gate by gate, in the
+    order i, forget..., o, u; that order fixes the RNG draws and the
+    checkpoint layout."""
+    w: dict[str, Tensor] = {}
+    b: dict[str, Tensor] = {}
+    for gate in ("i", *forget, "o", "u"):
+        w[gate] = bundle.add(f"{prefix}.w_{gate}", glorot(rng, (hidden, cols)))
+        b[gate] = bundle.add(f"{prefix}.b_{gate}", np.zeros(hidden))
+    return CellParams(cols, hidden, tuple(forget), w, b)
+
+
+def cell_step(z: Tensor, child_cs: Sequence[Tensor],
+              p: CellParams) -> tuple[Tensor, Tensor]:
+    """One application of the cell to input ``z`` and the children's cells.
+
+    i, f_k, o = sigmoid gates over z; u = tanh candidate;
+    c = i*u + sum_k f_k*c_k; h = o*tanh(c).
+    """
+    if len(child_cs) != len(p.forget):
+        raise DimensionError(
+            f"cell has {len(p.forget)} forget gates, got {len(child_cs)} children")
+    i = sigmoid(add(matvec(p.w["i"], z), p.b["i"]))
+    fs = [sigmoid(add(matvec(p.w[g], z), p.b[g])) for g in p.forget]
+    o = sigmoid(add(matvec(p.w["o"], z), p.b["o"]))
+    u = tanh(add(matvec(p.w["u"], z), p.b["u"]))
+    c = mul(i, u)
+    for f, c_k in zip(fs, child_cs):
+        c = add(c, mul(f, c_k))
+    h = mul(o, tanh(c))
+    return h, c
 
 
 def init_lstm_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
-                   input_size: int, hidden_size: int) -> LstmCellParams:
-    cols = input_size + hidden_size
-    tensors = {}
-    for gate in ("i", "f", "o", "u"):
-        tensors[f"w_{gate}"] = bundle.add(f"{prefix}.w_{gate}",
-                                          glorot(rng, (hidden_size, cols)))
-        tensors[f"b_{gate}"] = bundle.add(f"{prefix}.b_{gate}",
-                                          np.zeros(hidden_size))
-    return LstmCellParams(input_size, hidden_size, **tensors)
+                   input_size: int, hidden_size: int) -> CellParams:
+    """The 1-ary cell over [x; h]."""
+    return init_cell(bundle, prefix, rng, input_size + hidden_size, hidden_size, ("f",))
 
 
 def lstm_cell_step(x: Tensor, h: Tensor, c: Tensor,
-                   p: LstmCellParams) -> tuple[Tensor, Tensor]:
-    """One step of the standard LSTM recurrence.
-
-    i, f, o = sigmoid gates over [x; h]; u = tanh candidate;
-    c' = i*u + f*c; h' = o*tanh(c').
-    """
-    if x.data.shape != (p.input_size,):
-        raise DimensionError(f"input shape {x.data.shape} != ({p.input_size},)")
+                   p: CellParams) -> tuple[Tensor, Tensor]:
+    """One step of the standard LSTM recurrence: the 1-ary cell over [x; h]."""
+    input_size = p.cols - p.hidden_size
+    if x.data.shape != (input_size,):
+        raise DimensionError(f"input shape {x.data.shape} != ({input_size},)")
     if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
         raise DimensionError(
             f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
-    z = concat((x, h))
-    i = sigmoid(add(matvec(p.w_i, z), p.b_i))
-    f = sigmoid(add(matvec(p.w_f, z), p.b_f))
-    o = sigmoid(add(matvec(p.w_o, z), p.b_o))
-    u = tanh(add(matvec(p.w_u, z), p.b_u))
-    c2 = add(mul(i, u), mul(f, c))
-    h2 = mul(o, tanh(c2))
-    return h2, c2
+    return cell_step(concat((x, h)), (c,), p)
 
 
-def run_lstm(inputs: Sequence[Tensor], p: LstmCellParams) -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Sequence[Tensor], p: CellParams) -> tuple[Tensor, Tensor]:
     """Run the cell left-to-right from the zero state; return final (h, c)."""
     h = zeros(p.hidden_size)
     c = zeros(p.hidden_size)
@@ -520,12 +521,24 @@ def save_checkpoint(path, bundle: ParameterBundle, meta: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, Array]]:
+    """Read a checkpoint; a malformed file raises :class:`StateError`."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise StateError(f"checkpoint {path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise StateError(f"checkpoint {path}: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise StateError(f"unsupported checkpoint version {doc.get('version')!r}")
-    tensors = {
-        name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
-        for name, spec in doc["tensors"].items()
-    }
-    return doc.get("meta", {}), tensors
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise StateError(f"checkpoint {path}: meta is not an object")
+    try:
+        tensors = {
+            name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
+            for name, spec in doc["tensors"].items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StateError(f"checkpoint {path}: bad tensors: {exc!r}") from None
+    return meta, tensors

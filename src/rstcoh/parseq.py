@@ -18,17 +18,15 @@ from . import numcore as nc
 from .corpus import Document, WordVectors
 from .errors import ConfigError, EmptyDocumentError
 from .rst_data import RelationVocabulary
-from .tree_model import (AblationConfig, Affine, TreeModelParams,
+from .tree_model import (N_CLASSES, AblationConfig, Affine, TreeModelParams,
                          init_tree_model, root_children_states)
-
-N_CLASSES = 3
 
 
 @dataclass
 class ParseqParams:
-    lstm1: nc.LstmCellParams  # words -> sentence vector
-    lstm2: nc.LstmCellParams  # sentence vectors -> paragraph vector
-    lstm3: nc.LstmCellParams  # paragraph vectors -> document vector
+    lstm1: nc.CellParams  # words -> sentence vector
+    lstm2: nc.CellParams  # sentence vectors -> paragraph vector
+    lstm3: nc.CellParams  # paragraph vectors -> document vector
     classifier: Affine | None
 
 

@@ -40,6 +40,9 @@ class TrainConfig:
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        ints = (self.epochs, self.hidden_size, self.relation_dim, self.seed)
+        if any(type(n) is not int for n in ints):
+            raise ConfigError(f"epochs, sizes and seed must be integers, got {ints}")
         if self.epochs < 1 or self.hidden_size < 1 or self.relation_dim < 1:
             raise ConfigError("epochs and sizes must be positive")
         if self.model not in MODEL_KINDS:

@@ -1,10 +1,11 @@
 """Bottom-up TreeLSTM coherence classifier over discourse trees.
 
-Each internal node combines its children through a two-forget-gate cell:
-all five gates read the concatenation [h_l; h_r; r_l; r_r], where r_l/r_r
-are learned embeddings of the children's (relation, nuclearity) labels,
+Each internal node combines its children through the 2-ary case of
+numcore's gated cell (forget gates f_l, f_r): all five gates read the
+concatenation z = [h_l; h_r; r_l; r_r], where r_l/r_r are learned
+embeddings of the children's (relation, nuclearity) labels,
 
-    i   = sigmoid(W_i z + b_i)        z = [h_l; h_r; r_l; r_r]
+    i   = sigmoid(W_i z + b_i)
     f_l = sigmoid(W_fl z + b_fl)
     f_r = sigmoid(W_fr z + b_fr)
     o   = sigmoid(W_o z + b_o)
@@ -28,13 +29,11 @@ import numpy as np
 
 from . import numcore as nc
 from .corpus import WordVectors, tokenize
-from .edu_encoder import EduEncoderParams, encode_edu, init_edu_encoder
+from .edu_encoder import encode_edu
 from .errors import ConfigError, DegenerateTreeError, ValidationError
 from .rst_data import Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary, RstTree
 
 N_CLASSES = 3
-
-LEGAL_FEATURE_ROWS = ("t", "t,ns", "t,ns,r", "t,ns,r,e")
 
 
 @dataclass(frozen=True)
@@ -89,44 +88,14 @@ class Affine:
 
 
 @dataclass
-class TreeCellParams:
-    """Five-gate binary tree cell; gate input is [h_l; h_r; r_l; r_r]."""
-
-    hidden_size: int
-    relation_dim: int
-    w_i: nc.Tensor
-    b_i: nc.Tensor
-    w_fl: nc.Tensor
-    b_fl: nc.Tensor
-    w_fr: nc.Tensor
-    b_fr: nc.Tensor
-    w_o: nc.Tensor
-    b_o: nc.Tensor
-    w_u: nc.Tensor
-    b_u: nc.Tensor
-
-
-@dataclass
 class TreeModelParams:
     hidden_size: int
     relation_dim: int
-    cell: TreeCellParams
+    cell: nc.CellParams  # forget gates fl, fr over [h_l; h_r; r_l; r_r]
     relation_table: nc.Tensor | None  # (vocab size, relation_dim), row 0 = UNK
     nuclearity_table: nc.Tensor | None  # (2, relation_dim), rows N then S
     classifier: Affine | None  # (3, 2*hidden)
-    edu: EduEncoderParams | None
-
-
-def init_tree_cell(bundle: nc.ParameterBundle, rng: np.random.Generator,
-                   hidden_size: int, relation_dim: int,
-                   prefix: str = "tree") -> TreeCellParams:
-    cols = 2 * hidden_size + 2 * relation_dim
-    tensors = {}
-    for gate in ("i", "fl", "fr", "o", "u"):
-        tensors[f"w_{gate}"] = bundle.add(f"{prefix}.w_{gate}",
-                                          nc.glorot(rng, (hidden_size, cols)))
-        tensors[f"b_{gate}"] = bundle.add(f"{prefix}.b_{gate}", np.zeros(hidden_size))
-    return TreeCellParams(hidden_size, relation_dim, **tensors)
+    edu: nc.CellParams | None  # LSTM over the EDU's word vectors
 
 
 def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
@@ -135,7 +104,8 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
                     with_classifier: bool = True) -> TreeModelParams:
     """Allocate only what the feature row uses, in a fixed registration order."""
     abl.validate()
-    cell = init_tree_cell(bundle, rng, hidden_size, relation_dim)
+    cell = nc.init_cell(bundle, "tree", rng, 2 * hidden_size + 2 * relation_dim,
+                        hidden_size, ("fl", "fr"))
     relation_table = None
     nuclearity_table = None
     if abl.r:
@@ -153,7 +123,7 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
             bundle.add("classifier.b", np.zeros(N_CLASSES)))
     edu = None
     if abl.e:
-        edu = init_edu_encoder(bundle, rng, wv_dim, hidden_size)
+        edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden_size)
     return TreeModelParams(hidden_size, relation_dim, cell,
                            relation_table, nuclearity_table, classifier, edu)
 
@@ -190,8 +160,8 @@ def _leaf_state(leaf: Leaf, params: TreeModelParams, wv: WordVectors | None,
 
 
 def encode_subtree(tree: RstTree, params: TreeModelParams, wv: WordVectors | None,
-                   abl: AblationConfig, vocab: RelationVocabulary | None = None,
-                   visit_log: list | None = None) -> tuple[nc.Tensor, nc.Tensor]:
+                   abl: AblationConfig,
+                   vocab: RelationVocabulary | None = None) -> tuple[nc.Tensor, nc.Tensor]:
     """Bottom-up (h, c) encoding; every node is computed exactly once."""
     results: list[tuple[nc.Tensor, nc.Tensor]] = []
     stack: list[tuple[RstTree, bool]] = [(tree, False)]
@@ -199,8 +169,6 @@ def encode_subtree(tree: RstTree, params: TreeModelParams, wv: WordVectors | Non
         node, expanded = stack.pop()
         if isinstance(node, Leaf):
             results.append(_leaf_state(node, params, wv, abl))
-            if visit_log is not None:
-                visit_log.append(node)
         elif not expanded:
             stack.append((node, True))
             stack.append((node.right, False))
@@ -210,18 +178,8 @@ def encode_subtree(tree: RstTree, params: TreeModelParams, wv: WordVectors | Non
             h_l, c_l = results.pop()
             r_l = label_embedding(node.left_label, params, abl, vocab)
             r_r = label_embedding(node.right_label, params, abl, vocab)
-            p = params.cell
             z = nc.concat((h_l, h_r, r_l, r_r))
-            i = nc.sigmoid(nc.add(nc.matvec(p.w_i, z), p.b_i))
-            f_l = nc.sigmoid(nc.add(nc.matvec(p.w_fl, z), p.b_fl))
-            f_r = nc.sigmoid(nc.add(nc.matvec(p.w_fr, z), p.b_fr))
-            o = nc.sigmoid(nc.add(nc.matvec(p.w_o, z), p.b_o))
-            u = nc.tanh(nc.add(nc.matvec(p.w_u, z), p.b_u))
-            c = nc.add(nc.add(nc.mul(i, u), nc.mul(f_l, c_l)), nc.mul(f_r, c_r))
-            h = nc.mul(o, nc.tanh(c))
-            results.append((h, c))
-            if visit_log is not None:
-                visit_log.append(node)
+            results.append(nc.cell_step(z, (c_l, c_r), params.cell))
     return results[0]
 
 

@@ -118,9 +118,9 @@ def test_criterion_3_scalar_oracle_equivalence():
         cell = nc.init_lstm_cell(bundle, "c", rng, 1, 1)
         for t in bundle.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
-        w_seq = {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-                     float(getattr(cell, f"w_{g}").data[0, 1]),
-                     float(getattr(cell, f"b_{g}").data[0]))
+        w_seq = {g: (float(cell.w[g].data[0, 0]),
+                     float(cell.w[g].data[0, 1]),
+                     float(cell.b[g].data[0]))
                  for g in ("i", "f", "o", "u")}
         x, h, c = rng.uniform(-2, 2, size=3)
         got_h, got_c = nc.lstm_cell_step(nc.constant([x]), nc.constant([h]),
@@ -130,11 +130,9 @@ def test_criterion_3_scalar_oracle_equivalence():
         assert abs(got_c.data[0] - want_c) < TOL
 
         # encode_edu over three tokens
-        from rstcoh.edu_encoder import EduEncoderParams
-        enc = EduEncoderParams(cell)
         values = {"ax": 0.6, "bx": -0.9, "cx": 0.2}
         wv1 = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
-        e, ce = encode_edu(["ax", "bx", "cx"], wv1, enc)
+        e, ce = encode_edu(["ax", "bx", "cx"], wv1, cell)
         want_e, want_ce = oracles.scalar_lstm_run([0.6, -0.9, 0.2], w_seq)
         assert abs(e.data[0] - want_e) < TOL
         assert abs(ce.data[0] - want_ce) < TOL
@@ -149,13 +147,13 @@ def test_criterion_3_scalar_oracle_equivalence():
         for t in tb.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         tc = params.cell
-        w_tree = {g: tuple(getattr(tc, f"w_{g}").data[0].tolist())
-                  + (float(getattr(tc, f"b_{g}").data[0]),)
+        w_tree = {g: tuple(tc.w[g].data[0].tolist())
+                  + (float(tc.b[g].data[0]),)
                   for g in ("i", "fl", "fr", "o", "u")}
-        ec = params.edu.cell
-        w_edu = {g: (float(getattr(ec, f"w_{g}").data[0, 0]),
-                     float(getattr(ec, f"w_{g}").data[0, 1]),
-                     float(getattr(ec, f"b_{g}").data[0]))
+        ec = params.edu
+        w_edu = {g: (float(ec.w[g].data[0, 0]),
+                     float(ec.w[g].data[0, 1]),
+                     float(ec.b[g].data[0]))
                  for g in ("i", "f", "o", "u")}
 
         def leaf_state(text):
@@ -185,9 +183,9 @@ def test_criterion_3_scalar_oracle_equivalence():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
 
         def seq_w(cell_):
-            return {g: (float(getattr(cell_, f"w_{g}").data[0, 0]),
-                        float(getattr(cell_, f"w_{g}").data[0, 1]),
-                        float(getattr(cell_, f"b_{g}").data[0]))
+            return {g: (float(cell_.w[g].data[0, 0]),
+                        float(cell_.w[g].data[0, 1]),
+                        float(cell_.b[g].data[0]))
                     for g in ("i", "f", "o", "u")}
 
         paragraphs = [[["ax", "bx"], ["cx"]], [["bx"]]]

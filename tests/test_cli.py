@@ -155,6 +155,64 @@ class TestEvaluate:
                          str(tmp_path / "none.json")]) == EXIT_CONFIG
 
 
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    """A trained rst t,ns,r,e checkpoint with 4-d word vectors."""
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    cfg_path, config = write_config(tmp, features="t,ns,r,e", n_runs=1)
+    assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    return (Path(config["out_dir"]) / "checkpoint.json").read_text()
+
+
+def _edit_meta(text, key, value=None):
+    doc = json.loads(text)
+    if value is None:
+        del doc["meta"][key]
+    else:
+        doc["meta"][key] = value
+    return json.dumps(doc)
+
+
+# (probe, config edit, checkpoint edit for `evaluate` or None for `train`, exit)
+MALFORMED_INPUTS = (
+    ("string learning_rate", lambda c: c["train"].update(learning_rate="1e-3"),
+     None, EXIT_CONFIG),
+    ("string train.seed", lambda c: c["train"].update(seed="0"), None, EXIT_CONFIG),
+    ("string n_runs", lambda c: c.update(n_runs="2"), None, EXIT_CONFIG),
+    ("string workers", lambda c: c.update(workers="1"), None, EXIT_CONFIG),
+    ("integer features", lambda c: c.update(features=5), None, EXIT_CONFIG),
+    ("string generator.edu_range", lambda c: c["generator"].update(edu_range="3,5"),
+     None, EXIT_CONFIG),
+    ("string generator.n_train", lambda c: c["generator"].update(n_train="20"),
+     None, EXIT_CONFIG),
+    ("truncated checkpoint", None, lambda t: t[:len(t) // 2], EXIT_DATA),
+    ("checkpoint without meta.wv_dim", None, lambda t: _edit_meta(t, "wv_dim"),
+     EXIT_DATA),
+    ("checkpoint wv_dim does not fit", None, lambda t: _edit_meta(t, "wv_dim", 5),
+     EXIT_DATA),
+)
+
+
+@pytest.mark.parametrize("edit_config,edit_checkpoint,code",
+                         [probe[1:] for probe in MALFORMED_INPUTS],
+                         ids=[probe[0] for probe in MALFORMED_INPUTS])
+def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text,
+                                               edit_config, edit_checkpoint, code):
+    cfg_path, config = write_config(tmp_path, features="t,ns,r,e")
+    if edit_config is not None:
+        edit_config(config)
+        cfg_path.write_text(json.dumps(config))
+    argv = ["train", "--config", str(cfg_path)]
+    if edit_checkpoint is not None:
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(edit_checkpoint(checkpoint_text))
+        argv = ["evaluate", "--config", str(cfg_path), "--checkpoint", str(checkpoint)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert set(json.loads(err[0])) == {"error", "message"}
+
+
 class TestAblate:
     def test_grid_has_nine_rows(self, tmp_path):
         cfg_path, config = write_config(tmp_path, n_runs=1)

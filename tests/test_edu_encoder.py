@@ -5,7 +5,7 @@ import pytest
 
 from rstcoh import numcore as nc
 from rstcoh.corpus import WordVectors
-from rstcoh.edu_encoder import encode_edu, init_edu_encoder
+from rstcoh.edu_encoder import encode_edu
 from rstcoh.errors import DimensionError, ValidationError
 
 import oracles
@@ -14,7 +14,7 @@ import oracles
 def make_encoder(wv_dim, hidden, seed=0, zero=False):
     bundle = nc.ParameterBundle()
     rng = np.random.default_rng(seed)
-    enc = init_edu_encoder(bundle, rng, wv_dim, hidden)
+    enc = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden)
     if zero:
         for t in bundle.tensors():
             t.data[:] = 0.0
@@ -36,17 +36,16 @@ def test_single_oov_token_equals_zero_input_step():
     enc, _ = make_encoder(2, 3, seed=5)
     wv = WordVectors(2, {})
     e, c = encode_edu(["unknown"], wv, enc)
-    h2, c2 = nc.lstm_cell_step(nc.zeros(2), nc.zeros(3), nc.zeros(3), enc.cell)
+    h2, c2 = nc.lstm_cell_step(nc.zeros(2), nc.zeros(3), nc.zeros(3), enc)
     assert np.array_equal(e.data, h2.data)
     assert np.array_equal(c.data, c2.data)
 
 
 def test_three_tokens_match_scalar_oracle():
     enc, _ = make_encoder(1, 1, seed=7)
-    cell = enc.cell
-    w = {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-             float(getattr(cell, f"w_{g}").data[0, 1]),
-             float(getattr(cell, f"b_{g}").data[0]))
+    w = {g: (float(enc.w[g].data[0, 0]),
+             float(enc.w[g].data[0, 1]),
+             float(enc.b[g].data[0]))
          for g in ("i", "f", "o", "u")}
     values = {"x": 0.4, "y": -1.1, "z": 0.9}
     wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})

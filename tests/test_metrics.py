@@ -101,6 +101,11 @@ class TestReport:
         rate = labels.count(klass) / len(labels)
         assert rep.weighted_f1 == pytest.approx(rate * rep.f1[klass], abs=1e-12)
 
+    def test_from_pairs_rejects_labels_outside_1_to_3(self):
+        for true_labels, predicted in (([0, 1], [1, 0]), ([1], [4]), ([4], [1])):
+            with pytest.raises(EmptyEvaluationError):
+                ConfusionMatrix.from_pairs(true_labels, predicted)
+
     def test_round_trips(self):
         rep = report(all_class3_matrix(SUPPORTS["enron"]))
         assert EvaluationReport.from_dict(rep.to_dict()) == rep

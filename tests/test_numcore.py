@@ -47,9 +47,9 @@ class TestLstmCell:
 
     def test_matches_scalar_oracle(self):
         cell, _ = random_cell(1, 1, seed=3)
-        w = {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-                 float(getattr(cell, f"w_{g}").data[0, 1]),
-                 float(getattr(cell, f"b_{g}").data[0]))
+        w = {g: (float(cell.w[g].data[0, 0]),
+                 float(cell.w[g].data[0, 1]),
+                 float(cell.b[g].data[0]))
              for g in ("i", "f", "o", "u")}
         rng = np.random.default_rng(4)
         for _ in range(20):

@@ -73,9 +73,9 @@ class TestEncodeParseq:
         doc = make_doc(paragraphs)
 
         def weights(cell):
-            return {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-                        float(getattr(cell, f"w_{g}").data[0, 1]),
-                        float(getattr(cell, f"b_{g}").data[0]))
+            return {g: (float(cell.w[g].data[0, 0]),
+                        float(cell.w[g].data[0, 1]),
+                        float(cell.b[g].data[0]))
                     for g in ("i", "f", "o", "u")}
 
         want = oracles.scalar_parseq(paragraphs, values, weights(p.lstm1),
@@ -185,14 +185,14 @@ class TestEnsemble:
         doc = make_doc(paragraphs, tree=tree)
 
         def seq_weights(cell):
-            return {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-                        float(getattr(cell, f"w_{g}").data[0, 1]),
-                        float(getattr(cell, f"b_{g}").data[0]))
+            return {g: (float(cell.w[g].data[0, 0]),
+                        float(cell.w[g].data[0, 1]),
+                        float(cell.b[g].data[0]))
                     for g in ("i", "f", "o", "u")}
 
         tc = p.tree.cell
-        w_tree = {g: tuple(getattr(tc, f"w_{g}").data[0].tolist())
-                  + (float(getattr(tc, f"b_{g}").data[0]),)
+        w_tree = {g: tuple(tc.w[g].data[0].tolist())
+                  + (float(tc.b[g].data[0]),)
                   for g in ("i", "fl", "fr", "o", "u")}
 
         def rel(label):

@@ -7,6 +7,7 @@ import pytest
 
 from rstcoh import corpus, numcore as nc, trainer
 from rstcoh.errors import ConfigError, TrainingDiverged
+from rstcoh.rst_data import RelationVocabulary
 from rstcoh.tree_model import AblationConfig
 from rstcoh.trainer import (MODEL_KINDS, RunRecord, TrainConfig, cross_entropy,
                             run_multi_seed, train)
@@ -60,6 +61,54 @@ class TestTrainConfig:
             small_cfg(learning_rate=0.0).validate()
         with pytest.raises(ConfigError):
             small_cfg(epochs=0).validate()
+        with pytest.raises(ConfigError):
+            small_cfg(epochs=1.5).validate()
+
+
+TREE_CELL = [
+    ("tree.w_i", (3, 10)), ("tree.b_i", (3,)),
+    ("tree.w_fl", (3, 10)), ("tree.b_fl", (3,)),
+    ("tree.w_fr", (3, 10)), ("tree.b_fr", (3,)),
+    ("tree.w_o", (3, 10)), ("tree.b_o", (3,)),
+    ("tree.w_u", (3, 10)), ("tree.b_u", (3,)),
+]
+SEQ_CELLS = [
+    ("seq.lstm1.w_i", (3, 8)), ("seq.lstm1.b_i", (3,)),
+    ("seq.lstm1.w_f", (3, 8)), ("seq.lstm1.b_f", (3,)),
+    ("seq.lstm1.w_o", (3, 8)), ("seq.lstm1.b_o", (3,)),
+    ("seq.lstm1.w_u", (3, 8)), ("seq.lstm1.b_u", (3,)),
+    ("seq.lstm2.w_i", (3, 6)), ("seq.lstm2.b_i", (3,)),
+    ("seq.lstm2.w_f", (3, 6)), ("seq.lstm2.b_f", (3,)),
+    ("seq.lstm2.w_o", (3, 6)), ("seq.lstm2.b_o", (3,)),
+    ("seq.lstm2.w_u", (3, 6)), ("seq.lstm2.b_u", (3,)),
+    ("seq.lstm3.w_i", (3, 6)), ("seq.lstm3.b_i", (3,)),
+    ("seq.lstm3.w_f", (3, 6)), ("seq.lstm3.b_f", (3,)),
+    ("seq.lstm3.w_o", (3, 6)), ("seq.lstm3.b_o", (3,)),
+    ("seq.lstm3.w_u", (3, 6)), ("seq.lstm3.b_u", (3,)),
+]
+# Registration order fixes both the RNG draws and the checkpoint layout.
+PARAMETER_LAYOUT = {
+    ("rst", "t,ns,r,e"): TREE_CELL + [
+        ("relation_table", (4, 2)), ("classifier.w", (3, 6)), ("classifier.b", (3,)),
+        ("edu.w_i", (3, 8)), ("edu.b_i", (3,)),
+        ("edu.w_f", (3, 8)), ("edu.b_f", (3,)),
+        ("edu.w_o", (3, 8)), ("edu.b_o", (3,)),
+        ("edu.w_u", (3, 8)), ("edu.b_u", (3,)),
+    ],
+    ("parseq", "t"): SEQ_CELLS + [("classifier.w", (3, 3)), ("classifier.b", (3,))],
+    ("ensemble", "t,ns,r"): TREE_CELL + [("relation_table", (4, 2))] + SEQ_CELLS
+    + [("joint.w", (3, 9)), ("joint.b", (3,))],
+}
+
+
+@pytest.mark.parametrize("kind,features", sorted(PARAMETER_LAYOUT))
+def test_parameter_names_and_shapes(kind, features):
+    vocab = RelationVocabulary(["Elaboration_N", "Elaboration_S", "Contrast_N"])
+    cfg = small_cfg(model=kind, features=AblationConfig.from_features(features),
+                    hidden_size=3, relation_dim=2)
+    model = trainer.build_model(cfg, vocab, 5, np.random.default_rng(0))
+    assert [(name, t.data.shape) for name, t in model.bundle.items()] \
+        == PARAMETER_LAYOUT[kind, features]
 
 
 class TestTrain:

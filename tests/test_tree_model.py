@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rstcoh import numcore as nc
+from rstcoh import numcore as nc, tree_model
 from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus
 from rstcoh.errors import ConfigError, DegenerateTreeError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
-                             build_relation_vocab, count_nodes)
+                             build_relation_vocab, count_leaves, count_nodes)
 from rstcoh.tree_model import (AblationConfig, classify_document, count_parameters,
                                encode_subtree, init_tree_model, label_embedding)
 
@@ -106,14 +106,14 @@ class TestEncodeSubtree:
         wv = toy_wv(dim=1, seed=6)
         tree = three_edu_tree(("alpha beta.", "gamma.", "delta epsilon."))
 
-        cell = params.edu.cell
-        w_seq = {g: (float(getattr(cell, f"w_{g}").data[0, 0]),
-                     float(getattr(cell, f"w_{g}").data[0, 1]),
-                     float(getattr(cell, f"b_{g}").data[0]))
+        cell = params.edu
+        w_seq = {g: (float(cell.w[g].data[0, 0]),
+                     float(cell.w[g].data[0, 1]),
+                     float(cell.b[g].data[0]))
                  for g in ("i", "f", "o", "u")}
         tc = params.cell
-        w_tree = {g: tuple(getattr(tc, f"w_{g}").data[0].tolist())
-                  + (float(getattr(tc, f"b_{g}").data[0]),)
+        w_tree = {g: tuple(tc.w[g].data[0].tolist())
+                  + (float(tc.b[g].data[0]),)
                   for g in ("i", "fl", "fr", "o", "u")}
 
         def leaf(text):
@@ -138,14 +138,31 @@ class TestEncodeSubtree:
         assert abs(got_h.data[0] - want_h) < 1e-12
         assert abs(got_c.data[0] - want_c) < 1e-12
 
-    def test_every_node_visited_exactly_once(self):
+    def test_every_node_visited_exactly_once(self, monkeypatch):
         vocab = build_relation_vocab([three_edu_tree()])
         params, _ = build(TNSR, vocab)
+        leaves = []
+        cells = []
+        leaf_state = tree_model._leaf_state
+        cell_step = nc.cell_step
+
+        def count_leaf(leaf, *args):
+            leaves.append(leaf)
+            return leaf_state(leaf, *args)
+
+        def count_cell(*args):
+            cells.append(args)
+            return cell_step(*args)
+
+        monkeypatch.setattr(tree_model, "_leaf_state", count_leaf)
+        monkeypatch.setattr(nc, "cell_step", count_cell)
         for tree in (two_edu_tree(), three_edu_tree()):
-            log = []
-            encode_subtree(tree, params, None, TNSR, vocab, visit_log=log)
-            assert len(log) == count_nodes(tree)
-            assert len({id(n) for n in log}) == len(log)
+            leaves.clear()
+            cells.clear()
+            encode_subtree(tree, params, None, TNSR, vocab)
+            assert len(leaves) == count_leaves(tree)
+            assert len({id(n) for n in leaves}) == len(leaves)
+            assert len(leaves) + len(cells) == count_nodes(tree)
 
 
 class TestClassify:
