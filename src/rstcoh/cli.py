@@ -132,6 +132,16 @@ def make_generator_config(config: dict) -> corpus.GeneratorConfig:
     return cfg
 
 
+def synthesize(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors]:
+    """The generator's corpus and word vectors at ``data_seed``."""
+    gen_cfg = make_generator_config(config)
+    seed = config["data_seed"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"data_seed must be an integer >= 0, got {seed!r}")
+    return (corpus.synthesize_corpus(gen_cfg, seed),
+            corpus.synthesize_word_vectors(gen_cfg, seed))
+
+
 def resolve_corpus(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors | None]:
     paths = config["paths"]
     if paths.get("documents") or paths.get("trees"):
@@ -149,10 +159,7 @@ def resolve_corpus(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors
             wv = corpus.load_word_vectors(paths["word_vectors"],
                                           corpus.corpus_token_vocab(split))
         return split, wv
-    gen_cfg = make_generator_config(config)
-    split = corpus.synthesize_corpus(gen_cfg, config["data_seed"])
-    wv = corpus.synthesize_word_vectors(gen_cfg, config["data_seed"])
-    return split, wv
+    return synthesize(config)
 
 
 def _needs_word_vectors(cfg: trainer.TrainConfig) -> bool:
@@ -309,9 +316,7 @@ def cmd_ablate(config: dict) -> int:
 
 
 def cmd_synth(config: dict) -> int:
-    gen_cfg = make_generator_config(config)
-    split = corpus.synthesize_corpus(gen_cfg, config["data_seed"])
-    wv = corpus.synthesize_word_vectors(gen_cfg, config["data_seed"])
+    split, wv = synthesize(config)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_documents(out_dir / "documents.jsonl", split)

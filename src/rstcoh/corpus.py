@@ -306,8 +306,15 @@ class GeneratorConfig:
         if not 0.0 <= self.token_signal <= 1.0:
             raise ConfigError(
                 f"token_signal must be in [0, 1], got {self.token_signal}")
+        ints = (self.n_train, self.n_test, self.max_paragraphs, self.wv_dim,
+                *self.edu_range, *self.tokens_per_edu)
+        if any(type(n) is not int for n in ints):
+            raise ConfigError("corpus sizes, max_paragraphs, wv_dim, edu_range and "
+                              f"tokens_per_edu must be integers, got {ints}")
         if self.n_train < 0 or self.n_test < 0:
             raise ConfigError("corpus sizes must be non-negative")
+        if self.max_paragraphs < 1 or self.wv_dim < 1:
+            raise ConfigError("max_paragraphs and wv_dim must be positive")
         if len(self.class_probs) != 3 or abs(sum(self.class_probs) - 1.0) > 1e-9 \
                 or any(p < 0 for p in self.class_probs):
             raise ConfigError(f"class_probs must be a distribution over 3 classes")

@@ -6,12 +6,15 @@ o, u and one forget gate per child, all read one input vector z. The
 sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
 is its 2-ary case.
 
-Graphs are built eagerly: each op returns a :class:`Tensor` that remembers
-its parents plus a closure that pushes gradients to them, and
-:func:`backward` replays those closures once in reverse topological order.
-A recorded computation is single-threaded; parameter bundles are safe to
-share across threads for concurrent forward passes (the grad-recording
-switch is thread-local).
+Ops run eagerly. Inside ``with record():`` each op whose inputs need a
+gradient appends its output and one closure to the current thread's tape,
+a Wengert list (Griewank & Walther, *Evaluating Derivatives*), and
+:func:`backward` replays that tape in reverse. The closure takes the
+output's gradient and captures only the op's inputs and arrays, never the
+output, so a recorded graph holds no reference cycles and reference
+counting frees it. Outside a block ops record nothing. Each thread has its
+own tape; parameter bundles are safe to share across threads for
+concurrent forward passes.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,24 +32,25 @@ from .errors import DimensionError, ShapeError, StateError
 
 Array = np.ndarray
 
-_tls = threading.local()
+
+class _Recording(threading.local):
+    # The class default is what a thread that never entered record() reads,
+    # without a per-op AttributeError.
+    tape: list | None = None
 
 
-def grad_enabled() -> bool:
-    return getattr(_tls, "grad_enabled", True)
+_rec = _Recording()
 
 
-class no_grad:
-    """Context manager disabling graph recording on the current thread."""
-
-    def __enter__(self):
-        self._prev = grad_enabled()
-        _tls.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _tls.grad_enabled = self._prev
-        return False
+@contextmanager
+def record() -> Iterator[None]:
+    """Record ops on a fresh tape of the current thread for :func:`backward`."""
+    prev = _rec.tape
+    _rec.tape = []
+    try:
+        yield
+    finally:
+        _rec.tape = prev
 
 
 class Tensor:
@@ -56,14 +61,12 @@ class Tensor:
     trainable; everything else is either a constant or an op result.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,13 +94,16 @@ def _accumulate(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-def _result(data: Array, parents: tuple[Tensor, ...], make_backward) -> Tensor:
-    """Wrap op output; record the graph edge only when some parent needs it."""
+def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
+    """Wrap op output; put it on the tape only when some parent needs a grad.
+
+    ``bw(g)`` pushes the output gradient ``g`` to the parents.
+    """
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    tape = _rec.tape
+    if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = make_backward(out)
+        tape.append((out, bw))
     return out
 
 
@@ -108,12 +114,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: {a.data.shape} vs {b.data.shape}")
 
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
-
-        return run
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _result(a.data + b.data, (a, b), bw)
 
@@ -122,22 +125,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: {a.data.shape} vs {b.data.shape}")
 
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad * b.data)
-            _accumulate(b, out.grad * a.data)
-
-        return run
+    def bw(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            _accumulate(a, -out.grad)
-
-        return run
+    def bw(g):
+        _accumulate(a, -g)
 
     return _result(-a.data, (a,), bw)
 
@@ -146,12 +143,9 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
         raise DimensionError(f"matvec: {w.data.shape} @ {x.data.shape}")
 
-    def bw(out):
-        def run():
-            _accumulate(w, np.outer(out.grad, x.data))
-            _accumulate(x, w.data.T @ out.grad)
-
-        return run
+    def bw(g):
+        _accumulate(w, np.outer(g, x.data))
+        _accumulate(x, w.data.T @ g)
 
     return _result(w.data @ x.data, (w, x), bw)
 
@@ -163,14 +157,11 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(parts)
     sizes = [p.data.shape[0] for p in parts]
 
-    def bw(out):
-        def run():
-            off = 0
-            for p, n in zip(parts, sizes):
-                _accumulate(p, out.grad[off:off + n])
-                off += n
-
-        return run
+    def bw(g):
+        off = 0
+        for p, n in zip(parts, sizes):
+            _accumulate(p, g[off:off + n])
+            off += n
 
     return _result(np.concatenate([p.data for p in parts]), parts, bw)
 
@@ -183,23 +174,19 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     val[~pos] = ex / (1.0 + ex)
 
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad * out.data * (1.0 - out.data))
-
-        return run
+    def bw(g):
+        _accumulate(a, g * val * (1.0 - val))
 
     return _result(val, (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad * (1.0 - out.data * out.data))
+    val = np.tanh(a.data)
 
-        return run
+    def bw(g):
+        _accumulate(a, g * (1.0 - val * val))
 
-    return _result(np.tanh(a.data), (a,), bw)
+    return _result(val, (a,), bw)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -209,12 +196,8 @@ def softmax(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum()
 
-    def bw(out):
-        def run():
-            g = out.grad
-            _accumulate(a, out.data * (g - np.dot(g, out.data)))
-
-        return run
+    def bw(g):
+        _accumulate(a, p * (g - np.dot(g, p)))
 
     return _result(p, (a,), bw)
 
@@ -223,13 +206,10 @@ def pick(a: Tensor, i: int) -> Tensor:
     if a.data.ndim != 1:
         raise DimensionError("pick expects a 1-d tensor")
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(a.data)
-            g[i] = out.grad
-            _accumulate(a, g)
-
-        return run
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[i] = g
+        _accumulate(a, ga)
 
     return _result(a.data[i], (a,), bw)
 
@@ -238,33 +218,24 @@ def row(m: Tensor, i: int) -> Tensor:
     if m.data.ndim != 2:
         raise DimensionError("row expects a 2-d tensor")
 
-    def bw(out):
-        def run():
-            g = np.zeros_like(m.data)
-            g[i] = out.grad
-            _accumulate(m, g)
-
-        return run
+    def bw(g):
+        gm = np.zeros_like(m.data)
+        gm[i] = g
+        _accumulate(m, gm)
 
     return _result(m.data[i].copy(), (m,), bw)
 
 
 def vsum(a: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            _accumulate(a, np.full_like(a.data, float(out.grad)))
-
-        return run
+    def bw(g):
+        _accumulate(a, np.full_like(a.data, float(g)))
 
     return _result(a.data.sum(), (a,), bw)
 
 
 def log(a: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad / a.data)
-
-        return run
+    def bw(g):
+        _accumulate(a, g / a.data)
 
     return _result(np.log(a.data), (a,), bw)
 
@@ -273,11 +244,8 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
     # written so NaN passes through instead of being floored away
     mask = ~(a.data < lo)
 
-    def bw(out):
-        def run():
-            _accumulate(a, out.grad * mask)
-
-        return run
+    def bw(g):
+        _accumulate(a, g * mask)
 
     return _result(np.where(mask, a.data, lo), (a,), bw)
 
@@ -285,41 +253,25 @@ def clamp_min(a: Tensor, lo: float) -> Tensor:
 # --- backward pass ----------------------------------------------------------
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def backward(loss: Tensor, params: "ParameterBundle") -> None:
     """Fill ``t.grad`` with d(loss)/dt for every tensor in ``params``.
 
+    Replays the tape of the enclosing :func:`record` block in reverse.
     Parameters that do not participate in ``loss`` end up with zero
     gradients.
     """
+    tape = _rec.tape
+    if tape is None:
+        raise StateError("backward needs the ops recorded inside a record() block")
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     params.zero_grads()
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+    for out, bw in reversed(tape):
+        if out.grad is not None:
+            bw(out.grad)
 
 
 # --- parameters -------------------------------------------------------------

@@ -323,19 +323,6 @@ class RelationVocabulary:
     def __eq__(self, other) -> bool:
         return isinstance(other, RelationVocabulary) and self._labels == other._labels
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for lab in self._labels:
-                fh.write(lab + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RelationVocabulary":
-        with open(path, encoding="utf-8") as fh:
-            labels = [line.rstrip("\n") for line in fh if line.strip()]
-        if not labels or labels[0] != UNK_LABEL:
-            raise EmptyVocabError(f"vocabulary file {path} must start with UNK")
-        return cls(labels)
-
 
 def build_relation_vocab(trees: Iterable[RstTree]) -> RelationVocabulary:
     """UNK plus the lexicographically sorted set of combined labels in ``trees``."""

@@ -45,6 +45,10 @@ class TrainConfig:
             raise ConfigError(f"epochs, sizes and seed must be integers, got {ints}")
         if self.epochs < 1 or self.hidden_size < 1 or self.relation_dim < 1:
             raise ConfigError("epochs and sizes must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if type(self.shuffle) is not bool:
+            raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         self.features.validate()
@@ -91,8 +95,7 @@ class Model:
         return parseq.classify_ensemble(doc, wv, self.params, self.abl, self.vocab)
 
     def predict(self, doc: Document, wv: WordVectors | None) -> int:
-        with nc.no_grad():
-            dist = self.classify(doc, wv)
+        dist = self.classify(doc, wv)
         return int(np.argmax(dist.data)) + 1
 
 
@@ -139,12 +142,13 @@ def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
     total = 0.0
     for k in order:
         doc = docs[int(k)]
-        dist = model.classify(doc, wv)
-        loss = cross_entropy(dist, doc.label)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise TrainingDiverged(doc.id)
-        nc.backward(loss, model.bundle)
+        with nc.record():
+            dist = model.classify(doc, wv)
+            loss = cross_entropy(dist, doc.label)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(doc.id)
+            nc.backward(loss, model.bundle)
         step += 1
         nc.adam_step(model.bundle, state, step, lr)
         total += value

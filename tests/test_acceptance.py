@@ -84,12 +84,12 @@ def _check_model_gradients(kind: str, features: str, docs, wv):
         def loss() -> nc.Tensor:
             return trainer.cross_entropy(model.classify(doc, wv), doc.label)
 
-        nc.backward(loss(), model.bundle)
+        with nc.record():
+            nc.backward(loss(), model.bundle)
         analytic = {name: t.grad.copy() for name, t in model.bundle.items()}
 
         def loss_value() -> float:
-            with nc.no_grad():
-                return loss().item()
+            return loss().item()
 
         numeric = oracles.finite_difference_gradients(loss_value, model.bundle)
         bad = oracles.gradient_mismatches(analytic, numeric)

@@ -185,6 +185,15 @@ MALFORMED_INPUTS = (
      None, EXIT_CONFIG),
     ("string generator.n_train", lambda c: c["generator"].update(n_train="20"),
      None, EXIT_CONFIG),
+    ("fractional generator.n_train", lambda c: c["generator"].update(n_train=3.5),
+     None, EXIT_CONFIG),
+    ("fractional generator.wv_dim", lambda c: c["generator"].update(wv_dim=2.5),
+     None, EXIT_CONFIG),
+    ("fractional generator.max_paragraphs",
+     lambda c: c["generator"].update(max_paragraphs=1.5), None, EXIT_CONFIG),
+    ("string data_seed", lambda c: c.update(data_seed="x"), None, EXIT_CONFIG),
+    ("string train.shuffle", lambda c: c["train"].update(shuffle="no"), None,
+     EXIT_CONFIG),
     ("truncated checkpoint", None, lambda t: t[:len(t) // 2], EXIT_DATA),
     ("checkpoint without meta.wv_dim", None, lambda t: _edit_meta(t, "wv_dim"),
      EXIT_DATA),

@@ -186,6 +186,13 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             synthesize_corpus(GeneratorConfig(signal_strength=-0.1), 0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_paragraphs", 0), ("wv_dim", 0), ("max_paragraphs", 1.5),
+        ("n_test", True), ("tokens_per_edu", (2, 3.0))])
+    def test_non_integer_or_non_positive_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            GeneratorConfig(**{field: value}).validate()
+
     def test_documents_are_internally_consistent(self, tiny_split):
         for doc in tiny_split.train + tiny_split.test:
             assert doc.label in (1, 2, 3)

@@ -89,36 +89,40 @@ class TestBackward:
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
         loss = nc.constant(3.5)
-        nc.backward(loss, bundle)
+        with nc.record():
+            nc.backward(loss, bundle)
         assert np.array_equal(w.grad, np.zeros(2))
 
     def test_linear_loss_exact(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, -2.0, 0.5])
         x = nc.constant([4.0, 5.0, 6.0])
-        nc.backward(nc.vsum(nc.mul(w, x)), bundle)
+        with nc.record():
+            nc.backward(nc.vsum(nc.mul(w, x)), bundle)
         assert np.array_equal(w.grad, x.data)
 
     def test_non_scalar_loss_raises(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
-        with pytest.raises(ShapeError):
+        with nc.record(), pytest.raises(ShapeError):
             nc.backward(nc.mul(w, w), bundle)
 
     def test_non_participating_param_gets_zero(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
         unused = bundle.add("unused", [[3.0, 1.0]])
-        nc.backward(nc.vsum(w), bundle)
+        with nc.record():
+            nc.backward(nc.vsum(w), bundle)
         assert np.array_equal(w.grad, np.ones(2))
         assert np.array_equal(unused.grad, np.zeros((1, 2)))
 
     def test_reused_node_accumulates(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [2.0])
-        y = nc.mul(w, w)  # w^2 -> dy/dw = 2w = 4
-        loss = nc.vsum(nc.add(y, y))  # 2 w^2 -> 4w = 8
-        nc.backward(loss, bundle)
+        with nc.record():
+            y = nc.mul(w, w)  # w^2 -> dy/dw = 2w = 4
+            loss = nc.vsum(nc.add(y, y))  # 2 w^2 -> 4w = 8
+            nc.backward(loss, bundle)
         assert w.grad == pytest.approx([8.0], abs=1e-15)
 
     def test_op_grads_match_finite_differences(self, rng):
@@ -133,10 +137,11 @@ class TestBackward:
             p = nc.softmax(z)
             return float(nc.neg(nc.log(nc.clamp_min(nc.pick(p, 1), 1e-12))).data)
 
-        z = nc.concat((nc.tanh(nc.matvec(w, v)), nc.row(m, 2)))
-        p = nc.softmax(z)
-        loss = nc.neg(nc.log(nc.clamp_min(nc.pick(p, 1), 1e-12)))
-        nc.backward(loss, bundle)
+        with nc.record():
+            z = nc.concat((nc.tanh(nc.matvec(w, v)), nc.row(m, 2)))
+            p = nc.softmax(z)
+            loss = nc.neg(nc.log(nc.clamp_min(nc.pick(p, 1), 1e-12)))
+            nc.backward(loss, bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(loss_fn, bundle)
         assert not oracles.gradient_mismatches(analytic, numeric)
@@ -151,8 +156,9 @@ class TestBackward:
             p = nc.softmax(h)
             return nc.neg(nc.log(nc.clamp_min(nc.pick(p, 0), 1e-12)))
 
-        loss = forward()
-        nc.backward(loss, bundle)
+        with nc.record():
+            loss = forward()
+            nc.backward(loss, bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(lambda: float(forward().data),
                                                       bundle)
@@ -248,11 +254,18 @@ class TestOps:
         with pytest.raises(DimensionError):
             nc.add(nc.zeros(2), nc.zeros(3))
 
-    def test_no_grad_suppresses_graph(self):
+    def test_ops_outside_record_build_no_graph(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
-        with nc.no_grad():
-            out = nc.vsum(nc.mul(w, w))
+        out = nc.vsum(nc.mul(w, w))
         assert not out.requires_grad
-        nc.backward(out, bundle)
-        assert np.array_equal(w.grad, np.zeros(2))
+        with pytest.raises(StateError):
+            nc.backward(out, bundle)
+
+    def test_record_block_left_by_exception_stops_recording(self):
+        bundle = nc.ParameterBundle()
+        w = bundle.add("w", [1.0, 2.0])
+        with pytest.raises(RuntimeError), nc.record():
+            assert nc.mul(w, w).requires_grad
+            raise RuntimeError("diverged")
+        assert not nc.vsum(nc.mul(w, w)).requires_grad

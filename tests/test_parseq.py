@@ -122,7 +122,8 @@ class TestClassifyParseq:
             dist = classify_parseq(doc, wv, p)
             return nc.neg(nc.log(nc.clamp_min(nc.pick(dist, doc.label - 1), 1e-12)))
 
-        nc.backward(loss(), bundle)
+        with nc.record():
+            nc.backward(loss(), bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(
             lambda: float(loss().data), bundle)
@@ -227,7 +228,8 @@ class TestEnsemble:
             dist = classify_ensemble(doc, wv, p, TNSR, vocab)
             return nc.neg(nc.log(nc.clamp_min(nc.pick(dist, doc.label - 1), 1e-12)))
 
-        nc.backward(loss(), bundle)
+        with nc.record():
+            nc.backward(loss(), bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(
             lambda: float(loss().data), bundle)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from rstcoh import corpus, rst_data
 from rstcoh.errors import EmptyVocabError, ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
-                             RelationVocabulary, build_relation_vocab,
-                             parse_tree, serialize_tree, validate_tree)
+                             build_relation_vocab, parse_tree, serialize_tree,
+                             validate_tree)
 
 from conftest import make_label, two_edu_tree
 
@@ -181,10 +181,3 @@ class TestVocabulary:
             for lab in rst_data.child_labels(doc.tree):
                 idx = vocab.index_of_label(lab)
                 assert 0 <= idx < vocab.size
-
-    def test_file_round_trip(self, tmp_path):
-        vocab = build_relation_vocab([two_edu_tree()])
-        path = tmp_path / "vocab.txt"
-        vocab.save(path)
-        assert path.read_text().splitlines()[0] == "UNK"
-        assert RelationVocabulary.load(path) == vocab

@@ -63,6 +63,8 @@ class TestTrainConfig:
             small_cfg(epochs=0).validate()
         with pytest.raises(ConfigError):
             small_cfg(epochs=1.5).validate()
+        with pytest.raises(ConfigError):
+            small_cfg(seed=-1).validate()
 
 
 TREE_CELL = [

@@ -226,7 +226,8 @@ class TestGradients:
             p = nc.pick(dist, doc.label - 1)
             return nc.neg(nc.log(nc.clamp_min(p, 1e-12)))
 
-        nc.backward(loss(), bundle)
+        with nc.record():
+            nc.backward(loss(), bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(
             lambda: float(loss().data), bundle)
