@@ -13,6 +13,7 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -212,12 +213,22 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
 
 
 def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
-    """Read "token v1 ... vD" lines, keeping only tokens in ``vocab`` if given."""
+    """Read "token v1 ... vD" lines, keeping only tokens in ``vocab`` if given.
+
+    Fields split on any whitespace, so trailing spaces and CRLF endings
+    load. A word2vec "count dim" first line is skipped when dim equals the
+    number of values on the next line. Values must be finite.
+    """
     dimension: int | None = None
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+        rows = ((line_no, line.split()) for line_no, line in enumerate(fh, start=1))
+        head = list(itertools.islice(rows, 2))
+        if len(head) == 2 and len(head[0][1]) == 2 \
+                and all(f.isdecimal() for f in head[0][1]) \
+                and int(head[0][1][1]) == len(head[1][1]) - 1:
+            head = head[1:]
+        for line_no, parts in itertools.chain(head, rows):
             if len(parts) < 2:
                 raise FormatError(f"line {line_no}: expected 'token v1 ... vD'")
             token, values = parts[0], parts[1:]
@@ -229,9 +240,12 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
             if vocab is not None and token not in vocab:
                 continue
             try:
-                vectors[token] = np.asarray([float(v) for v in values])
+                vec = np.asarray([float(v) for v in values])
             except ValueError as exc:
                 raise FormatError(f"line {line_no}: non-numeric value") from exc
+            if not np.isfinite(vec).all():
+                raise FormatError(f"line {line_no}: non-finite value")
+            vectors[token] = vec
     if dimension is None:
         raise FormatError("empty word-vector file")
     return WordVectors(dimension, vectors)

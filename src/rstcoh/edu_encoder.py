@@ -1,4 +1,4 @@
-"""Encode an EDU's token sequence into the fixed vector used at tree leaves."""
+"""Encode EDU token sequences into the fixed vectors used at tree leaves."""
 
 from __future__ import annotations
 
@@ -7,15 +7,22 @@ from .corpus import WordVectors
 from .errors import ValidationError
 
 
+def encode_edus(edus: list[list[str]], wv: WordVectors,
+                p: nc.CellParams) -> list[tuple[nc.Tensor, nc.Tensor]]:
+    """Run the LSTM over each EDU's word vectors from the zero state, all
+    EDUs in one packed pass.
+
+    Returns each EDU's final hidden state (its embedding) and final cell
+    state, which seed the tree recursion at its leaf. Word vectors of the
+    wrong dimension raise DimensionError.
+    """
+    if any(not tokens for tokens in edus):
+        raise ValidationError("cannot encode an EDU with no tokens")
+    return nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in tokens]
+                         for tokens in edus], p)
+
+
 def encode_edu(tokens: list[str], wv: WordVectors,
                p: nc.CellParams) -> tuple[nc.Tensor, nc.Tensor]:
-    """Run the LSTM over the tokens' word vectors from the zero state.
-
-    Returns the final hidden state (the EDU embedding) and the final cell
-    state, both of which seed the tree recursion at this leaf. Word vectors
-    of the wrong dimension raise DimensionError at the first step.
-    """
-    if not tokens:
-        raise ValidationError("cannot encode an EDU with no tokens")
-    inputs = [nc.constant(wv.lookup(tok)) for tok in tokens]
-    return nc.run_lstm(inputs, p)
+    """:func:`encode_edus` for one EDU."""
+    return encode_edus([tokens], wv, p)[0]

@@ -4,17 +4,22 @@ cell, and the Adam optimizer.
 The gated cell is the N-ary Tree-LSTM unit of Tai et al. (2015): gates i,
 o, u and one forget gate per child, all read one input vector z. The
 sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
-is its 2-ary case.
+is its 2-ary case. One row-batched implementation of the gates, with a
+hand-written backward pass over plain arrays (Appleyard et al. 2016), serves
+two entry points: :func:`cell_step` applies the cell once, and
+:func:`run_lstms` runs many sequences as one packed batch. Each call of
+either is one tape entry, so a tree node costs one entry and so does each
+packed LSTM pass over a document's EDUs or sentences.
 
 Ops run eagerly. Inside ``with record():`` each op whose inputs need a
-gradient appends its output and one closure to the current thread's tape,
+gradient appends its outputs and one closure to the current thread's tape,
 a Wengert list (Griewank & Walther, *Evaluating Derivatives*), and
-:func:`backward` replays that tape in reverse. The closure takes the
-output's gradient and captures only the op's inputs and arrays, never the
-output, so a recorded graph holds no reference cycles and reference
-counting frees it. Outside a block ops record nothing. Each thread has its
-own tape; parameter bundles are safe to share across threads for
-concurrent forward passes.
+:func:`backward` replays that tape in reverse. The closure takes one
+gradient per output (None for an output nothing used) and captures only the
+op's inputs and arrays, never the outputs, so a recorded graph holds no
+reference cycles and reference counting frees it. Outside a block ops record
+nothing. Each thread has its own tape; parameter bundles are safe to share
+across threads for concurrent forward passes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,16 +100,23 @@ def _accumulate(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
-    """Wrap op output; put it on the tape only when some parent needs a grad.
+def _record(outs: tuple[Tensor, ...], parents: Iterable[Tensor], bw) -> None:
+    """Put an op's outputs on the tape when some parent needs a grad.
 
-    ``bw(g)`` pushes the output gradient ``g`` to the parents.
+    ``bw(*grads)`` takes one gradient per output, None where there is none,
+    and pushes them to the parents.
     """
-    out = Tensor(data)
     tape = _rec.tape
     if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        tape.append((out, bw))
+        for out in outs:
+            out.requires_grad = True
+        tape.append((outs, bw))
+
+
+def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
+    """Wrap a single-output op's result and record it."""
+    out = Tensor(data)
+    _record((out,), parents, bw)
     return out
 
 
@@ -166,13 +179,14 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts]), parts, bw)
 
 
+def _sigmoid(x: Array) -> Array:
+    # exp of a non-positive number never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    val = np.empty_like(x)
-    pos = x >= 0
-    val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    val[~pos] = ex / (1.0 + ex)
+    val = _sigmoid(a.data)
 
     def bw(g):
         _accumulate(a, g * val * (1.0 - val))
@@ -269,9 +283,10 @@ def backward(loss: Tensor, params: "ParameterBundle") -> None:
     if not loss.requires_grad:
         return
     loss.grad = np.ones((), dtype=np.float64)
-    for out, bw in reversed(tape):
-        if out.grad is not None:
-            bw(out.grad)
+    for outs, bw in reversed(tape):
+        grads = [out.grad for out in outs]
+        if any(g is not None for g in grads):
+            bw(*grads)
 
 
 # --- parameters -------------------------------------------------------------
@@ -354,6 +369,11 @@ class CellParams:
     w: dict[str, Tensor]
     b: dict[str, Tensor]
 
+    @property
+    def gates(self) -> tuple[str, ...]:
+        """Gate names in registration and stacking order."""
+        return ("i", *self.forget, "o", "u")
+
 
 def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
               cols: int, hidden: int, forget: Sequence[str]) -> CellParams:
@@ -368,25 +388,87 @@ def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
     return CellParams(cols, hidden, tuple(forget), w, b)
 
 
+def _stacked(p: CellParams) -> tuple[Array, Array]:
+    """Gate weights (G*hidden, cols) and biases (G*hidden,) in gate order."""
+    return (np.concatenate([p.w[g].data for g in p.gates]),
+            np.concatenate([p.b[g].data for g in p.gates]))
+
+
+def _accumulate_gates(p: CellParams, dw: Array, db: Array) -> None:
+    """Split stacked weight and bias gradients back onto the gate tensors."""
+    n = p.hidden_size
+    for k, g in enumerate(p.gates):
+        _accumulate(p.w[g], dw[k * n:(k + 1) * n])
+        _accumulate(p.b[g], db[k * n:(k + 1) * n])
+
+
+def _gates_forward(pre: Array, child_cs: Sequence[Array]) -> tuple[Array, Array, tuple]:
+    """h and c of B rows from their gate pre-activations.
+
+    ``pre`` is (B, (K+3)*H) in gate order i, f_1..f_K, o, u; ``child_cs``
+    holds K arrays (B, H). The third result is what the backward pass needs.
+    """
+    n = pre.shape[1] // (len(child_cs) + 3)
+    s = _sigmoid(pre[:, :-n])  # i, f_1..f_K, o
+    u = np.tanh(pre[:, -n:])
+    c = s[:, :n] * u
+    for k, c_k in enumerate(child_cs, start=1):
+        c += s[:, k * n:(k + 1) * n] * c_k
+    tc = np.tanh(c)
+    return s[:, -n:] * tc, c, (s, u, tc, child_cs)
+
+
+def _gates_backward(cache: tuple, dh: Array, dc: Array) -> tuple[Array, list[Array]]:
+    """Gradients of the pre-activations and of the child cells, given those
+    of h and c."""
+    s, u, tc, child_cs = cache
+    n = u.shape[1]
+    dc = dc + dh * s[:, -n:] * (1.0 - tc * tc)
+    ds = np.empty_like(s)
+    ds[:, :n] = dc * u
+    for k, c_k in enumerate(child_cs, start=1):
+        ds[:, k * n:(k + 1) * n] = dc * c_k
+    ds[:, -n:] = dh * tc
+    dpre = np.empty((s.shape[0], s.shape[1] + n))
+    dpre[:, :-n] = ds * s * (1.0 - s)
+    dpre[:, -n:] = dc * s[:, :n] * (1.0 - u * u)
+    return dpre, [dc * s[:, k * n:(k + 1) * n] for k in range(1, len(child_cs) + 1)]
+
+
 def cell_step(z: Tensor, child_cs: Sequence[Tensor],
               p: CellParams) -> tuple[Tensor, Tensor]:
     """One application of the cell to input ``z`` and the children's cells.
 
     i, f_k, o = sigmoid gates over z; u = tanh candidate;
-    c = i*u + sum_k f_k*c_k; h = o*tanh(c).
+    c = i*u + sum_k f_k*c_k; h = o*tanh(c). One tape entry.
     """
     if len(child_cs) != len(p.forget):
         raise DimensionError(
             f"cell has {len(p.forget)} forget gates, got {len(child_cs)} children")
-    i = sigmoid(add(matvec(p.w["i"], z), p.b["i"]))
-    fs = [sigmoid(add(matvec(p.w[g], z), p.b[g])) for g in p.forget]
-    o = sigmoid(add(matvec(p.w["o"], z), p.b["o"]))
-    u = tanh(add(matvec(p.w["u"], z), p.b["u"]))
-    c = mul(i, u)
-    for f, c_k in zip(fs, child_cs):
-        c = add(c, mul(f, c_k))
-    h = mul(o, tanh(c))
-    return h, c
+    if z.data.shape != (p.cols,):
+        raise DimensionError(f"cell input shape {z.data.shape} != ({p.cols},)")
+    n = p.hidden_size
+    for c_k in child_cs:
+        if c_k.data.shape != (n,):
+            raise DimensionError(f"child cell shape {c_k.data.shape} != ({n},)")
+    w, b = _stacked(p)
+    zs = z.data[None, :]
+    h, c, cache = _gates_forward(zs @ w.T + b, [c_k.data[None, :] for c_k in child_cs])
+
+    def bw(gh, gc):
+        dpre, d_children = _gates_backward(
+            cache, np.zeros((1, n)) if gh is None else gh[None, :],
+            np.zeros((1, n)) if gc is None else gc[None, :])
+        _accumulate_gates(p, dpre.T @ zs, dpre[0])
+        if z.requires_grad:
+            _accumulate(z, (dpre @ w)[0])
+        for c_k, d in zip(child_cs, d_children):
+            if c_k.requires_grad:
+                _accumulate(c_k, d[0])
+
+    outs = (Tensor(h[0]), Tensor(c[0]))
+    _record(outs, chain((z,), child_cs, p.w.values()), bw)
+    return outs
 
 
 def init_lstm_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
@@ -407,13 +489,82 @@ def lstm_cell_step(x: Tensor, h: Tensor, c: Tensor,
     return cell_step(concat((x, h)), (c,), p)
 
 
+def run_lstms(seqs: Sequence[Sequence[Tensor]],
+              p: CellParams) -> list[tuple[Tensor, Tensor]]:
+    """Run the 1-ary cell over each sequence from the zero state, all as one
+    packed batch; return each sequence's final (h, c), in input order.
+
+    Rows are sorted by length, longest first and stably, so the rows still
+    running at step t are a prefix of the batch. One matrix product projects
+    the inputs of every step; each step adds the recurrent product of its
+    prefix. The backward pass is backpropagation through time over the same
+    prefixes, and it also gives the gradients of inputs that need them. One
+    tape entry; a sequence of length 0 ends in the zero state.
+    """
+    n = p.hidden_size
+    dim = p.cols - n
+    order = sorted(range(len(seqs)), key=lambda k: -len(seqs[k]))
+    lengths = [len(seqs[k]) for k in order]
+    steps = lengths[0] if lengths else 0
+    rows = len(order)
+    # active[t]: how many rows run step t; rows active[t+1]..active[t]-1 end there
+    active = [sum(length > t for length in lengths) for t in range(steps)] + [0]
+    z = np.zeros((steps, rows, p.cols))  # the cell input [x; h] of each step
+    for r, k in enumerate(order):
+        for t, x_t in enumerate(seqs[k]):
+            if x_t.data.shape != (dim,):
+                raise DimensionError(f"input shape {x_t.data.shape} != ({dim},)")
+            z[t, r, :dim] = x_t.data
+    w, b = _stacked(p)
+    wx, wh = w[:, :dim], w[:, dim:]
+    px = z[:, :, :dim] @ wx.T + b
+    h = c = np.zeros((rows, n))
+    hs, cs, caches = [], [], []
+    for t in range(steps):
+        m = active[t]
+        z[t, :m, dim:] = h[:m]
+        h, c, cache = _gates_forward(px[t, :m] + h[:m] @ wh.T, (c[:m],))
+        hs.append(h)
+        cs.append(c)
+        caches.append(cache)
+
+    def bw(*grads):
+        gh = np.zeros((rows, n))
+        gc = np.zeros((rows, n))
+        for r, k in enumerate(order):
+            if grads[2 * k] is not None:
+                gh[r] = grads[2 * k]
+            if grads[2 * k + 1] is not None:
+                gc[r] = grads[2 * k + 1]
+        dpx = np.zeros_like(px)
+        dh = dc = np.zeros((0, n))
+        for t in reversed(range(steps)):
+            m, ending = active[t], active[t + 1]
+            dh = np.concatenate((dh, gh[ending:m]))
+            dc = np.concatenate((dc, gc[ending:m]))
+            dpre, (dc,) = _gates_backward(caches[t], dh, dc)
+            dpx[t, :m] = dpre
+            dh = dpre @ wh
+        flat = dpx.reshape(-1, dpx.shape[2])
+        _accumulate_gates(p, flat.T @ z.reshape(-1, p.cols), flat.sum(axis=0))
+        if any(x_t.requires_grad for seq in seqs for x_t in seq):
+            dx = dpx @ wx
+            for r, k in enumerate(order):
+                for t, x_t in enumerate(seqs[k]):
+                    if x_t.requires_grad:
+                        _accumulate(x_t, dx[t, r])
+
+    results: list[tuple[Tensor, Tensor]] = [(zeros(n), zeros(n))] * len(seqs)
+    for r, k in enumerate(order):
+        if lengths[r]:
+            results[k] = (Tensor(hs[lengths[r] - 1][r]), Tensor(cs[lengths[r] - 1][r]))
+    _record(tuple(t for pair in results for t in pair), chain(p.w.values(), *seqs), bw)
+    return results
+
+
 def run_lstm(inputs: Sequence[Tensor], p: CellParams) -> tuple[Tensor, Tensor]:
     """Run the cell left-to-right from the zero state; return final (h, c)."""
-    h = zeros(p.hidden_size)
-    c = zeros(p.hidden_size)
-    for x in inputs:
-        h, c = lstm_cell_step(x, h, c, p)
-    return h, c
+    return run_lstms([inputs], p)[0]
 
 
 # --- Adam -------------------------------------------------------------------

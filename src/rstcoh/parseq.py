@@ -46,23 +46,22 @@ def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
 
 def encode_parseq(doc: Document, wv: WordVectors, p: ParseqParams) -> nc.Tensor:
     """Document vector: final hidden state at each of the three levels,
-    all chains starting from the zero state."""
+    all chains starting from the zero state. Each level is one packed pass:
+    all sentences of the document, then all its paragraphs."""
     if not doc.paragraphs:
         raise EmptyDocumentError(f"document {doc.id!r} has no paragraphs")
-    paragraph_vecs = []
     for paragraph in doc.paragraphs:
         if not paragraph:
             raise EmptyDocumentError(f"document {doc.id!r} has an empty paragraph")
-        sentence_vecs = []
-        for sentence in paragraph:
-            if not sentence:
-                raise EmptyDocumentError(f"document {doc.id!r} has an empty sentence")
-            words = [nc.constant(wv.lookup(tok)) for tok in sentence]
-            h, _ = nc.run_lstm(words, p.lstm1)
-            sentence_vecs.append(h)
-        h, _ = nc.run_lstm(sentence_vecs, p.lstm2)
-        paragraph_vecs.append(h)
-    d, _ = nc.run_lstm(paragraph_vecs, p.lstm3)
+        if not all(paragraph):
+            raise EmptyDocumentError(f"document {doc.id!r} has an empty sentence")
+    sentences = nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in sentence]
+                              for paragraph in doc.paragraphs
+                              for sentence in paragraph], p.lstm1)
+    states = iter(sentences)
+    paragraphs = nc.run_lstms([[next(states)[0] for _ in paragraph]
+                               for paragraph in doc.paragraphs], p.lstm2)
+    d, _ = nc.run_lstm([h for h, _ in paragraphs], p.lstm3)
     return d
 
 

@@ -68,24 +68,20 @@ def iter_nodes(tree: RstTree) -> Iterable[RstTree]:
 
 
 def count_leaves(tree: RstTree) -> int:
-    return sum(1 for n in iter_nodes(tree) if isinstance(n, Leaf))
+    return len(leaves(tree))
 
 
 def count_nodes(tree: RstTree) -> int:
     return sum(1 for _ in iter_nodes(tree))
 
 
+def leaves(tree: RstTree) -> list[Leaf]:
+    """The tree's leaves, left to right."""
+    return [n for n in iter_nodes(tree) if isinstance(n, Leaf)]
+
+
 def leaf_texts(tree: RstTree) -> list[str]:
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.text)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    return [leaf.text for leaf in leaves(tree)]
 
 
 def child_labels(tree: RstTree) -> list[NodeLabel]:

@@ -38,8 +38,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
+                or not math.isfinite(lr) or lr <= 0:
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")
         ints = (self.epochs, self.hidden_size, self.relation_dim, self.seed)
         if any(type(n) is not int for n in ints):
             raise ConfigError(f"epochs, sizes and seed must be integers, got {ints}")

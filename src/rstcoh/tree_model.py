@@ -17,21 +17,23 @@ At the root, the children's hidden states concatenate into the document
 vector d = [h_l; h_r] which feeds an affine layer and a softmax over the
 three coherence classes. Feature switches: NS keys label embeddings by
 nuclearity alone, R by the combined relation_nuclearity label, E turns the
-leaf EDU encoder on; with everything off the output is a function of tree
-shape only.
+leaf EDU encoder on (one packed LSTM pass over all of a document's
+EDUs); with everything off the output is a function of tree shape only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import numcore as nc
 from .corpus import WordVectors, tokenize
-from .edu_encoder import encode_edu
+from .edu_encoder import encode_edus
 from .errors import ConfigError, DegenerateTreeError, ValidationError
-from .rst_data import Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary, RstTree
+from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
+                       RstTree, leaves)
 
 N_CLASSES = 3
 
@@ -146,29 +148,42 @@ def label_embedding(label: NodeLabel, params: TreeModelParams, abl: AblationConf
     return nc.zeros(params.relation_dim)
 
 
-def _leaf_state(leaf: Leaf, params: TreeModelParams, wv: WordVectors | None,
-                abl: AblationConfig) -> tuple[nc.Tensor, nc.Tensor]:
+def _leaf_states(leaf_nodes: list[Leaf], params: TreeModelParams,
+                 wv: WordVectors | None, abl: AblationConfig) -> list[tuple[nc.Tensor, nc.Tensor]]:
+    """(h, c) of each leaf: zero vectors, or with E on one packed LSTM pass
+    over all the EDUs."""
     if not abl.e:
-        return nc.zeros(params.hidden_size), nc.zeros(params.hidden_size)
+        zero = nc.zeros(params.hidden_size)
+        return [(zero, zero)] * len(leaf_nodes)
     assert params.edu is not None
-    tokens = tokenize(leaf.text)
-    if not tokens:
-        raise ValidationError(f"EDU {leaf.text!r} has no tokens")
     if wv is None:
         raise ConfigError("EDU embeddings need word vectors")
-    return encode_edu(tokens, wv, params.edu)
+    edus = []
+    for leaf in leaf_nodes:
+        tokens = tokenize(leaf.text)
+        if not tokens:
+            raise ValidationError(f"EDU {leaf.text!r} has no tokens")
+        edus.append(tokens)
+    return encode_edus(edus, wv, params.edu)
 
 
 def encode_subtree(tree: RstTree, params: TreeModelParams, wv: WordVectors | None,
-                   abl: AblationConfig,
-                   vocab: RelationVocabulary | None = None) -> tuple[nc.Tensor, nc.Tensor]:
-    """Bottom-up (h, c) encoding; every node is computed exactly once."""
+                   abl: AblationConfig, vocab: RelationVocabulary | None = None,
+                   leaf_states: Iterator[tuple[nc.Tensor, nc.Tensor]] | None = None,
+                   ) -> tuple[nc.Tensor, nc.Tensor]:
+    """Bottom-up (h, c) encoding; every node is computed exactly once.
+
+    ``leaf_states`` yields the (h, c) of the tree's leaves left to right;
+    by default they are computed here, in one pass.
+    """
+    if leaf_states is None:
+        leaf_states = iter(_leaf_states(leaves(tree), params, wv, abl))
     results: list[tuple[nc.Tensor, nc.Tensor]] = []
     stack: list[tuple[RstTree, bool]] = [(tree, False)]
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, Leaf):
-            results.append(_leaf_state(node, params, wv, abl))
+            results.append(next(leaf_states))
         elif not expanded:
             stack.append((node, True))
             stack.append((node.right, False))
@@ -189,8 +204,9 @@ def root_children_states(tree: RstTree, params: TreeModelParams,
     """Hidden states of the root's two children (the document representation)."""
     if not isinstance(tree, Internal):
         raise DegenerateTreeError("document tree has a single EDU")
-    h_l, _ = encode_subtree(tree.left, params, wv, abl, vocab)
-    h_r, _ = encode_subtree(tree.right, params, wv, abl, vocab)
+    states = iter(_leaf_states(leaves(tree), params, wv, abl))
+    h_l, _ = encode_subtree(tree.left, params, wv, abl, vocab, states)
+    h_r, _ = encode_subtree(tree.right, params, wv, abl, vocab, states)
     return h_l, h_r
 
 

@@ -3,7 +3,9 @@
 Everything here is written against the gate equations directly in plain
 scalar arithmetic (or, for the finite-difference checker, against the loss
 as a black box), deliberately sharing no code with the package's forward
-paths.
+paths. The one exception is the composed cell, which builds the gated cell
+from numcore's primitive ops so that the fused kernel's forward values and
+hand-written gradients can be checked against the tape's.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from rstcoh import numcore as nc
 
 
 def sig(x: float) -> float:
@@ -82,6 +86,33 @@ def scalar_adam_unroll(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2 ** t)
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+# --- the gated cell from primitive ops -----------------------------------------
+
+
+def composed_cell_step(z, child_cs, p):
+    """The N-ary gated cell as matvec/add/sigmoid/tanh/mul ops, one per gate
+    equation: the reference for ``nc.cell_step``."""
+    i = nc.sigmoid(nc.add(nc.matvec(p.w["i"], z), p.b["i"]))
+    fs = [nc.sigmoid(nc.add(nc.matvec(p.w[g], z), p.b[g])) for g in p.forget]
+    o = nc.sigmoid(nc.add(nc.matvec(p.w["o"], z), p.b["o"]))
+    u = nc.tanh(nc.add(nc.matvec(p.w["u"], z), p.b["u"]))
+    c = nc.mul(i, u)
+    for f, c_k in zip(fs, child_cs):
+        c = nc.add(c, nc.mul(f, c_k))
+    h = nc.mul(o, nc.tanh(c))
+    return h, c
+
+
+def composed_run_lstm(inputs, p):
+    """The 1-ary composed cell over [x; h], step by step from the zero state:
+    the reference for ``nc.run_lstms``."""
+    h = nc.zeros(p.hidden_size)
+    c = nc.zeros(p.hidden_size)
+    for x in inputs:
+        h, c = composed_cell_step(nc.concat((x, h)), (c,), p)
+    return h, c
 
 
 # --- finite differences -------------------------------------------------------

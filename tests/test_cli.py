@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,12 @@ def _edit_meta(text, key, value=None):
 MALFORMED_INPUTS = (
     ("string learning_rate", lambda c: c["train"].update(learning_rate="1e-3"),
      None, EXIT_CONFIG),
+    ("NaN learning_rate", lambda c: c["train"].update(learning_rate=math.nan), None,
+     EXIT_CONFIG),
+    ("infinite learning_rate", lambda c: c["train"].update(learning_rate=math.inf),
+     None, EXIT_CONFIG),
+    ("boolean learning_rate", lambda c: c["train"].update(learning_rate=True), None,
+     EXIT_CONFIG),
     ("string train.seed", lambda c: c["train"].update(seed="0"), None, EXIT_CONFIG),
     ("string n_runs", lambda c: c.update(n_runs="2"), None, EXIT_CONFIG),
     ("string workers", lambda c: c.update(workers="1"), None, EXIT_CONFIG),

@@ -147,6 +147,36 @@ class TestWordVectors:
         with pytest.raises(FormatError):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected_with_its_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"the 0.1 0.2\ncat 0.3 {value}\n")
+        with pytest.raises(FormatError, match="line 2"):
+            load_word_vectors(path)
+
+    def test_trailing_spaces_and_crlf_endings_load(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"the 0.1 0.2 \r\ncat 0.3\t0.4  \r\n")
+        wv = load_word_vectors(path)
+        assert wv.dimension == 2
+        assert np.array_equal(wv.lookup("the"), [0.1, 0.2])
+        assert np.array_equal(wv.lookup("cat"), [0.3, 0.4])
+
+    def test_word2vec_count_dim_header_skipped(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\nthe 0.1 0.2\ncat 0.3 0.4\n")
+        wv = load_word_vectors(path)
+        assert wv.dimension == 2
+        assert sorted(wv.vectors) == ["cat", "the"]
+
+    def test_first_line_kept_when_its_dim_does_not_match(self, tmp_path):
+        # a one-dimensional file whose first token is a number
+        path = tmp_path / "vec.txt"
+        path.write_text("5 3\nthe 0.5\n")
+        wv = load_word_vectors(path)
+        assert wv.dimension == 1
+        assert np.array_equal(wv.lookup("5"), [3.0])
+
     def test_file_round_trip_is_exact(self, tmp_path):
         cfg = GeneratorConfig(wv_dim=5)
         wv = synthesize_word_vectors(cfg, seed=3)

@@ -84,6 +84,97 @@ class TestLstmCell:
         assert np.array_equal(c1.data, c2.data)
 
 
+KERNEL_RTOL = 1e-12
+
+
+def assert_kernel_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=0.0)
+
+
+def random_tensor(rng, shape, bundle=None, name=None):
+    values = rng.uniform(-1.5, 1.5, size=shape)
+    return bundle.add(name, values) if bundle is not None else nc.constant(values)
+
+
+class TestFusedCellAgainstComposedOps:
+    """The fused cell and the packed LSTM kernel against the same cell built
+    from primitive ops: forward values, every parameter gradient and the
+    input gradients."""
+
+    @staticmethod
+    def grads(bundle):
+        return {name: t.grad.copy() for name, t in bundle.items()}
+
+    @pytest.mark.parametrize("forget", [("f",), ("fl", "fr")])
+    def test_cell_step(self, forget):
+        rng = np.random.default_rng(len(forget))
+        bundle = nc.ParameterBundle()
+        cell = nc.init_cell(bundle, "cell", rng, 7, 5, forget)
+        for t in bundle.tensors():
+            t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
+        z = random_tensor(rng, 7, bundle, "z")
+        child_cs = [random_tensor(rng, 5, bundle, f"c{k}") for k in range(len(forget))]
+        weights = [nc.constant(rng.uniform(-1, 1, size=5)) for _ in range(2)]
+        results = {}
+        for step in (nc.cell_step, oracles.composed_cell_step):
+            with nc.record():
+                h, c = step(z, child_cs, cell)
+                loss = nc.add(nc.vsum(nc.mul(h, weights[0])),
+                              nc.vsum(nc.mul(c, weights[1])))
+                nc.backward(loss, bundle)
+            results[step] = (h.data, c.data, self.grads(bundle))
+        (h, c, grads), (want_h, want_c, want_grads) = results.values()
+        assert_kernel_close(h, want_h)
+        assert_kernel_close(c, want_c)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            assert_kernel_close(grads[name], want_grads[name])
+
+    @pytest.mark.parametrize("lengths", [(3,), (1,), (4, 1, 4, 2, 3), (2, 2, 2), (1, 3)])
+    def test_packed_lstms(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        bundle = nc.ParameterBundle()
+        cell = nc.init_lstm_cell(bundle, "cell", rng, 3, 4)
+        for t in bundle.tensors():
+            t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
+        # every other sequence reads inputs that need a gradient
+        seqs = [[random_tensor(rng, 3, bundle if k % 2 else None, f"x{k}.{t}")
+                 for t in range(n)] for k, n in enumerate(lengths)]
+        # each sequence feeds the loss through h, c or both
+        weights = [(nc.constant(rng.uniform(-1, 1, size=4)) if k % 3 != 1 else None,
+                    nc.constant(rng.uniform(-1, 1, size=4)) if k % 3 != 0 else None)
+                   for k in range(len(lengths))]
+
+        def run(states):
+            terms = [nc.vsum(nc.mul(s, w)) for (h, c), (wh, wc) in zip(states, weights)
+                     for s, w in ((h, wh), (c, wc)) if w is not None]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = nc.add(loss, term)
+            nc.backward(loss, bundle)
+            return [(h.data, c.data) for h, c in states], self.grads(bundle)
+
+        with nc.record():
+            states = nc.run_lstms(seqs, cell)
+            assert len(nc._rec.tape) == 1
+            got, got_grads = run(states)
+        with nc.record():
+            want, want_grads = run([oracles.composed_run_lstm(seq, cell) for seq in seqs])
+        for (h, c), (want_h, want_c) in zip(got, want):
+            assert_kernel_close(h, want_h)
+            assert_kernel_close(c, want_c)
+        assert got_grads.keys() == want_grads.keys()
+        for name in got_grads:
+            assert_kernel_close(got_grads[name], want_grads[name])
+
+    def test_sequence_of_length_zero_ends_in_zero_state(self):
+        cell, _ = random_cell(2, 3, seed=2)
+        (h, c), (h1, c1) = nc.run_lstms([[], [nc.constant([0.5, -0.5])]], cell)
+        assert np.array_equal(h.data, np.zeros(3))
+        assert np.array_equal(c.data, np.zeros(3))
+        assert not np.array_equal(h1.data, np.zeros(3))
+
+
 class TestBackward:
     def test_constant_loss_zero_grads(self):
         bundle = nc.ParameterBundle()

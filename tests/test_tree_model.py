@@ -143,18 +143,18 @@ class TestEncodeSubtree:
         params, _ = build(TNSR, vocab)
         leaves = []
         cells = []
-        leaf_state = tree_model._leaf_state
+        leaf_states = tree_model._leaf_states
         cell_step = nc.cell_step
 
-        def count_leaf(leaf, *args):
-            leaves.append(leaf)
-            return leaf_state(leaf, *args)
+        def count_leaf(leaf_list, *args):
+            leaves.extend(leaf_list)
+            return leaf_states(leaf_list, *args)
 
         def count_cell(*args):
             cells.append(args)
             return cell_step(*args)
 
-        monkeypatch.setattr(tree_model, "_leaf_state", count_leaf)
+        monkeypatch.setattr(tree_model, "_leaf_states", count_leaf)
         monkeypatch.setattr(nc, "cell_step", count_cell)
         for tree in (two_edu_tree(), three_edu_tree()):
             leaves.clear()
