@@ -89,6 +89,14 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> dict:
             config[dest] = value
     if getattr(overrides, "seed", None) is not None:
         config["train"]["seed"] = overrides.seed
+    if not isinstance(config["paths"], dict):
+        raise ConfigError(f"paths must be an object, got {config['paths']!r}")
+    for key, value in config["paths"].items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"paths.{key} must be a string or null, got {value!r}")
+    for key in ("out_dir", "majority_policy"):
+        if not isinstance(config[key], str):
+            raise ConfigError(f"{key} must be a string, got {config[key]!r}")
     return config
 
 

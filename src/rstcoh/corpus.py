@@ -24,10 +24,9 @@ import numpy as np
 from . import rst_data
 from .errors import (ConfigError, DuplicateIdError, EmptyDocumentError,
                      FormatError, IngestError, ParseError)
+from .metrics import CLASSES
 
 Paragraphs = list[list[list[str]]]
-
-LABELS = (1, 2, 3)  # 1 = incoherent, 2 = neutral, 3 = coherent
 
 
 @dataclass
@@ -119,8 +118,8 @@ def _parse_document_record(obj: dict, line_no: int) -> tuple[str, int, str, Para
     if not isinstance(doc_id, str) or not doc_id:
         raise IngestError("id must be a non-empty string", line_no)
     label = obj["label"]
-    if label not in LABELS:
-        raise IngestError(f"label must be one of {LABELS}, got {label!r}", line_no)
+    if label not in CLASSES:
+        raise IngestError(f"label must be one of {CLASSES}, got {label!r}", line_no)
     text = obj["text"]
     if not isinstance(text, str):
         raise IngestError("text must be a string", line_no)
@@ -329,11 +328,20 @@ class GeneratorConfig:
             raise ConfigError("corpus sizes must be non-negative")
         if self.max_paragraphs < 1 or self.wv_dim < 1:
             raise ConfigError("max_paragraphs and wv_dim must be positive")
-        if len(self.class_probs) != 3 or abs(sum(self.class_probs) - 1.0) > 1e-9 \
-                or any(p < 0 for p in self.class_probs):
-            raise ConfigError(f"class_probs must be a distribution over 3 classes")
+        # the range test also rejects NaN
+        if len(self.class_probs) != len(CLASSES) or abs(sum(self.class_probs) - 1.0) > 1e-9 \
+                or not all(0.0 <= p <= 1.0 for p in self.class_probs):
+            raise ConfigError(f"class_probs must be a distribution over {len(CLASSES)} classes")
         if len(self.labels) < 3:
             raise ConfigError("need at least 3 combined labels")
+        for label in self.labels:
+            relation, _, nuc = str(label).rpartition("_")
+            if not (isinstance(label, str) and nuc in ("N", "S")
+                    and rst_data._LABEL_RE.fullmatch(relation)):
+                raise ConfigError(f"labels must be <relation>_<N|S> strings, got {label!r}")
+        if not isinstance(self.token_pool, (list, tuple)) or not self.token_pool \
+                or not all(isinstance(tok, str) for tok in self.token_pool):
+            raise ConfigError("token_pool must be a non-empty list of strings")
         if self.edu_range[0] < 2 or self.edu_range[1] < self.edu_range[0]:
             raise ConfigError(f"bad edu_range {self.edu_range}")
         if self.tokens_per_edu[0] < 1 or self.tokens_per_edu[1] < self.tokens_per_edu[0]:
@@ -419,7 +427,7 @@ def _attach(shape, sentences: list[str], rng: np.random.Generator,
 
 def _synth_document(rng: np.random.Generator, cfg: GeneratorConfig,
                     doc_id: str) -> Document:
-    klass = int(rng.choice(LABELS, p=np.asarray(cfg.class_probs)))
+    klass = int(rng.choice(CLASSES, p=np.asarray(cfg.class_probs)))
     n_edus = int(rng.integers(cfg.edu_range[0], cfg.edu_range[1] + 1))
     lo, hi = cfg.tokens_per_edu
     edu_tokens = [[_sample_token(rng, cfg, klass)

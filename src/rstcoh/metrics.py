@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyEvaluationError
 
-CLASSES = (1, 2, 3)
+CLASSES = (1, 2, 3)  # coherence classes: 1 = incoherent, 2 = neutral, 3 = coherent
 
 Z_95 = 1.96  # two-sided normal 95% quantile
 

@@ -9,7 +9,9 @@ hand-written backward pass over plain arrays (Appleyard et al. 2016), serves
 two entry points: :func:`cell_step` applies the cell once, and
 :func:`run_lstms` runs many sequences as one packed batch. Each call of
 either is one tape entry, so a tree node costs one entry and so does each
-packed LSTM pass over a document's EDUs or sentences.
+packed LSTM pass over a document's EDUs or sentences. A cell's parameters
+are one weight and one bias tensor whose row blocks are its gates, the
+layout the kernel computes with.
 
 Ops run eagerly. Inside ``with record():`` each op whose inputs need a
 gradient appends its outputs and one closure to the current thread's tape,
@@ -308,12 +310,6 @@ class ParameterBundle:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self) -> list[str]:
         return list(self._entries)
 
@@ -356,50 +352,37 @@ def embedding_init(rng: np.random.Generator, shape: tuple[int, int]) -> Array:
 
 @dataclass
 class CellParams:
-    """Gate weights of an N-ary gated cell with one forget gate per child.
+    """An N-ary gated cell with one forget gate per child, as one weight and
+    one bias tensor for all of its gates.
 
-    Each gate weight is shaped (hidden, cols) and multiplies the cell input
-    z; biases start at zero so the all-zero cell is a fixpoint. ``w`` and
-    ``b`` are keyed by gate name: "i", the names in ``forget``, "o", "u".
+    ``w`` is ((K+3)*hidden, cols) and multiplies the cell input z; ``b`` is
+    ((K+3)*hidden,). Their rows are blocks of ``hidden`` rows in the
+    kernel's gate order i, f_1..f_K, o, u. Biases start at zero so the
+    all-zero cell is a fixpoint.
     """
 
-    cols: int
-    hidden_size: int
-    forget: tuple[str, ...]
-    w: dict[str, Tensor]
-    b: dict[str, Tensor]
+    w: Tensor
+    b: Tensor
+    children: int
 
     @property
-    def gates(self) -> tuple[str, ...]:
-        """Gate names in registration and stacking order."""
-        return ("i", *self.forget, "o", "u")
+    def hidden_size(self) -> int:
+        return self.b.data.shape[0] // (self.children + 3)
+
+    @property
+    def cols(self) -> int:
+        return self.w.data.shape[1]
 
 
 def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
-              cols: int, hidden: int, forget: Sequence[str]) -> CellParams:
-    """Register ``{prefix}.w_<g>`` and ``{prefix}.b_<g>`` gate by gate, in the
-    order i, forget..., o, u; that order fixes the RNG draws and the
-    checkpoint layout."""
-    w: dict[str, Tensor] = {}
-    b: dict[str, Tensor] = {}
-    for gate in ("i", *forget, "o", "u"):
-        w[gate] = bundle.add(f"{prefix}.w_{gate}", glorot(rng, (hidden, cols)))
-        b[gate] = bundle.add(f"{prefix}.b_{gate}", np.zeros(hidden))
-    return CellParams(cols, hidden, tuple(forget), w, b)
-
-
-def _stacked(p: CellParams) -> tuple[Array, Array]:
-    """Gate weights (G*hidden, cols) and biases (G*hidden,) in gate order."""
-    return (np.concatenate([p.w[g].data for g in p.gates]),
-            np.concatenate([p.b[g].data for g in p.gates]))
-
-
-def _accumulate_gates(p: CellParams, dw: Array, db: Array) -> None:
-    """Split stacked weight and bias gradients back onto the gate tensors."""
-    n = p.hidden_size
-    for k, g in enumerate(p.gates):
-        _accumulate(p.w[g], dw[k * n:(k + 1) * n])
-        _accumulate(p.b[g], db[k * n:(k + 1) * n])
+              cols: int, hidden: int, children: int) -> CellParams:
+    """Register ``{prefix}.w`` and ``{prefix}.b`` for a cell with ``children``
+    forget gates. Each gate's weight block is drawn in gate order, so that
+    order fixes the RNG draws."""
+    gates = children + 3
+    w = np.concatenate([glorot(rng, (hidden, cols)) for _ in range(gates)])
+    return CellParams(bundle.add(f"{prefix}.w", w),
+                      bundle.add(f"{prefix}.b", np.zeros(gates * hidden)), children)
 
 
 def _gates_forward(pre: Array, child_cs: Sequence[Array]) -> tuple[Array, Array, tuple]:
@@ -442,24 +425,26 @@ def cell_step(z: Tensor, child_cs: Sequence[Tensor],
     i, f_k, o = sigmoid gates over z; u = tanh candidate;
     c = i*u + sum_k f_k*c_k; h = o*tanh(c). One tape entry.
     """
-    if len(child_cs) != len(p.forget):
+    if len(child_cs) != p.children:
         raise DimensionError(
-            f"cell has {len(p.forget)} forget gates, got {len(child_cs)} children")
+            f"cell has {p.children} forget gates, got {len(child_cs)} children")
     if z.data.shape != (p.cols,):
         raise DimensionError(f"cell input shape {z.data.shape} != ({p.cols},)")
     n = p.hidden_size
     for c_k in child_cs:
         if c_k.data.shape != (n,):
             raise DimensionError(f"child cell shape {c_k.data.shape} != ({n},)")
-    w, b = _stacked(p)
+    w = p.w.data
     zs = z.data[None, :]
-    h, c, cache = _gates_forward(zs @ w.T + b, [c_k.data[None, :] for c_k in child_cs])
+    h, c, cache = _gates_forward(zs @ w.T + p.b.data,
+                                 [c_k.data[None, :] for c_k in child_cs])
 
     def bw(gh, gc):
         dpre, d_children = _gates_backward(
             cache, np.zeros((1, n)) if gh is None else gh[None, :],
             np.zeros((1, n)) if gc is None else gc[None, :])
-        _accumulate_gates(p, dpre.T @ zs, dpre[0])
+        _accumulate(p.w, dpre.T @ zs)
+        _accumulate(p.b, dpre[0])
         if z.requires_grad:
             _accumulate(z, (dpre @ w)[0])
         for c_k, d in zip(child_cs, d_children):
@@ -467,14 +452,14 @@ def cell_step(z: Tensor, child_cs: Sequence[Tensor],
                 _accumulate(c_k, d[0])
 
     outs = (Tensor(h[0]), Tensor(c[0]))
-    _record(outs, chain((z,), child_cs, p.w.values()), bw)
+    _record(outs, (z, *child_cs, p.w), bw)
     return outs
 
 
 def init_lstm_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
                    input_size: int, hidden_size: int) -> CellParams:
     """The 1-ary cell over [x; h]."""
-    return init_cell(bundle, prefix, rng, input_size + hidden_size, hidden_size, ("f",))
+    return init_cell(bundle, prefix, rng, input_size + hidden_size, hidden_size, 1)
 
 
 def lstm_cell_step(x: Tensor, h: Tensor, c: Tensor,
@@ -515,9 +500,8 @@ def run_lstms(seqs: Sequence[Sequence[Tensor]],
             if x_t.data.shape != (dim,):
                 raise DimensionError(f"input shape {x_t.data.shape} != ({dim},)")
             z[t, r, :dim] = x_t.data
-    w, b = _stacked(p)
-    wx, wh = w[:, :dim], w[:, dim:]
-    px = z[:, :, :dim] @ wx.T + b
+    wx, wh = p.w.data[:, :dim], p.w.data[:, dim:]
+    px = z[:, :, :dim] @ wx.T + p.b.data
     h = c = np.zeros((rows, n))
     hs, cs, caches = [], [], []
     for t in range(steps):
@@ -546,7 +530,8 @@ def run_lstms(seqs: Sequence[Sequence[Tensor]],
             dpx[t, :m] = dpre
             dh = dpre @ wh
         flat = dpx.reshape(-1, dpx.shape[2])
-        _accumulate_gates(p, flat.T @ z.reshape(-1, p.cols), flat.sum(axis=0))
+        _accumulate(p.w, flat.T @ z.reshape(-1, p.cols))
+        _accumulate(p.b, flat.sum(axis=0))
         if any(x_t.requires_grad for seq in seqs for x_t in seq):
             dx = dpx @ wx
             for r, k in enumerate(order):
@@ -558,7 +543,7 @@ def run_lstms(seqs: Sequence[Sequence[Tensor]],
     for r, k in enumerate(order):
         if lengths[r]:
             results[k] = (Tensor(hs[lengths[r] - 1][r]), Tensor(cs[lengths[r] - 1][r]))
-    _record(tuple(t for pair in results for t in pair), chain(p.w.values(), *seqs), bw)
+    _record(tuple(t for pair in results for t in pair), chain((p.w,), *seqs), bw)
     return results
 
 
@@ -605,7 +590,7 @@ def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float,
 
 # --- checkpointing ----------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, bundle: ParameterBundle, meta: dict | None = None) -> None:

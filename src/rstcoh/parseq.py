@@ -17,9 +17,10 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Document, WordVectors
 from .errors import ConfigError, EmptyDocumentError
+from .metrics import CLASSES
 from .rst_data import RelationVocabulary
-from .tree_model import (N_CLASSES, AblationConfig, Affine, TreeModelParams,
-                         init_tree_model, root_children_states)
+from .tree_model import (AblationConfig, Affine, TreeModelParams, init_tree_model,
+                         root_children_states)
 
 
 @dataclass
@@ -39,8 +40,8 @@ def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
     classifier = None
     if with_classifier:
         classifier = Affine(
-            bundle.add("classifier.w", nc.glorot(rng, (N_CLASSES, hidden_size))),
-            bundle.add("classifier.b", np.zeros(N_CLASSES)))
+            bundle.add("classifier.w", nc.glorot(rng, (len(CLASSES), hidden_size))),
+            bundle.add("classifier.b", np.zeros(len(CLASSES))))
     return ParseqParams(lstm1, lstm2, lstm3, classifier)
 
 
@@ -87,8 +88,8 @@ def init_ensemble(bundle: nc.ParameterBundle, rng: np.random.Generator,
                            wv_dim, with_classifier=False)
     seq = init_parseq(bundle, rng, wv_dim, hidden_size, with_classifier=False)
     joint = Affine(
-        bundle.add("joint.w", nc.glorot(rng, (N_CLASSES, 3 * hidden_size))),
-        bundle.add("joint.b", np.zeros(N_CLASSES)))
+        bundle.add("joint.w", nc.glorot(rng, (len(CLASSES), 3 * hidden_size))),
+        bundle.add("joint.b", np.zeros(len(CLASSES))))
     return EnsembleParams(tree, seq, joint)
 
 

@@ -119,8 +119,8 @@ def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
 
 def cross_entropy(dist: nc.Tensor, label: int) -> nc.Tensor:
     """-log p(label), with the probability floored at 1e-12 before the log."""
-    if label not in (1, 2, 3):
-        raise ConfigError(f"label must be in 1..3, got {label!r}")
+    if label not in metrics.CLASSES:
+        raise ConfigError(f"label must be one of {metrics.CLASSES}, got {label!r}")
     p = nc.pick(dist, label - 1)
     return nc.neg(nc.log(nc.clamp_min(p, PROB_FLOOR)))
 

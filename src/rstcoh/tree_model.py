@@ -32,10 +32,9 @@ from . import numcore as nc
 from .corpus import WordVectors, tokenize
 from .edu_encoder import encode_edus
 from .errors import ConfigError, DegenerateTreeError, ValidationError
+from .metrics import CLASSES
 from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
                        RstTree, leaves)
-
-N_CLASSES = 3
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ class AblationConfig:
     ns: bool = False
     r: bool = False
     e: bool = False
-
-    @property
-    def t(self) -> bool:
-        return True
 
     def validate(self) -> None:
         if self.r and not self.ns:
@@ -93,7 +88,7 @@ class Affine:
 class TreeModelParams:
     hidden_size: int
     relation_dim: int
-    cell: nc.CellParams  # forget gates fl, fr over [h_l; h_r; r_l; r_r]
+    cell: nc.CellParams  # 2 children, over [h_l; h_r; r_l; r_r]
     relation_table: nc.Tensor | None  # (vocab size, relation_dim), row 0 = UNK
     nuclearity_table: nc.Tensor | None  # (2, relation_dim), rows N then S
     classifier: Affine | None  # (3, 2*hidden)
@@ -107,7 +102,7 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     """Allocate only what the feature row uses, in a fixed registration order."""
     abl.validate()
     cell = nc.init_cell(bundle, "tree", rng, 2 * hidden_size + 2 * relation_dim,
-                        hidden_size, ("fl", "fr"))
+                        hidden_size, 2)
     relation_table = None
     nuclearity_table = None
     if abl.r:
@@ -121,8 +116,8 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     classifier = None
     if with_classifier:
         classifier = Affine(
-            bundle.add("classifier.w", nc.glorot(rng, (N_CLASSES, 2 * hidden_size))),
-            bundle.add("classifier.b", np.zeros(N_CLASSES)))
+            bundle.add("classifier.w", nc.glorot(rng, (len(CLASSES), 2 * hidden_size))),
+            bundle.add("classifier.b", np.zeros(len(CLASSES))))
     edu = None
     if abl.e:
         edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden_size)

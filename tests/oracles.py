@@ -90,14 +90,47 @@ def scalar_adam_unroll(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 # --- the gated cell from primitive ops -----------------------------------------
 
+FORGET_GATES = {1: ("f",), 2: ("fl", "fr")}
 
-def composed_cell_step(z, child_cs, p):
+
+def gate_blocks(p, w=None, b=None):
+    """Each gate's (weight rows, bias rows) of cell ``p`` as views, keyed by the
+    scalar oracles' gate names in row-block order i, forget gates, o, u.
+    ``w``/``b`` split arrays of the cell's shapes, such as its gradients,
+    instead of its values."""
+    n = p.hidden_size
+    w = p.w.data if w is None else w
+    b = p.b.data if b is None else b
+    names = ("i", *FORGET_GATES[p.children], "o", "u")
+    return {g: (w[k * n:(k + 1) * n], b[k * n:(k + 1) * n])
+            for k, g in enumerate(names)}
+
+
+def scalar_gates(p):
+    """A 1-d cell's gates for the scalar oracles: name -> (weights..., bias)."""
+    return {g: tuple(w[0].tolist()) + (float(b[0]),)
+            for g, (w, b) in gate_blocks(p).items()}
+
+
+def gate_leaves(bundle, p):
+    """Copy each gate's row blocks of cell ``p`` into leaf tensors
+    ``ref.w_<g>``/``ref.b_<g>`` of ``bundle``: the composed cell's parameters."""
+    return {g: (bundle.add(f"ref.w_{g}", w.copy()), bundle.add(f"ref.b_{g}", b.copy()))
+            for g, (w, b) in gate_blocks(p).items()}
+
+
+def composed_cell_step(z, child_cs, gates):
     """The N-ary gated cell as matvec/add/sigmoid/tanh/mul ops, one per gate
-    equation: the reference for ``nc.cell_step``."""
-    i = nc.sigmoid(nc.add(nc.matvec(p.w["i"], z), p.b["i"]))
-    fs = [nc.sigmoid(nc.add(nc.matvec(p.w[g], z), p.b[g])) for g in p.forget]
-    o = nc.sigmoid(nc.add(nc.matvec(p.w["o"], z), p.b["o"]))
-    u = nc.tanh(nc.add(nc.matvec(p.w["u"], z), p.b["u"]))
+    equation over the leaves of :func:`gate_leaves`: the reference for
+    ``nc.cell_step``."""
+    def gate(name, squash):
+        w, b = gates[name]
+        return squash(nc.add(nc.matvec(w, z), b))
+
+    i = gate("i", nc.sigmoid)
+    fs = [gate(name, nc.sigmoid) for name in list(gates)[1:-2]]
+    o = gate("o", nc.sigmoid)
+    u = gate("u", nc.tanh)
     c = nc.mul(i, u)
     for f, c_k in zip(fs, child_cs):
         c = nc.add(c, nc.mul(f, c_k))
@@ -105,13 +138,14 @@ def composed_cell_step(z, child_cs, p):
     return h, c
 
 
-def composed_run_lstm(inputs, p):
+def composed_run_lstm(inputs, gates):
     """The 1-ary composed cell over [x; h], step by step from the zero state:
     the reference for ``nc.run_lstms``."""
-    h = nc.zeros(p.hidden_size)
-    c = nc.zeros(p.hidden_size)
+    hidden = gates["i"][1].data.shape[0]
+    h = nc.zeros(hidden)
+    c = nc.zeros(hidden)
     for x in inputs:
-        h, c = composed_cell_step(nc.concat((x, h)), (c,), p)
+        h, c = composed_cell_step(nc.concat((x, h)), (c,), gates)
     return h, c
 
 

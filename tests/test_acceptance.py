@@ -118,10 +118,7 @@ def test_criterion_3_scalar_oracle_equivalence():
         cell = nc.init_lstm_cell(bundle, "c", rng, 1, 1)
         for t in bundle.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
-        w_seq = {g: (float(cell.w[g].data[0, 0]),
-                     float(cell.w[g].data[0, 1]),
-                     float(cell.b[g].data[0]))
-                 for g in ("i", "f", "o", "u")}
+        w_seq = oracles.scalar_gates(cell)
         x, h, c = rng.uniform(-2, 2, size=3)
         got_h, got_c = nc.lstm_cell_step(nc.constant([x]), nc.constant([h]),
                                          nc.constant([c]), cell)
@@ -147,14 +144,9 @@ def test_criterion_3_scalar_oracle_equivalence():
         for t in tb.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         tc = params.cell
-        w_tree = {g: tuple(tc.w[g].data[0].tolist())
-                  + (float(tc.b[g].data[0]),)
-                  for g in ("i", "fl", "fr", "o", "u")}
+        w_tree = oracles.scalar_gates(tc)
         ec = params.edu
-        w_edu = {g: (float(ec.w[g].data[0, 0]),
-                     float(ec.w[g].data[0, 1]),
-                     float(ec.b[g].data[0]))
-                 for g in ("i", "f", "o", "u")}
+        w_edu = oracles.scalar_gates(ec)
 
         def leaf_state(text):
             toks = corpus.tokenize(text)
@@ -182,17 +174,12 @@ def test_criterion_3_scalar_oracle_equivalence():
         for t in pb.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
 
-        def seq_w(cell_):
-            return {g: (float(cell_.w[g].data[0, 0]),
-                        float(cell_.w[g].data[0, 1]),
-                        float(cell_.b[g].data[0]))
-                    for g in ("i", "f", "o", "u")}
-
         paragraphs = [[["ax", "bx"], ["cx"]], [["bx"]]]
         doc = corpus.Document("d", 1, "", paragraphs, tree)
         got = parseq.encode_parseq(doc, wv1, pp)
-        want = oracles.scalar_parseq(paragraphs, values, seq_w(pp.lstm1),
-                                     seq_w(pp.lstm2), seq_w(pp.lstm3))
+        want = oracles.scalar_parseq(paragraphs, values,
+                                     *[oracles.scalar_gates(c)
+                                       for c in (pp.lstm1, pp.lstm2, pp.lstm3)])
         assert abs(got.data[0] - want) < TOL
 
 

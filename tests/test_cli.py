@@ -201,10 +201,27 @@ MALFORMED_INPUTS = (
     ("string data_seed", lambda c: c.update(data_seed="x"), None, EXIT_CONFIG),
     ("string train.shuffle", lambda c: c["train"].update(shuffle="no"), None,
      EXIT_CONFIG),
+    ("string paths", lambda c: c.update(paths="x"), None, EXIT_CONFIG),
+    ("integer out_dir", lambda c: c.update(out_dir=5), None, EXIT_CONFIG),
+    ("integer paths.documents and paths.trees",
+     lambda c: c.update(paths={"documents": 5, "trees": 5}), None, EXIT_CONFIG),
+    ("empty generator.token_pool", lambda c: c["generator"].update(token_pool=[]),
+     None, EXIT_CONFIG),
+    ("integer generator.token_pool",
+     lambda c: c["generator"].update(token_pool=[1, 2, 3]), None, EXIT_CONFIG),
+    ("generator.labels without nuclearity",
+     lambda c: c["generator"].update(labels=["a", "b", "c"]), None, EXIT_CONFIG),
+    ("integer generator.labels", lambda c: c["generator"].update(labels=[1, 2, 3]),
+     None, EXIT_CONFIG),
+    ("NaN in generator.class_probs",
+     lambda c: c["generator"].update(class_probs=[0.5, 0.5, math.nan]), None,
+     EXIT_CONFIG),
     ("truncated checkpoint", None, lambda t: t[:len(t) // 2], EXIT_DATA),
     ("checkpoint without meta.wv_dim", None, lambda t: _edit_meta(t, "wv_dim"),
      EXIT_DATA),
     ("checkpoint wv_dim does not fit", None, lambda t: _edit_meta(t, "wv_dim", 5),
+     EXIT_DATA),
+    ("version-1 checkpoint", None, lambda t: json.dumps({**json.loads(t), "version": 1}),
      EXIT_DATA),
 )
 
@@ -230,6 +247,13 @@ def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text
 
 
 class TestAblate:
+    def test_integer_majority_policy_ends_in_one_json_line(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, majority_policy=5)
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert set(json.loads(err[0])) == {"error", "message"}
+
     def test_grid_has_nine_rows(self, tmp_path):
         cfg_path, config = write_config(tmp_path, n_runs=1)
         assert cli.main(["ablate", "--config", str(cfg_path)]) == EXIT_OK

@@ -43,10 +43,7 @@ def test_single_oov_token_equals_zero_input_step():
 
 def test_three_tokens_match_scalar_oracle():
     enc, _ = make_encoder(1, 1, seed=7)
-    w = {g: (float(enc.w[g].data[0, 0]),
-             float(enc.w[g].data[0, 1]),
-             float(enc.b[g].data[0]))
-         for g in ("i", "f", "o", "u")}
+    w = oracles.scalar_gates(enc)
     values = {"x": 0.4, "y": -1.1, "z": 0.9}
     wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
     e, c = encode_edu(["x", "y", "z"], wv, enc)

@@ -47,10 +47,7 @@ class TestLstmCell:
 
     def test_matches_scalar_oracle(self):
         cell, _ = random_cell(1, 1, seed=3)
-        w = {g: (float(cell.w[g].data[0, 0]),
-                 float(cell.w[g].data[0, 1]),
-                 float(cell.b[g].data[0]))
-             for g in ("i", "f", "o", "u")}
+        w = oracles.scalar_gates(cell)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x, h, c = rng.uniform(-2, 2, size=3)
@@ -105,30 +102,40 @@ class TestFusedCellAgainstComposedOps:
     def grads(bundle):
         return {name: t.grad.copy() for name, t in bundle.items()}
 
-    @pytest.mark.parametrize("forget", [("f",), ("fl", "fr")])
-    def test_cell_step(self, forget):
-        rng = np.random.default_rng(len(forget))
+    @staticmethod
+    def assert_grads_close(cell, got, want):
+        """Gradients of the fused run against the composed run's, the cell's
+        row blocks against the per-gate leaves and every other entry as is."""
+        for g, (dw, db) in oracles.gate_blocks(cell, got["cell.w"], got["cell.b"]).items():
+            assert_kernel_close(dw, want[f"ref.w_{g}"])
+            assert_kernel_close(db, want[f"ref.b_{g}"])
+        for name in got:
+            if not name.startswith(("cell.", "ref.")):
+                assert_kernel_close(got[name], want[name])
+
+    @pytest.mark.parametrize("children", [1, 2])
+    def test_cell_step(self, children):
+        rng = np.random.default_rng(children)
         bundle = nc.ParameterBundle()
-        cell = nc.init_cell(bundle, "cell", rng, 7, 5, forget)
+        cell = nc.init_cell(bundle, "cell", rng, 7, 5, children)
         for t in bundle.tensors():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
+        gates = oracles.gate_leaves(bundle, cell)
         z = random_tensor(rng, 7, bundle, "z")
-        child_cs = [random_tensor(rng, 5, bundle, f"c{k}") for k in range(len(forget))]
+        child_cs = [random_tensor(rng, 5, bundle, f"c{k}") for k in range(children)]
         weights = [nc.constant(rng.uniform(-1, 1, size=5)) for _ in range(2)]
-        results = {}
-        for step in (nc.cell_step, oracles.composed_cell_step):
+        results = []
+        for step, p in ((nc.cell_step, cell), (oracles.composed_cell_step, gates)):
             with nc.record():
-                h, c = step(z, child_cs, cell)
+                h, c = step(z, child_cs, p)
                 loss = nc.add(nc.vsum(nc.mul(h, weights[0])),
                               nc.vsum(nc.mul(c, weights[1])))
                 nc.backward(loss, bundle)
-            results[step] = (h.data, c.data, self.grads(bundle))
-        (h, c, grads), (want_h, want_c, want_grads) = results.values()
+            results.append((h.data, c.data, self.grads(bundle)))
+        (h, c, grads), (want_h, want_c, want_grads) = results
         assert_kernel_close(h, want_h)
         assert_kernel_close(c, want_c)
-        assert grads.keys() == want_grads.keys()
-        for name in grads:
-            assert_kernel_close(grads[name], want_grads[name])
+        self.assert_grads_close(cell, grads, want_grads)
 
     @pytest.mark.parametrize("lengths", [(3,), (1,), (4, 1, 4, 2, 3), (2, 2, 2), (1, 3)])
     def test_packed_lstms(self, lengths):
@@ -137,6 +144,7 @@ class TestFusedCellAgainstComposedOps:
         cell = nc.init_lstm_cell(bundle, "cell", rng, 3, 4)
         for t in bundle.tensors():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
+        gates = oracles.gate_leaves(bundle, cell)
         # every other sequence reads inputs that need a gradient
         seqs = [[random_tensor(rng, 3, bundle if k % 2 else None, f"x{k}.{t}")
                  for t in range(n)] for k, n in enumerate(lengths)]
@@ -159,13 +167,11 @@ class TestFusedCellAgainstComposedOps:
             assert len(nc._rec.tape) == 1
             got, got_grads = run(states)
         with nc.record():
-            want, want_grads = run([oracles.composed_run_lstm(seq, cell) for seq in seqs])
+            want, want_grads = run([oracles.composed_run_lstm(seq, gates) for seq in seqs])
         for (h, c), (want_h, want_c) in zip(got, want):
             assert_kernel_close(h, want_h)
             assert_kernel_close(c, want_c)
-        assert got_grads.keys() == want_grads.keys()
-        for name in got_grads:
-            assert_kernel_close(got_grads[name], want_grads[name])
+        self.assert_grads_close(cell, got_grads, want_grads)
 
     def test_sequence_of_length_zero_ends_in_zero_state(self):
         cell, _ = random_cell(2, 3, seed=2)

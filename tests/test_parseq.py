@@ -72,14 +72,9 @@ class TestEncodeParseq:
         paragraphs = [[["alpha", "beta"], ["gamma"]], [["delta", "alpha"]]]
         doc = make_doc(paragraphs)
 
-        def weights(cell):
-            return {g: (float(cell.w[g].data[0, 0]),
-                        float(cell.w[g].data[0, 1]),
-                        float(cell.b[g].data[0]))
-                    for g in ("i", "f", "o", "u")}
-
-        want = oracles.scalar_parseq(paragraphs, values, weights(p.lstm1),
-                                     weights(p.lstm2), weights(p.lstm3))
+        want = oracles.scalar_parseq(paragraphs, values,
+                                     *[oracles.scalar_gates(c)
+                                       for c in (p.lstm1, p.lstm2, p.lstm3)])
         got = encode_parseq(doc, wv, p)
         assert abs(got.data[0] - want) < 1e-12
 
@@ -185,16 +180,8 @@ class TestEnsemble:
         tree = three_edu_tree()
         doc = make_doc(paragraphs, tree=tree)
 
-        def seq_weights(cell):
-            return {g: (float(cell.w[g].data[0, 0]),
-                        float(cell.w[g].data[0, 1]),
-                        float(cell.b[g].data[0]))
-                    for g in ("i", "f", "o", "u")}
-
         tc = p.tree.cell
-        w_tree = {g: tuple(tc.w[g].data[0].tolist())
-                  + (float(tc.b[g].data[0]),)
-                  for g in ("i", "fl", "fr", "o", "u")}
+        w_tree = oracles.scalar_gates(tc)
 
         def rel(label):
             return float(p.tree.relation_table.data[vocab.index_of_label(label)][0])
@@ -207,9 +194,9 @@ class TestEnsemble:
         h_l, _ = hi, ci
         h_r, c_r = 0.0, 0.0  # right child of root is a leaf
         d_seq = oracles.scalar_parseq(paragraphs, values,
-                                      seq_weights(p.seq.lstm1),
-                                      seq_weights(p.seq.lstm2),
-                                      seq_weights(p.seq.lstm3))
+                                      oracles.scalar_gates(p.seq.lstm1),
+                                      oracles.scalar_gates(p.seq.lstm2),
+                                      oracles.scalar_gates(p.seq.lstm3))
         d = np.array([h_l, h_r, d_seq])
         logits = p.joint.w.data @ d + p.joint.b.data
         e = np.exp(logits - logits.max())

@@ -67,35 +67,18 @@ class TestTrainConfig:
             small_cfg(seed=-1).validate()
 
 
-TREE_CELL = [
-    ("tree.w_i", (3, 10)), ("tree.b_i", (3,)),
-    ("tree.w_fl", (3, 10)), ("tree.b_fl", (3,)),
-    ("tree.w_fr", (3, 10)), ("tree.b_fr", (3,)),
-    ("tree.w_o", (3, 10)), ("tree.b_o", (3,)),
-    ("tree.w_u", (3, 10)), ("tree.b_u", (3,)),
-]
+# One weight and one bias per cell, its rows in gate blocks i, f_1..f_K, o, u.
+TREE_CELL = [("tree.w", (15, 10)), ("tree.b", (15,))]
 SEQ_CELLS = [
-    ("seq.lstm1.w_i", (3, 8)), ("seq.lstm1.b_i", (3,)),
-    ("seq.lstm1.w_f", (3, 8)), ("seq.lstm1.b_f", (3,)),
-    ("seq.lstm1.w_o", (3, 8)), ("seq.lstm1.b_o", (3,)),
-    ("seq.lstm1.w_u", (3, 8)), ("seq.lstm1.b_u", (3,)),
-    ("seq.lstm2.w_i", (3, 6)), ("seq.lstm2.b_i", (3,)),
-    ("seq.lstm2.w_f", (3, 6)), ("seq.lstm2.b_f", (3,)),
-    ("seq.lstm2.w_o", (3, 6)), ("seq.lstm2.b_o", (3,)),
-    ("seq.lstm2.w_u", (3, 6)), ("seq.lstm2.b_u", (3,)),
-    ("seq.lstm3.w_i", (3, 6)), ("seq.lstm3.b_i", (3,)),
-    ("seq.lstm3.w_f", (3, 6)), ("seq.lstm3.b_f", (3,)),
-    ("seq.lstm3.w_o", (3, 6)), ("seq.lstm3.b_o", (3,)),
-    ("seq.lstm3.w_u", (3, 6)), ("seq.lstm3.b_u", (3,)),
+    ("seq.lstm1.w", (12, 8)), ("seq.lstm1.b", (12,)),
+    ("seq.lstm2.w", (12, 6)), ("seq.lstm2.b", (12,)),
+    ("seq.lstm3.w", (12, 6)), ("seq.lstm3.b", (12,)),
 ]
 # Registration order fixes both the RNG draws and the checkpoint layout.
 PARAMETER_LAYOUT = {
     ("rst", "t,ns,r,e"): TREE_CELL + [
         ("relation_table", (4, 2)), ("classifier.w", (3, 6)), ("classifier.b", (3,)),
-        ("edu.w_i", (3, 8)), ("edu.b_i", (3,)),
-        ("edu.w_f", (3, 8)), ("edu.b_f", (3,)),
-        ("edu.w_o", (3, 8)), ("edu.b_o", (3,)),
-        ("edu.w_u", (3, 8)), ("edu.b_u", (3,)),
+        ("edu.w", (12, 8)), ("edu.b", (12,)),
     ],
     ("parseq", "t"): SEQ_CELLS + [("classifier.w", (3, 3)), ("classifier.b", (3,))],
     ("ensemble", "t,ns,r"): TREE_CELL + [("relation_table", (4, 2))] + SEQ_CELLS

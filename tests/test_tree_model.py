@@ -107,14 +107,9 @@ class TestEncodeSubtree:
         tree = three_edu_tree(("alpha beta.", "gamma.", "delta epsilon."))
 
         cell = params.edu
-        w_seq = {g: (float(cell.w[g].data[0, 0]),
-                     float(cell.w[g].data[0, 1]),
-                     float(cell.b[g].data[0]))
-                 for g in ("i", "f", "o", "u")}
+        w_seq = oracles.scalar_gates(cell)
         tc = params.cell
-        w_tree = {g: tuple(tc.w[g].data[0].tolist())
-                  + (float(tc.b[g].data[0]),)
-                  for g in ("i", "fl", "fr", "o", "u")}
+        w_tree = oracles.scalar_gates(tc)
 
         def leaf(text):
             toks = [t for t in text.replace(".", "").split()]
