@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print the sha256 of each training artifact for five model rows at one
+small fixed config: the "same config, same bytes" check across a refactor.
+
+Each row trains with ``rstcoh train`` in its own temporary directory, always
+with the relative ``out_dir`` "out", so the config recorded in summary.json
+is the same wherever the script runs. The package is imported from the
+``src/`` of the checkout that holds this script. To compare two revisions,
+run the script in both checkouts and diff the output:
+
+    python3 scripts/artifact_digest.py > after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rstcoh import cli  # noqa: E402
+
+ROWS = (("rst", "t"), ("rst", "t,ns"), ("rst", "t,ns,r,e"), ("parseq", "t"),
+        ("ensemble", "t,ns,r"))
+ARTIFACTS = ("run_log.jsonl", "summary.json", "checkpoint.json")
+CONFIG = {
+    "out_dir": "out",
+    "train": {"learning_rate": 3e-3, "epochs": 2, "hidden_size": 8,
+              "relation_dim": 4, "seed": 0},
+    "n_runs": 2,
+    "generator": {"n_train": 40, "n_test": 20, "edu_range": [3, 8],
+                  "tokens_per_edu": [2, 5], "signal_strength": 0.9,
+                  "token_signal": 0.5, "wv_dim": 6},
+}
+
+
+def train_row(model: str, features: str) -> dict[str, str]:
+    """sha256 of each artifact of one ``rstcoh train`` run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(
+                json.dumps({**CONFIG, "model": model, "features": features}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["train", "--config", "config.json"])
+            if code != cli.EXIT_OK:
+                raise SystemExit(f"{model} [{features}]: rstcoh train exited {code}")
+            return {name: hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+                    for name in ARTIFACTS}
+        finally:
+            os.chdir(cwd)
+
+
+def main() -> int:
+    for model, features in ROWS:
+        for name, digest in train_row(model, features).items():
+            print(f"{model:<8} {features:<9} {name:<16} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

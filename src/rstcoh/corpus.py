@@ -346,10 +346,20 @@ class GeneratorConfig:
             raise ConfigError(f"bad edu_range {self.edu_range}")
         if self.tokens_per_edu[0] < 1 or self.tokens_per_edu[1] < self.tokens_per_edu[0]:
             raise ConfigError(f"bad tokens_per_edu {self.tokens_per_edu}")
-        for name, subset in (("coherent_labels", self.feature_subset(3)),
-                             ("neutral_labels", self.feature_subset(2))):
-            if not set(subset) <= set(self.labels):
-                raise ConfigError(f"{name} not a subset of labels")
+        for name, subset, pool_name, pool in (
+                ("coherent_labels", self.coherent_labels, "labels", self.labels),
+                ("neutral_labels", self.neutral_labels, "labels", self.labels),
+                ("coherent_tokens", self.coherent_tokens, "token_pool", self.token_pool),
+                ("neutral_tokens", self.neutral_tokens, "token_pool", self.token_pool)):
+            if subset is None:
+                continue
+            if not isinstance(subset, (list, tuple)) or not subset \
+                    or not all(isinstance(x, str) for x in subset):
+                raise ConfigError(
+                    f"{name} must be a non-empty list of strings, got {subset!r}")
+            outside = sorted(set(subset) - set(pool))
+            if outside:
+                raise ConfigError(f"{name} not a subset of {pool_name}: {outside}")
 
     def feature_subset(self, klass: int) -> tuple[str, ...]:
         third = max(1, len(self.labels) // 3)

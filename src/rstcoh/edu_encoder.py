@@ -21,8 +21,3 @@ def encode_edus(edus: list[list[str]], wv: WordVectors,
     return nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in tokens]
                          for tokens in edus], p)
 
-
-def encode_edu(tokens: list[str], wv: WordVectors,
-               p: nc.CellParams) -> tuple[nc.Tensor, nc.Tensor]:
-    """:func:`encode_edus` for one EDU."""
-    return encode_edus([tokens], wv, p)[0]

@@ -1,17 +1,32 @@
 """Dense float64 tensors with reverse-mode differentiation, one N-ary gated
-cell, and the Adam optimizer.
+cell, a softmax head and loss, and the Adam optimizer.
+
+The six functions that record on the tape are exactly what the models call:
+
+* :func:`concat` and :func:`row` assemble a tree node's input from its
+  children's states and its label embeddings;
+* :func:`cell_step` applies the gated cell once, and :func:`run_lstms` runs
+  many sequences through it as one packed batch;
+* :func:`softmax_head` is the output layer, softmax(w @ x + b);
+* :func:`nll` is the loss, -log(max(p[i], floor)).
 
 The gated cell is the N-ary Tree-LSTM unit of Tai et al. (2015): gates i,
 o, u and one forget gate per child, all read one input vector z. The
 sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
 is its 2-ary case. One row-batched implementation of the gates, with a
 hand-written backward pass over plain arrays (Appleyard et al. 2016), serves
-two entry points: :func:`cell_step` applies the cell once, and
-:func:`run_lstms` runs many sequences as one packed batch. Each call of
-either is one tape entry, so a tree node costs one entry and so does each
-packed LSTM pass over a document's EDUs or sentences. A cell's parameters
-are one weight and one bias tensor whose row blocks are its gates, the
-layout the kernel computes with.
+both cell entries. Each call of any of the six is one tape entry, so a tree
+node's cell costs one entry and so does each packed LSTM pass over a
+document's EDUs or sentences. A cell's parameters are one weight and one
+bias tensor whose row blocks are its gates, the layout the kernel computes
+with.
+
+A :class:`ParameterBundle` keeps all of a model's parameters in one flat
+``data`` vector and their gradients in one flat ``grad`` vector, in
+registration order. Each named tensor's ``.data`` and ``.grad`` are views
+into them, so :meth:`ParameterBundle.zero_grads` is one fill and
+:func:`adam_step` is one vectorised update over flat moments (Kingma & Ba
+2014). Parameter views must never be rebound, only written through.
 
 Ops run eagerly. Inside ``with record():`` each op whose inputs need a
 gradient appends its outputs and one closure to the current thread's tape,
@@ -76,10 +91,6 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = requires_grad
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 
@@ -122,47 +133,7 @@ def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
     return out
 
 
-# --- primitive ops ----------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _result(a.data + b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul: {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, -g)
-
-    return _result(-a.data, (a,), bw)
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise DimensionError(f"matvec: {w.data.shape} @ {x.data.shape}")
-
-    def bw(g):
-        _accumulate(w, np.outer(g, x.data))
-        _accumulate(x, w.data.T @ g)
-
-    return _result(w.data @ x.data, (w, x), bw)
+# --- ops --------------------------------------------------------------------
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -181,55 +152,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([p.data for p in parts]), parts, bw)
 
 
-def _sigmoid(x: Array) -> Array:
-    # exp of a non-positive number never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    val = _sigmoid(a.data)
-
-    def bw(g):
-        _accumulate(a, g * val * (1.0 - val))
-
-    return _result(val, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    val = np.tanh(a.data)
-
-    def bw(g):
-        _accumulate(a, g * (1.0 - val * val))
-
-    return _result(val, (a,), bw)
-
-
-def softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1:
-        raise DimensionError("softmax expects a 1-d tensor")
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-
-    def bw(g):
-        _accumulate(a, p * (g - np.dot(g, p)))
-
-    return _result(p, (a,), bw)
-
-
-def pick(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise DimensionError("pick expects a 1-d tensor")
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        _accumulate(a, ga)
-
-    return _result(a.data[i], (a,), bw)
-
-
 def row(m: Tensor, i: int) -> Tensor:
     if m.data.ndim != 2:
         raise DimensionError("row expects a 2-d tensor")
@@ -242,28 +164,43 @@ def row(m: Tensor, i: int) -> Tensor:
     return _result(m.data[i].copy(), (m,), bw)
 
 
-def vsum(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
-
-    return _result(a.data.sum(), (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return _result(np.log(a.data), (a,), bw)
-
-
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    # written so NaN passes through instead of being floored away
-    mask = ~(a.data < lo)
+def softmax_head(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
+    """softmax(w @ x + b) as one tape entry: the classifiers' output layer."""
+    if w.data.ndim != 2 or x.data.shape != w.data.shape[1:] \
+            or b.data.shape != w.data.shape[:1]:
+        raise DimensionError(
+            f"softmax_head: {w.data.shape} @ {x.data.shape} + {b.data.shape}")
+    logits = w.data @ x.data + b.data
+    e = np.exp(logits - logits.max())
+    p = e / e.sum()
 
     def bw(g):
-        _accumulate(a, g * mask)
+        g_logits = p * (g - np.dot(g, p))
+        _accumulate(w, np.outer(g_logits, x.data))
+        _accumulate(b, g_logits)
+        _accumulate(x, w.data.T @ g_logits)
 
-    return _result(np.where(mask, a.data, lo), (a,), bw)
+    return _result(p, (w, b, x), bw)
+
+
+def nll(dist: Tensor, i: int, floor: float) -> Tensor:
+    """-log(max(dist[i], floor)) as one tape entry.
+
+    The gradient is zero where the probability is below the floor. The
+    comparison is written so that NaN is not floored away but passes
+    through.
+    """
+    if dist.data.ndim != 1:
+        raise DimensionError("nll expects a 1-d distribution")
+    keep = ~(dist.data[i] < floor)
+    p = np.where(keep, dist.data[i], floor)
+
+    def bw(g):
+        g_dist = np.zeros_like(dist.data)
+        g_dist[i] = -g / p * keep
+        _accumulate(dist, g_dist)
+
+    return _result(-np.log(p), (dist,), bw)
 
 
 # --- backward pass ----------------------------------------------------------
@@ -295,16 +232,33 @@ def backward(loss: Tensor, params: "ParameterBundle") -> None:
 
 
 class ParameterBundle:
-    """Ordered collection of named trainable tensors with gradient slots."""
+    """Ordered collection of named trainable tensors, stored flat.
+
+    Each tensor's ``.data`` and ``.grad`` are views into the fp64 vectors
+    ``data`` and ``grad``. Write through them (``t.data[...] = v``); a
+    rebound view no longer reaches the buffer. :meth:`add` re-points every
+    view, so arrays taken from a tensor before a later ``add`` are stale.
+    """
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
+        self.data = np.zeros(0)
+        self.grad = np.zeros(0)
 
     def add(self, name: str, values) -> Tensor:
         if name in self._entries:
             raise StateError(f"duplicate parameter name {name!r}")
         t = Tensor(values, requires_grad=True)
         self._entries[name] = t
+        self.data = np.concatenate((self.data, t.data.ravel()))
+        self.grad = np.concatenate((self.grad, np.zeros(t.data.size)))
+        off = 0
+        for t_k in self._entries.values():
+            shape = t_k.data.shape
+            end = off + t_k.data.size
+            t_k.data = self.data[off:end].reshape(shape)
+            t_k.grad = self.grad[off:end].reshape(shape)
+            off = end
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -320,10 +274,15 @@ class ParameterBundle:
         return iter(self._entries.values())
 
     def zero_grads(self) -> None:
-        for t in self._entries.values():
-            t.grad = np.zeros_like(t.data)
+        self.grad.fill(0.0)
 
     def load_state(self, state: dict[str, Array]) -> None:
+        """Copy ``state``'s arrays into the tensors of the same names. The
+        state must hold exactly this bundle's names, at their shapes."""
+        extra = sorted(set(state) - set(self._entries))
+        if extra:
+            raise StateError(
+                f"state holds parameters the model does not build: {extra}")
         for name, t in self._entries.items():
             if name not in state:
                 raise StateError(f"missing parameter {name!r} in state")
@@ -331,7 +290,7 @@ class ParameterBundle:
             if arr.shape != t.data.shape:
                 raise StateError(
                     f"shape mismatch for {name!r}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
+            t.data[...] = arr
 
 
 # --- initialization ---------------------------------------------------------
@@ -383,6 +342,12 @@ def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
     w = np.concatenate([glorot(rng, (hidden, cols)) for _ in range(gates)])
     return CellParams(bundle.add(f"{prefix}.w", w),
                       bundle.add(f"{prefix}.b", np.zeros(gates * hidden)), children)
+
+
+def _sigmoid(x: Array) -> Array:
+    # exp of a non-positive number never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _gates_forward(pre: Array, child_cs: Sequence[Array]) -> tuple[Array, Array, tuple]:
@@ -460,18 +425,6 @@ def init_lstm_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generato
                    input_size: int, hidden_size: int) -> CellParams:
     """The 1-ary cell over [x; h]."""
     return init_cell(bundle, prefix, rng, input_size + hidden_size, hidden_size, 1)
-
-
-def lstm_cell_step(x: Tensor, h: Tensor, c: Tensor,
-                   p: CellParams) -> tuple[Tensor, Tensor]:
-    """One step of the standard LSTM recurrence: the 1-ary cell over [x; h]."""
-    input_size = p.cols - p.hidden_size
-    if x.data.shape != (input_size,):
-        raise DimensionError(f"input shape {x.data.shape} != ({input_size},)")
-    if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
-        raise DimensionError(
-            f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
-    return cell_step(concat((x, h)), (c,), p)
 
 
 def run_lstms(seqs: Sequence[Sequence[Tensor]],
@@ -556,36 +509,39 @@ def run_lstm(inputs: Sequence[Tensor], p: CellParams) -> tuple[Tensor, Tensor]:
 
 
 class AdamState:
-    """Per-parameter first/second moment estimates."""
+    """First and second moment estimates, flat like the bundle's buffer."""
 
     def __init__(self, bundle: ParameterBundle):
-        self.m = {name: np.zeros_like(t.data) for name, t in bundle.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in bundle.items()}
+        self.m = np.zeros_like(bundle.data)
+        self.v = np.zeros_like(bundle.data)
 
 
 def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update, applied in place.
+    """Bias-corrected Adam update of the whole buffer, applied in place.
 
     ``t`` is the 1-based step index of this update.
     """
     if t < 1:
         raise StateError(f"step index must be >= 1, got {t}")
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            raise StateError(f"parameter {name!r} has no gradient")
-        m = state.m[name]
-        v = state.v[name]
-        if m.shape != p.data.shape:
-            raise StateError(f"moment shape mismatch for {name!r}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    if state.m.shape != params.data.shape:
+        raise StateError(f"Adam state holds {state.m.size} moments for "
+                         f"{params.data.size} parameters")
+    g = params.grad
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    # lr * m_hat / (sqrt(v_hat) + eps) on two buffer-sized temporaries;
+    # IEEE products commute, so step *= lr rounds as lr * m_hat does
+    step = m / (1.0 - beta1 ** t)
+    step *= lr
+    denom = v / (1.0 - beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params.data -= step
 
 
 # --- checkpointing ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ParSeq stacks three LSTMs: one over each sentence's word vectors, one over
 the resulting sentence vectors per paragraph, one over the paragraph
-vectors; the final document vector feeds an affine softmax head. The
+vectors; the final document vector feeds a softmax head. The
 ensemble concatenates the tree encoder's root-children states (leaves
 forced to zero vectors) with the ParSeq document vector before one joint
 head.
@@ -17,10 +17,9 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Document, WordVectors
 from .errors import ConfigError, EmptyDocumentError
-from .metrics import CLASSES
 from .rst_data import RelationVocabulary
-from .tree_model import (AblationConfig, Affine, TreeModelParams, init_tree_model,
-                         root_children_states)
+from .tree_model import (AblationConfig, SoftmaxHead, TreeModelParams, init_head,
+                         init_tree_model, root_children_states)
 
 
 @dataclass
@@ -28,7 +27,7 @@ class ParseqParams:
     lstm1: nc.CellParams  # words -> sentence vector
     lstm2: nc.CellParams  # sentence vectors -> paragraph vector
     lstm3: nc.CellParams  # paragraph vectors -> document vector
-    classifier: Affine | None
+    classifier: SoftmaxHead | None
 
 
 def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
@@ -39,9 +38,7 @@ def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
     lstm3 = nc.init_lstm_cell(bundle, f"{prefix}.lstm3", rng, hidden_size, hidden_size)
     classifier = None
     if with_classifier:
-        classifier = Affine(
-            bundle.add("classifier.w", nc.glorot(rng, (len(CLASSES), hidden_size))),
-            bundle.add("classifier.b", np.zeros(len(CLASSES))))
+        classifier = init_head(bundle, "classifier", rng, hidden_size)
     return ParseqParams(lstm1, lstm2, lstm3, classifier)
 
 
@@ -69,14 +66,14 @@ def encode_parseq(doc: Document, wv: WordVectors, p: ParseqParams) -> nc.Tensor:
 def classify_parseq(doc: Document, wv: WordVectors, p: ParseqParams) -> nc.Tensor:
     if p.classifier is None:
         raise ConfigError("model has no classification head")
-    return nc.softmax(p.classifier.apply(encode_parseq(doc, wv, p)))
+    return p.classifier(encode_parseq(doc, wv, p))
 
 
 @dataclass
 class EnsembleParams:
     tree: TreeModelParams  # no EDU encoder, no own classifier
     seq: ParseqParams  # no own classifier
-    joint: Affine  # (3, 2*hidden + hidden)
+    joint: SoftmaxHead  # (3, 2*hidden + hidden)
 
 
 def init_ensemble(bundle: nc.ParameterBundle, rng: np.random.Generator,
@@ -87,10 +84,7 @@ def init_ensemble(bundle: nc.ParameterBundle, rng: np.random.Generator,
     tree = init_tree_model(bundle, rng, abl, vocab, hidden_size, relation_dim,
                            wv_dim, with_classifier=False)
     seq = init_parseq(bundle, rng, wv_dim, hidden_size, with_classifier=False)
-    joint = Affine(
-        bundle.add("joint.w", nc.glorot(rng, (len(CLASSES), 3 * hidden_size))),
-        bundle.add("joint.b", np.zeros(len(CLASSES))))
-    return EnsembleParams(tree, seq, joint)
+    return EnsembleParams(tree, seq, init_head(bundle, "joint", rng, 3 * hidden_size))
 
 
 def classify_ensemble(doc: Document, wv: WordVectors, p: EnsembleParams,
@@ -100,6 +94,4 @@ def classify_ensemble(doc: Document, wv: WordVectors, p: EnsembleParams,
     if abl.e:
         raise ConfigError("the ensemble never uses EDU embeddings (tree leaves are zero)")
     h_l, h_r = root_children_states(doc.tree, p.tree, None, abl, vocab)
-    d_seq = encode_parseq(doc, wv, p.seq)
-    d = nc.concat((h_l, h_r, d_seq))
-    return nc.softmax(p.joint.apply(d))
+    return p.joint(nc.concat((h_l, h_r, encode_parseq(doc, wv, p.seq))))

@@ -121,8 +121,7 @@ def cross_entropy(dist: nc.Tensor, label: int) -> nc.Tensor:
     """-log p(label), with the probability floored at 1e-12 before the log."""
     if label not in metrics.CLASSES:
         raise ConfigError(f"label must be one of {metrics.CLASSES}, got {label!r}")
-    p = nc.pick(dist, label - 1)
-    return nc.neg(nc.log(nc.clamp_min(p, PROB_FLOOR)))
+    return nc.nll(dist, label - 1, PROB_FLOOR)
 
 
 def evaluate_model(model: Model, docs: list[Document],

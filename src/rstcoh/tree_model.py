@@ -14,8 +14,8 @@ embeddings of the children's (relation, nuclearity) labels,
     h   = o*tanh(c)
 
 At the root, the children's hidden states concatenate into the document
-vector d = [h_l; h_r] which feeds an affine layer and a softmax over the
-three coherence classes. Feature switches: NS keys label embeddings by
+vector d = [h_l; h_r] which feeds the softmax head softmax(W d + b) over
+the three coherence classes. Feature switches: NS keys label embeddings by
 nuclearity alone, R by the combined relation_nuclearity label, E turns the
 leaf EDU encoder on (one packed LSTM pass over all of a document's
 EDUs); with everything off the output is a function of tree shape only.
@@ -76,12 +76,22 @@ class AblationConfig:
 
 
 @dataclass
-class Affine:
+class SoftmaxHead:
+    """softmax(w @ x + b) over the coherence classes."""
+
     w: nc.Tensor
     b: nc.Tensor
 
-    def apply(self, x: nc.Tensor) -> nc.Tensor:
-        return nc.add(nc.matvec(self.w, x), self.b)
+    def __call__(self, x: nc.Tensor) -> nc.Tensor:
+        return nc.softmax_head(self.w, self.b, x)
+
+
+def init_head(bundle: nc.ParameterBundle, prefix: str, rng: np.random.Generator,
+              cols: int) -> SoftmaxHead:
+    """Register ``{prefix}.w`` (Glorot) and ``{prefix}.b`` (zero) for a head
+    over ``cols`` inputs."""
+    return SoftmaxHead(bundle.add(f"{prefix}.w", nc.glorot(rng, (len(CLASSES), cols))),
+                       bundle.add(f"{prefix}.b", np.zeros(len(CLASSES))))
 
 
 @dataclass
@@ -91,7 +101,7 @@ class TreeModelParams:
     cell: nc.CellParams  # 2 children, over [h_l; h_r; r_l; r_r]
     relation_table: nc.Tensor | None  # (vocab size, relation_dim), row 0 = UNK
     nuclearity_table: nc.Tensor | None  # (2, relation_dim), rows N then S
-    classifier: Affine | None  # (3, 2*hidden)
+    classifier: SoftmaxHead | None  # (3, 2*hidden)
     edu: nc.CellParams | None  # LSTM over the EDU's word vectors
 
 
@@ -115,9 +125,7 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
             "nuclearity_table", nc.embedding_init(rng, (2, relation_dim)))
     classifier = None
     if with_classifier:
-        classifier = Affine(
-            bundle.add("classifier.w", nc.glorot(rng, (len(CLASSES), 2 * hidden_size))),
-            bundle.add("classifier.b", np.zeros(len(CLASSES))))
+        classifier = init_head(bundle, "classifier", rng, 2 * hidden_size)
     edu = None
     if abl.e:
         edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden_size)
@@ -212,8 +220,7 @@ def classify_document(tree: RstTree, params: TreeModelParams,
     if params.classifier is None:
         raise ConfigError("model has no classification head")
     h_l, h_r = root_children_states(tree, params, wv, abl, vocab)
-    d = nc.concat((h_l, h_r))
-    return nc.softmax(params.classifier.apply(d))
+    return params.classifier(nc.concat((h_l, h_r)))
 
 
 def count_parameters(bundle: nc.ParameterBundle) -> dict[str, int]:

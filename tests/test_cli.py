@@ -216,6 +216,11 @@ MALFORMED_INPUTS = (
     ("NaN in generator.class_probs",
      lambda c: c["generator"].update(class_probs=[0.5, 0.5, math.nan]), None,
      EXIT_CONFIG),
+    ("integer generator.coherent_tokens",
+     lambda c: c["generator"].update(coherent_tokens=[1, 2]), None, EXIT_CONFIG),
+    ("generator.coherent_tokens outside token_pool",
+     lambda c: c["generator"].update(coherent_tokens=["not-in-the-pool"]), None,
+     EXIT_CONFIG),
     ("truncated checkpoint", None, lambda t: t[:len(t) // 2], EXIT_DATA),
     ("checkpoint without meta.wv_dim", None, lambda t: _edit_meta(t, "wv_dim"),
      EXIT_DATA),
@@ -223,6 +228,8 @@ MALFORMED_INPUTS = (
      EXIT_DATA),
     ("version-1 checkpoint", None, lambda t: json.dumps({**json.loads(t), "version": 1}),
      EXIT_DATA),
+    ("checkpoint tensors its meta does not build", None,
+     lambda t: _edit_meta(t, "features", "t,ns,r"), EXIT_DATA),
 )
 
 

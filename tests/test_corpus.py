@@ -223,6 +223,23 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             GeneratorConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("coherent_labels", "Cause_N", "must be a non-empty list of strings"),
+        ("neutral_labels", ["Cause_N", 3], "must be a non-empty list of strings"),
+        ("neutral_labels", ["Nope_N"], "not a subset of labels"),
+        ("coherent_tokens", [1, 2], "must be a non-empty list of strings"),
+        ("coherent_tokens", [], "must be a non-empty list of strings"),
+        ("neutral_tokens", "oak", "must be a non-empty list of strings"),
+        ("neutral_tokens", ["oak", "not-in-pool"], "not a subset of token_pool")])
+    def test_bad_label_or_token_subset_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            GeneratorConfig(**{field: value}).validate()
+
+    def test_token_subsets_from_the_pool_accepted(self):
+        cfg = GeneratorConfig(coherent_tokens=("oak", "elm"), neutral_tokens=["sage"])
+        cfg.validate()
+        assert cfg.token_subset(3) == ("oak", "elm")
+
     def test_documents_are_internally_consistent(self, tiny_split):
         for doc in tiny_split.train + tiny_split.test:
             assert doc.label in (1, 2, 3)

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rstcoh import numcore as nc
+from rstcoh import cli, numcore as nc, trainer
 from rstcoh.errors import DimensionError, ShapeError, StateError
+from rstcoh.tree_model import AblationConfig
 
 import oracles
+
+FULL = AblationConfig(ns=True, r=True, e=True)
 
 
 def zero_cell(input_size, hidden_size, bundle=None):
@@ -34,14 +37,14 @@ def random_cell(input_size, hidden_size, seed=0):
 class TestLstmCell:
     def test_zero_params_zero_cell_is_fixpoint(self):
         cell, _ = zero_cell(3, 4)
-        h, c = nc.lstm_cell_step(nc.zeros(3), nc.zeros(4), nc.zeros(4), cell)
+        h, c = oracles.lstm_cell_step(nc.zeros(3), nc.zeros(4), nc.zeros(4), cell)
         assert np.array_equal(h.data, np.zeros(4))
         assert np.array_equal(c.data, np.zeros(4))
 
     def test_zero_params_ones_cell(self):
         # gates at sigma(0)=0.5, candidate tanh(0)=0: c' = 0.5*c, h' = 0.5*tanh(0.5)
         cell, _ = zero_cell(3, 4)
-        h, c = nc.lstm_cell_step(nc.zeros(3), nc.zeros(4), nc.constant(np.ones(4)), cell)
+        h, c = oracles.lstm_cell_step(nc.zeros(3), nc.zeros(4), nc.constant(np.ones(4)), cell)
         assert c.data == pytest.approx([0.5] * 4, abs=1e-15)
         assert h.data == pytest.approx([0.5 * math.tanh(0.5)] * 4, abs=1e-15)
 
@@ -51,8 +54,8 @@ class TestLstmCell:
         rng = np.random.default_rng(4)
         for _ in range(20):
             x, h, c = rng.uniform(-2, 2, size=3)
-            got_h, got_c = nc.lstm_cell_step(nc.constant([x]), nc.constant([h]),
-                                             nc.constant([c]), cell)
+            got_h, got_c = oracles.lstm_cell_step(nc.constant([x]), nc.constant([h]),
+                                                  nc.constant([c]), cell)
             want_h, want_c = oracles.scalar_lstm_step(x, h, c, w)
             assert abs(got_h.data[0] - want_h) < 1e-12
             assert abs(got_c.data[0] - want_c) < 1e-12
@@ -60,9 +63,9 @@ class TestLstmCell:
     def test_dimension_mismatch(self):
         cell, _ = zero_cell(3, 4)
         with pytest.raises(DimensionError):
-            nc.lstm_cell_step(nc.zeros(2), nc.zeros(4), nc.zeros(4), cell)
+            oracles.lstm_cell_step(nc.zeros(2), nc.zeros(4), nc.zeros(4), cell)
         with pytest.raises(DimensionError):
-            nc.lstm_cell_step(nc.zeros(3), nc.zeros(5), nc.zeros(4), cell)
+            oracles.lstm_cell_step(nc.zeros(3), nc.zeros(5), nc.zeros(4), cell)
 
     @given(st.lists(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
                     min_size=1, max_size=8))
@@ -128,8 +131,8 @@ class TestFusedCellAgainstComposedOps:
         for step, p in ((nc.cell_step, cell), (oracles.composed_cell_step, gates)):
             with nc.record():
                 h, c = step(z, child_cs, p)
-                loss = nc.add(nc.vsum(nc.mul(h, weights[0])),
-                              nc.vsum(nc.mul(c, weights[1])))
+                loss = oracles.add(oracles.vsum(oracles.mul(h, weights[0])),
+                                   oracles.vsum(oracles.mul(c, weights[1])))
                 nc.backward(loss, bundle)
             results.append((h.data, c.data, self.grads(bundle)))
         (h, c, grads), (want_h, want_c, want_grads) = results
@@ -154,11 +157,12 @@ class TestFusedCellAgainstComposedOps:
                    for k in range(len(lengths))]
 
         def run(states):
-            terms = [nc.vsum(nc.mul(s, w)) for (h, c), (wh, wc) in zip(states, weights)
+            terms = [oracles.vsum(oracles.mul(s, w))
+                     for (h, c), (wh, wc) in zip(states, weights)
                      for s, w in ((h, wh), (c, wc)) if w is not None]
             loss = terms[0]
             for term in terms[1:]:
-                loss = nc.add(loss, term)
+                loss = oracles.add(loss, term)
             nc.backward(loss, bundle)
             return [(h.data, c.data) for h, c in states], self.grads(bundle)
 
@@ -181,6 +185,68 @@ class TestFusedCellAgainstComposedOps:
         assert not np.array_equal(h1.data, np.zeros(3))
 
 
+class TestFusedHeadAndLoss:
+    """softmax_head and nll against the matvec/add/softmax and
+    pick/clamp_min/log/neg chains they replace: values and every gradient."""
+
+    @staticmethod
+    def run_both(bundle, w, b, x, label, floor=1e-12):
+        results = []
+        for head, loss_fn in ((nc.softmax_head, nc.nll),
+                              (oracles.composed_softmax_head, oracles.composed_nll)):
+            with nc.record():
+                dist = head(w, b, x)
+                loss = loss_fn(dist, label, floor)
+                nc.backward(loss, bundle)
+                entries = len(nc._rec.tape)
+            results.append((dist.data, loss.data, entries,
+                            {name: t.grad.copy() for name, t in bundle.items()}))
+        return results
+
+    @pytest.mark.parametrize("label", [0, 1, 2])
+    def test_matches_composed_chain(self, label):
+        rng = np.random.default_rng(label)
+        bundle = nc.ParameterBundle()
+        w = random_tensor(rng, (3, 5), bundle, "w")
+        b = random_tensor(rng, 3, bundle, "b")
+        x = random_tensor(rng, 5, bundle, "x")
+        (dist, loss, entries, grads), (want_dist, want_loss, _, want_grads) = \
+            self.run_both(bundle, w, b, x, label)
+        assert entries == 2
+        assert_kernel_close(dist, want_dist)
+        assert_kernel_close(loss, want_loss)
+        for name in grads:
+            assert np.any(grads[name] != 0.0)
+            assert_kernel_close(grads[name], want_grads[name])
+
+    def test_probability_below_floor_has_zero_gradient(self):
+        bundle = nc.ParameterBundle()
+        w = bundle.add("w", np.full((3, 2), 0.1))
+        b = bundle.add("b", [60.0, 0.0, 0.0])  # p[1] ~ exp(-60) < 1e-12
+        x = bundle.add("x", [0.5, -0.5])
+        (dist, loss, _, grads), (_, want_loss, _, want_grads) = \
+            self.run_both(bundle, w, b, x, 1)
+        assert dist[1] < 1e-12
+        assert loss == want_loss == -math.log(1e-12)
+        for name in grads:
+            assert np.array_equal(grads[name], np.zeros_like(grads[name]))
+            assert np.array_equal(want_grads[name], grads[name])
+
+    def test_nan_passes_through(self):
+        bundle = nc.ParameterBundle()
+        dist = bundle.add("dist", [math.nan, 0.5, 0.5])
+        got = []
+        for loss_fn in (nc.nll, oracles.composed_nll):
+            with nc.record():
+                loss = loss_fn(dist, 0, 1e-12)
+                nc.backward(loss, bundle)
+            got.append((loss.data, dist.grad.copy()))
+        (loss, grad), (want_loss, want_grad) = got
+        assert math.isnan(loss) and math.isnan(want_loss)
+        assert math.isnan(grad[0]) and math.isnan(want_grad[0])
+        assert np.array_equal(grad[1:], want_grad[1:])
+
+
 class TestBackward:
     def test_constant_loss_zero_grads(self):
         bundle = nc.ParameterBundle()
@@ -195,21 +261,21 @@ class TestBackward:
         w = bundle.add("w", [1.0, -2.0, 0.5])
         x = nc.constant([4.0, 5.0, 6.0])
         with nc.record():
-            nc.backward(nc.vsum(nc.mul(w, x)), bundle)
+            nc.backward(oracles.vsum(oracles.mul(w, x)), bundle)
         assert np.array_equal(w.grad, x.data)
 
     def test_non_scalar_loss_raises(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
         with nc.record(), pytest.raises(ShapeError):
-            nc.backward(nc.mul(w, w), bundle)
+            nc.backward(oracles.mul(w, w), bundle)
 
     def test_non_participating_param_gets_zero(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
         unused = bundle.add("unused", [[3.0, 1.0]])
         with nc.record():
-            nc.backward(nc.vsum(w), bundle)
+            nc.backward(oracles.vsum(w), bundle)
         assert np.array_equal(w.grad, np.ones(2))
         assert np.array_equal(unused.grad, np.zeros((1, 2)))
 
@@ -217,8 +283,8 @@ class TestBackward:
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [2.0])
         with nc.record():
-            y = nc.mul(w, w)  # w^2 -> dy/dw = 2w = 4
-            loss = nc.vsum(nc.add(y, y))  # 2 w^2 -> 4w = 8
+            y = oracles.mul(w, w)  # w^2 -> dy/dw = 2w = 4
+            loss = oracles.vsum(oracles.add(y, y))  # 2 w^2 -> 4w = 8
             nc.backward(loss, bundle)
         assert w.grad == pytest.approx([8.0], abs=1e-15)
 
@@ -229,15 +295,16 @@ class TestBackward:
         m = bundle.add("m", rng.uniform(-1, 1, size=(4, 3)))
 
         def loss_fn():
-            z = nc.concat((nc.tanh(nc.matvec(nc.Tensor(w.data, True), nc.Tensor(v.data, True))),
+            z = nc.concat((oracles.tanh(oracles.matvec(nc.Tensor(w.data, True),
+                                                       nc.Tensor(v.data, True))),
                            nc.row(nc.Tensor(m.data, True), 2)))
-            p = nc.softmax(z)
-            return float(nc.neg(nc.log(nc.clamp_min(nc.pick(p, 1), 1e-12))).data)
+            p = oracles.softmax(z)
+            return float(oracles.composed_nll(p, 1, 1e-12).data)
 
         with nc.record():
-            z = nc.concat((nc.tanh(nc.matvec(w, v)), nc.row(m, 2)))
-            p = nc.softmax(z)
-            loss = nc.neg(nc.log(nc.clamp_min(nc.pick(p, 1), 1e-12)))
+            z = nc.concat((oracles.tanh(oracles.matvec(w, v)), nc.row(m, 2)))
+            p = oracles.softmax(z)
+            loss = oracles.composed_nll(p, 1, 1e-12)
             nc.backward(loss, bundle)
         analytic = {name: t.grad for name, t in bundle.items()}
         numeric = oracles.finite_difference_gradients(loss_fn, bundle)
@@ -250,8 +317,8 @@ class TestBackward:
 
         def forward() -> nc.Tensor:
             h, c = nc.run_lstm([nc.constant(x) for x in xs], cell)
-            p = nc.softmax(h)
-            return nc.neg(nc.log(nc.clamp_min(nc.pick(p, 0), 1e-12)))
+            p = oracles.softmax(h)
+            return oracles.composed_nll(p, 0, 1e-12)
 
         with nc.record():
             loss = forward()
@@ -274,7 +341,7 @@ class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [0.0])
-        w.grad = np.array([0.1])
+        w.grad[...] = 0.1
         state = nc.AdamState(bundle)
         nc.adam_step(bundle, state, 1, 1e-4)
         # first bias-corrected step is ~ lr * sign(g)
@@ -286,7 +353,7 @@ class TestAdam:
         state = nc.AdamState(bundle)
         g = 0.25
         for t in (1, 2):
-            w.grad = np.array([g])
+            w.grad[...] = g
             nc.adam_step(bundle, state, t, 1e-3)
         want = oracles.scalar_adam_unroll(0.3, [g, g], 1e-3)
         assert abs(w.data[0] - want) < 1e-12
@@ -340,21 +407,93 @@ class TestBundleAndCheckpoint:
             nc.load_checkpoint(path)
 
 
+class TestFlatBundle:
+    """Every tensor's data and grad are views into the bundle's two buffers."""
+
+    @staticmethod
+    def assert_views(bundle):
+        offset = 0
+        for t in bundle.tensors():
+            assert np.shares_memory(t.data, bundle.data)
+            assert np.shares_memory(t.grad, bundle.grad)
+            end = offset + t.data.size
+            assert np.array_equal(t.data.ravel(), bundle.data[offset:end])
+            offset = end
+        assert offset == bundle.data.size == bundle.grad.size
+
+    def test_views_after_add(self):
+        bundle = nc.ParameterBundle()
+        w = bundle.add("w", [[1.0, 2.0], [3.0, 4.0]])
+        w.data[0, 0] = 9.0
+        b = bundle.add("b", [5.0])
+        self.assert_views(bundle)
+        assert np.array_equal(bundle.data, [9.0, 2.0, 3.0, 4.0, 5.0])
+        b.grad[...] = 7.0
+        assert bundle.grad[-1] == 7.0
+        bundle.zero_grads()
+        assert np.array_equal(w.grad, np.zeros((2, 2)))
+
+    def test_views_after_load_state(self):
+        bundle = nc.ParameterBundle()
+        bundle.add("w", np.zeros((2, 3)))
+        bundle.add("b", np.zeros(3))
+        bundle.load_state({"w": np.ones((2, 3)), "b": [1.0, 2.0, 3.0]})
+        self.assert_views(bundle)
+        assert np.array_equal(bundle.data, [1.0] * 6 + [1.0, 2.0, 3.0])
+
+    def test_load_state_rejects_names_the_bundle_lacks(self):
+        bundle = nc.ParameterBundle()
+        bundle.add("w", np.zeros(2))
+        with pytest.raises(StateError):
+            bundle.load_state({"w": np.ones(2), "edu.w": np.ones(2)})
+        assert np.array_equal(bundle["w"].data, np.zeros(2))
+
+    def test_adam_state_of_another_bundle_rejected(self):
+        bundle = nc.ParameterBundle()
+        bundle.add("w", np.zeros(2))
+        other = nc.ParameterBundle()
+        other.add("w", np.zeros(3))
+        with pytest.raises(StateError):
+            nc.adam_step(bundle, nc.AdamState(other), 1, 1e-3)
+
+    def test_views_after_training_and_checkpoint_loading(self, tmp_path, tiny_split,
+                                                        tiny_wv):
+        cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=1, hidden_size=4,
+                                  relation_dim=3, features=FULL)
+        model, _ = trainer.train(cfg, tiny_split, tiny_wv)
+        self.assert_views(model.bundle)
+        assert np.any(model.bundle.grad != 0.0)
+        path = tmp_path / "checkpoint.json"
+        nc.save_checkpoint(path, model.bundle,
+                           cli._checkpoint_meta(cfg, model, tiny_wv, cfg.seed))
+        loaded, _ = cli.load_model_from_checkpoint(path)
+        self.assert_views(loaded.bundle)
+        assert np.array_equal(loaded.bundle.data, model.bundle.data)
+        loaded.bundle.grad[...] = 1.0
+        nc.adam_step(loaded.bundle, nc.AdamState(loaded.bundle), 1, 1e-3)
+        for name, t in loaded.bundle.items():
+            assert np.all(t.data < model.bundle[name].data), name
+        self.assert_views(loaded.bundle)
+
+
 class TestOps:
     def test_softmax_normalizes(self, rng):
         for _ in range(10):
-            p = nc.softmax(nc.constant(rng.uniform(-30, 30, size=3)))
+            p = nc.softmax_head(nc.constant(np.eye(3)), nc.zeros(3),
+                                nc.constant(rng.uniform(-30, 30, size=3)))
             assert abs(p.data.sum() - 1.0) <= 1e-12
             assert (p.data >= 0).all()
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            nc.add(nc.zeros(2), nc.zeros(3))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), nc.zeros(2))
+        with pytest.raises(DimensionError):
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(3))
 
     def test_ops_outside_record_build_no_graph(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
-        out = nc.vsum(nc.mul(w, w))
+        out = oracles.vsum(oracles.mul(w, w))
         assert not out.requires_grad
         with pytest.raises(StateError):
             nc.backward(out, bundle)
@@ -363,6 +502,6 @@ class TestOps:
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
         with pytest.raises(RuntimeError), nc.record():
-            assert nc.mul(w, w).requires_grad
+            assert oracles.mul(w, w).requires_grad
             raise RuntimeError("diverged")
-        assert not nc.vsum(nc.mul(w, w)).requires_grad
+        assert not oracles.vsum(oracles.mul(w, w)).requires_grad

@@ -9,6 +9,7 @@ from rstcoh.errors import ConfigError, EmptyDocumentError
 from rstcoh.parseq import (EnsembleParams, classify_ensemble, classify_parseq,
                            encode_parseq, init_ensemble, init_parseq)
 from rstcoh.rst_data import build_relation_vocab
+from rstcoh.trainer import cross_entropy
 from rstcoh.tree_model import AblationConfig
 
 import oracles
@@ -114,8 +115,7 @@ class TestClassifyParseq:
         doc = make_doc([[["alpha", "beta"], ["gamma", "delta"]]], label=2)
 
         def loss() -> nc.Tensor:
-            dist = classify_parseq(doc, wv, p)
-            return nc.neg(nc.log(nc.clamp_min(nc.pick(dist, doc.label - 1), 1e-12)))
+            return cross_entropy(classify_parseq(doc, wv, p), doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)
@@ -212,8 +212,7 @@ class TestEnsemble:
                        label=3)
 
         def loss() -> nc.Tensor:
-            dist = classify_ensemble(doc, wv, p, TNSR, vocab)
-            return nc.neg(nc.log(nc.clamp_min(nc.pick(dist, doc.label - 1), 1e-12)))
+            return cross_entropy(classify_ensemble(doc, wv, p, TNSR, vocab), doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)

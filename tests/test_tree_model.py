@@ -10,6 +10,7 @@ from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus
 from rstcoh.errors import ConfigError, DegenerateTreeError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, count_leaves, count_nodes)
+from rstcoh.trainer import cross_entropy
 from rstcoh.tree_model import (AblationConfig, classify_document, count_parameters,
                                encode_subtree, init_tree_model, label_embedding)
 
@@ -217,9 +218,8 @@ class TestGradients:
         doc = split.train[0]
 
         def loss() -> nc.Tensor:
-            dist = classify_document(doc.tree, params, wv, FULL, vocab)
-            p = nc.pick(dist, doc.label - 1)
-            return nc.neg(nc.log(nc.clamp_min(p, 1e-12)))
+            return cross_entropy(classify_document(doc.tree, params, wv, FULL, vocab),
+                                 doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)
