@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, numcore as nc, rst_data, trainer
-from .errors import ConfigError, ParseError, RstcohError, StateError, TrainingDiverged
+from .errors import ConfigError, DataError, ParseError, RstcohError, TrainingDiverged
 from .tree_model import AblationConfig
 
 EXIT_OK = 0
@@ -250,7 +250,7 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
         model = trainer.build_model(cfg, vocab, meta["wv_dim"],
                                     np.random.default_rng(0))
     except (KeyError, TypeError, AttributeError) as exc:
-        raise StateError(f"checkpoint {path}: bad meta: {exc!r}") from None
+        raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None
     model.bundle.load_state(tensors)
     return model, meta["wv_dim"]
 
@@ -336,32 +336,29 @@ def cmd_synth(config: dict) -> int:
 
 
 def cmd_validate_trees(trees_path: str) -> int:
+    """Parse and validate each tree; the line format is the training
+    loader's, so a file reported all valid also loads for training."""
     if not Path(trees_path).exists():
         raise ConfigError(f"trees file does not exist: {trees_path}")
     bad = 0
     total = 0
-    with open(trees_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            total += 1
-            text = line.split("\t", 1)[1] if "\t" in line else line
-            try:
-                tree = rst_data.parse_tree(text)
-            except ParseError as exc:
-                print(f"line {line_no}: ParseError: {exc}")
-                bad += 1
-                continue
-            violations = rst_data.validate_tree(tree)
-            if violations:
-                codes = ",".join(v.code + ("@" + v.path if v.path else "")
-                                 for v in violations)
-                print(f"line {line_no}: INVALID: {codes}")
-                bad += 1
-            else:
-                print(f"line {line_no}: OK "
-                      f"({rst_data.count_leaves(tree)} EDUs)")
+    for line_no, _, text in corpus.read_tree_lines(trees_path):
+        total += 1
+        try:
+            tree = rst_data.parse_tree(text)
+        except ParseError as exc:
+            print(f"line {line_no}: ParseError: {exc}")
+            bad += 1
+            continue
+        violations = rst_data.validate_tree(tree)
+        if violations:
+            codes = ",".join(v.code + ("@" + v.path if v.path else "")
+                             for v in violations)
+            print(f"line {line_no}: INVALID: {codes}")
+            bad += 1
+        else:
+            print(f"line {line_no}: OK "
+                  f"({rst_data.count_leaves(tree)} EDUs)")
     print(f"validate-trees: {total - bad}/{total} valid")
     return EXIT_OK if bad == 0 else EXIT_DATA
 

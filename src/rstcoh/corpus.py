@@ -17,13 +17,12 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import rst_data
-from .errors import (ConfigError, DuplicateIdError, EmptyDocumentError,
-                     FormatError, IngestError, ParseError)
+from .errors import ConfigError, DataError, IngestError, ParseError
 from .metrics import CLASSES
 
 Paragraphs = list[list[list[str]]]
@@ -92,7 +91,7 @@ def segment(text: str) -> Paragraphs:
         if sentences:
             paragraphs.append(sentences)
     if not paragraphs:
-        raise EmptyDocumentError("text contains no tokens")
+        raise DataError("text contains no tokens")
     return paragraphs
 
 
@@ -118,7 +117,7 @@ def _parse_document_record(obj: dict, line_no: int) -> tuple[str, int, str, Para
     if not isinstance(doc_id, str) or not doc_id:
         raise IngestError("id must be a non-empty string", line_no)
     label = obj["label"]
-    if label not in CLASSES:
+    if type(label) is not int or label not in CLASSES:
         raise IngestError(f"label must be one of {CLASSES}, got {label!r}", line_no)
     text = obj["text"]
     if not isinstance(text, str):
@@ -139,9 +138,14 @@ def _parse_document_record(obj: dict, line_no: int) -> tuple[str, int, str, Para
     return doc_id, label, text, paragraphs, split
 
 
-def _load_trees_file(path) -> dict[str, tuple[rst_data.RstTree | None, str]]:
-    """Map id -> (tree, "") on success or (None, reason) on parse failure."""
-    trees: dict[str, tuple[rst_data.RstTree | None, str]] = {}
+def read_tree_lines(path) -> Iterator[tuple[int, str, str]]:
+    """(line number, id, tree text) of each non-blank line of a trees file.
+
+    This is the one reader of the ``<id><TAB><tree>`` line format: a line
+    without a tab or with an empty id raises :class:`IngestError`, a
+    repeated id :class:`DataError`. The tree text is not parsed here.
+    """
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -149,16 +153,24 @@ def _load_trees_file(path) -> dict[str, tuple[rst_data.RstTree | None, str]]:
                 continue
             if "\t" not in line:
                 raise IngestError("expected '<id><TAB><tree>'", line_no)
-            doc_id, rest = line.split("\t", 1)
+            doc_id, text = line.split("\t", 1)
             doc_id = doc_id.strip()
             if not doc_id:
                 raise IngestError("empty tree id", line_no)
-            if doc_id in trees:
-                raise DuplicateIdError(f"duplicate tree id {doc_id!r} at line {line_no}")
-            try:
-                trees[doc_id] = (rst_data.parse_tree(rest), "")
-            except ParseError as exc:
-                trees[doc_id] = (None, f"tree parse error: {exc}")
+            if doc_id in seen:
+                raise DataError(f"duplicate tree id {doc_id!r} at line {line_no}")
+            seen.add(doc_id)
+            yield line_no, doc_id, text
+
+
+def _load_trees_file(path) -> dict[str, tuple[rst_data.RstTree | None, str]]:
+    """Map id -> (tree, "") on success or (None, reason) on parse failure."""
+    trees: dict[str, tuple[rst_data.RstTree | None, str]] = {}
+    for _, doc_id, text in read_tree_lines(path):
+        try:
+            trees[doc_id] = (rst_data.parse_tree(text), "")
+        except ParseError as exc:
+            trees[doc_id] = (None, f"tree parse error: {exc}")
     return trees
 
 
@@ -183,12 +195,12 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
                 raise IngestError(f"bad JSON: {exc.msg}", line_no) from exc
             doc_id, label, text, paragraphs, split = _parse_document_record(obj, line_no)
             if doc_id in seen:
-                raise DuplicateIdError(f"duplicate document id {doc_id!r} at line {line_no}")
+                raise DataError(f"duplicate document id {doc_id!r} at line {line_no}")
             seen.add(doc_id)
             if paragraphs is None:
                 try:
                     paragraphs = segment(text)
-                except EmptyDocumentError as exc:
+                except DataError as exc:
                     raise IngestError(str(exc), line_no) from exc
             entry = trees.get(doc_id)
             if entry is None:
@@ -229,24 +241,24 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
             head = head[1:]
         for line_no, parts in itertools.chain(head, rows):
             if len(parts) < 2:
-                raise FormatError(f"line {line_no}: expected 'token v1 ... vD'")
+                raise DataError(f"line {line_no}: expected 'token v1 ... vD'")
             token, values = parts[0], parts[1:]
             if dimension is None:
                 dimension = len(values)
             elif len(values) != dimension:
-                raise FormatError(
+                raise DataError(
                     f"line {line_no}: {len(values)} values, expected {dimension}")
             if vocab is not None and token not in vocab:
                 continue
             try:
                 vec = np.asarray([float(v) for v in values])
             except ValueError as exc:
-                raise FormatError(f"line {line_no}: non-numeric value") from exc
+                raise DataError(f"line {line_no}: non-numeric value") from exc
             if not np.isfinite(vec).all():
-                raise FormatError(f"line {line_no}: non-finite value")
+                raise DataError(f"line {line_no}: non-finite value")
             vectors[token] = vec
     if dimension is None:
-        raise FormatError("empty word-vector file")
+        raise DataError("empty word-vector file")
     return WordVectors(dimension, vectors)
 
 

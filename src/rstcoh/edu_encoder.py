@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from . import numcore as nc
 from .corpus import WordVectors
-from .errors import ValidationError
+from .errors import DataError
 
 
 def encode_edus(edus: list[list[str]], wv: WordVectors,
@@ -14,10 +14,10 @@ def encode_edus(edus: list[list[str]], wv: WordVectors,
 
     Returns each EDU's final hidden state (its embedding) and final cell
     state, which seed the tree recursion at its leaf. Word vectors of the
-    wrong dimension raise DimensionError.
+    wrong dimension raise DataError.
     """
     if any(not tokens for tokens in edus):
-        raise ValidationError("cannot encode an EDU with no tokens")
+        raise DataError("cannot encode an EDU with no tokens")
     return nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in tokens]
                          for tokens in edus], p)
 

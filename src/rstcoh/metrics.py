@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEvaluationError
+from .errors import ConfigError, DataError
 
 CLASSES = (1, 2, 3)  # coherence classes: 1 = incoherent, 2 = neutral, 3 = coherent
 
@@ -30,7 +30,7 @@ class ConfusionMatrix:
     def __post_init__(self):
         arr = np.asarray(self.counts, dtype=np.int64)
         if arr.shape != (3, 3) or (arr < 0).any():
-            raise EmptyEvaluationError(f"bad confusion matrix shape/values")
+            raise DataError(f"bad confusion matrix shape/values")
         self.counts = arr
 
     @classmethod
@@ -38,7 +38,7 @@ class ConfusionMatrix:
         arr = np.zeros((3, 3), dtype=np.int64)
         for t, p in zip(true_labels, predicted, strict=True):
             if t not in CLASSES or p not in CLASSES:
-                raise EmptyEvaluationError(
+                raise DataError(
                     f"label outside 1..3: true {t!r}, predicted {p!r}")
             arr[t - 1, p - 1] += 1
         return cls(arr)
@@ -108,7 +108,7 @@ def report(cm: ConfusionMatrix) -> EvaluationReport:
     """Accuracy, per-class P/R/F1 (0/0 := 0), macro and weighted F1."""
     total = cm.total
     if total == 0:
-        raise EmptyEvaluationError("confusion matrix is empty")
+        raise DataError("confusion matrix is empty")
     counts = cm.counts
     precision, recall, f1, support = {}, {}, {}, {}
     for c in CLASSES:
@@ -133,7 +133,7 @@ def majority_baseline(policy: str, train_labels: Sequence[int],
     frequent training class (ties break to the lowest class index).
     """
     if not test_labels:
-        raise EmptyEvaluationError("empty test set")
+        raise DataError("empty test set")
     if policy.startswith("fixed:"):
         try:
             klass = int(policy.split(":", 1)[1])
@@ -158,7 +158,7 @@ def confidence_interval(values: Sequence[float]) -> tuple[float, float]:
     """(mean, halfwidth) with halfwidth = 1.96 * sample std / sqrt(n);
     a single value has halfwidth 0 by convention."""
     if len(values) == 0:
-        raise EmptyEvaluationError("no values to aggregate")
+        raise DataError("no values to aggregate")
     mean = statistics.fmean(values)
     if len(values) == 1:
         return mean, 0.0

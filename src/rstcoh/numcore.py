@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError, StateError
+from .errors import DataError
 
 Array = np.ndarray
 
@@ -139,7 +139,7 @@ def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
 def concat(parts: Sequence[Tensor]) -> Tensor:
     for p in parts:
         if p.data.ndim != 1:
-            raise DimensionError("concat expects 1-d tensors")
+            raise DataError("concat expects 1-d tensors")
     parts = tuple(parts)
     sizes = [p.data.shape[0] for p in parts]
 
@@ -154,7 +154,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 def row(m: Tensor, i: int) -> Tensor:
     if m.data.ndim != 2:
-        raise DimensionError("row expects a 2-d tensor")
+        raise DataError("row expects a 2-d tensor")
 
     def bw(g):
         gm = np.zeros_like(m.data)
@@ -168,7 +168,7 @@ def softmax_head(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
     """softmax(w @ x + b) as one tape entry: the classifiers' output layer."""
     if w.data.ndim != 2 or x.data.shape != w.data.shape[1:] \
             or b.data.shape != w.data.shape[:1]:
-        raise DimensionError(
+        raise DataError(
             f"softmax_head: {w.data.shape} @ {x.data.shape} + {b.data.shape}")
     logits = w.data @ x.data + b.data
     e = np.exp(logits - logits.max())
@@ -191,7 +191,7 @@ def nll(dist: Tensor, i: int, floor: float) -> Tensor:
     through.
     """
     if dist.data.ndim != 1:
-        raise DimensionError("nll expects a 1-d distribution")
+        raise DataError("nll expects a 1-d distribution")
     keep = ~(dist.data[i] < floor)
     p = np.where(keep, dist.data[i], floor)
 
@@ -215,9 +215,9 @@ def backward(loss: Tensor, params: "ParameterBundle") -> None:
     """
     tape = _rec.tape
     if tape is None:
-        raise StateError("backward needs the ops recorded inside a record() block")
+        raise DataError("backward needs the ops recorded inside a record() block")
     if loss.data.shape != ():
-        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
+        raise DataError(f"loss must be scalar, got shape {loss.data.shape}")
     params.zero_grads()
     if not loss.requires_grad:
         return
@@ -247,7 +247,7 @@ class ParameterBundle:
 
     def add(self, name: str, values) -> Tensor:
         if name in self._entries:
-            raise StateError(f"duplicate parameter name {name!r}")
+            raise DataError(f"duplicate parameter name {name!r}")
         t = Tensor(values, requires_grad=True)
         self._entries[name] = t
         self.data = np.concatenate((self.data, t.data.ravel()))
@@ -281,14 +281,14 @@ class ParameterBundle:
         state must hold exactly this bundle's names, at their shapes."""
         extra = sorted(set(state) - set(self._entries))
         if extra:
-            raise StateError(
+            raise DataError(
                 f"state holds parameters the model does not build: {extra}")
         for name, t in self._entries.items():
             if name not in state:
-                raise StateError(f"missing parameter {name!r} in state")
+                raise DataError(f"missing parameter {name!r} in state")
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
-                raise StateError(
+                raise DataError(
                     f"shape mismatch for {name!r}: {arr.shape} vs {t.data.shape}")
             t.data[...] = arr
 
@@ -391,14 +391,14 @@ def cell_step(z: Tensor, child_cs: Sequence[Tensor],
     c = i*u + sum_k f_k*c_k; h = o*tanh(c). One tape entry.
     """
     if len(child_cs) != p.children:
-        raise DimensionError(
+        raise DataError(
             f"cell has {p.children} forget gates, got {len(child_cs)} children")
     if z.data.shape != (p.cols,):
-        raise DimensionError(f"cell input shape {z.data.shape} != ({p.cols},)")
+        raise DataError(f"cell input shape {z.data.shape} != ({p.cols},)")
     n = p.hidden_size
     for c_k in child_cs:
         if c_k.data.shape != (n,):
-            raise DimensionError(f"child cell shape {c_k.data.shape} != ({n},)")
+            raise DataError(f"child cell shape {c_k.data.shape} != ({n},)")
     w = p.w.data
     zs = z.data[None, :]
     h, c, cache = _gates_forward(zs @ w.T + p.b.data,
@@ -451,7 +451,7 @@ def run_lstms(seqs: Sequence[Sequence[Tensor]],
     for r, k in enumerate(order):
         for t, x_t in enumerate(seqs[k]):
             if x_t.data.shape != (dim,):
-                raise DimensionError(f"input shape {x_t.data.shape} != ({dim},)")
+                raise DataError(f"input shape {x_t.data.shape} != ({dim},)")
             z[t, r, :dim] = x_t.data
     wx, wh = p.w.data[:, :dim], p.w.data[:, dim:]
     px = z[:, :, :dim] @ wx.T + p.b.data
@@ -523,10 +523,10 @@ def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float,
     ``t`` is the 1-based step index of this update.
     """
     if t < 1:
-        raise StateError(f"step index must be >= 1, got {t}")
+        raise DataError(f"step index must be >= 1, got {t}")
     if state.m.shape != params.data.shape:
-        raise StateError(f"Adam state holds {state.m.size} moments for "
-                         f"{params.data.size} parameters")
+        raise DataError(f"Adam state holds {state.m.size} moments for "
+                        f"{params.data.size} parameters")
     g = params.grad
     m, v = state.m, state.v
     m *= beta1
@@ -565,24 +565,27 @@ def save_checkpoint(path, bundle: ParameterBundle, meta: dict | None = None) -> 
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, Array]]:
-    """Read a checkpoint; a malformed file raises :class:`StateError`."""
+    """Read a checkpoint; a malformed file raises :class:`DataError`."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise StateError(f"checkpoint {path}: not valid JSON: {exc}") from None
+            raise DataError(f"checkpoint {path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise StateError(f"checkpoint {path}: not a JSON object")
+        raise DataError(f"checkpoint {path}: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise StateError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise DataError(f"unsupported checkpoint version {doc.get('version')!r}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
-        raise StateError(f"checkpoint {path}: meta is not an object")
+        raise DataError(f"checkpoint {path}: meta is not an object")
     try:
         tensors = {
             name: np.asarray(spec["values"], dtype=np.float64).reshape(spec["shape"])
             for name, spec in doc["tensors"].items()
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StateError(f"checkpoint {path}: bad tensors: {exc!r}") from None
+        raise DataError(f"checkpoint {path}: bad tensors: {exc!r}") from None
+    non_finite = sorted(name for name, t in tensors.items() if not np.isfinite(t).all())
+    if non_finite:
+        raise DataError(f"checkpoint {path}: non-finite values in {non_finite}")
     return meta, tensors

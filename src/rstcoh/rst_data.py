@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .errors import EmptyVocabError, ParseError
+from .errors import DataError, ParseError
 
 
 class Nuclearity(enum.Enum):
@@ -298,7 +298,7 @@ class RelationVocabulary:
         if not labels or labels[0] != UNK_LABEL:
             labels = [UNK_LABEL] + labels
         if len(set(labels)) != len(labels):
-            raise EmptyVocabError("duplicate labels in vocabulary")
+            raise DataError("duplicate labels in vocabulary")
         self._labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
 
@@ -329,5 +329,5 @@ def build_relation_vocab(trees: Iterable[RstTree]) -> RelationVocabulary:
         for lab in child_labels(tree):
             combined.add(lab.combined())
     if n == 0:
-        raise EmptyVocabError("no trees supplied")
+        raise DataError("no trees supplied")
     return RelationVocabulary([UNK_LABEL] + sorted(combined))

@@ -1,4 +1,9 @@
-"""Cross-entropy training at the fixed protocol plus the multi-seed harness.
+"""Model assembly, cross-entropy training at the fixed protocol, and the
+multi-seed harness.
+
+Every model kind is its document encoders (the tree encoder, ParSeq, or
+both for the ensemble) feeding one softmax head; ``build_model`` registers
+them and ``Model.classify`` is the one forward path.
 
 One run = fresh seeded parameters, per-document Adam steps (batch size 1),
 documents reshuffled each epoch from the run's generator, then one
@@ -80,21 +85,30 @@ class RunRecord:
 
 @dataclass
 class Model:
-    """A built classifier of one of the three kinds, with its bundle."""
+    """One or two document encoders feeding one softmax head.
 
-    kind: str
+    rst has only ``tree``, parseq only ``seq``, the ensemble both; the head
+    reads the concatenation [h_l; h_r; d_parseq] of whichever is set.
+    """
+
     abl: AblationConfig
     vocab: RelationVocabulary | None
     bundle: nc.ParameterBundle
-    params: object
+    tree: tree_model.TreeModelParams | None
+    seq: parseq.ParseqParams | None
+    head_w: nc.Tensor  # (3, width of the encoders' output)
+    head_b: nc.Tensor  # (3,)
 
     def classify(self, doc: Document, wv: WordVectors | None) -> nc.Tensor:
-        if self.kind == "rst":
-            return tree_model.classify_document(doc.tree, self.params, wv,
-                                                self.abl, self.vocab)
-        if self.kind == "parseq":
-            return parseq.classify_parseq(doc, wv, self.params)
-        return parseq.classify_ensemble(doc, wv, self.params, self.abl, self.vocab)
+        """Softmax distribution over coherence classes 1/2/3 for one document."""
+        parts: list[nc.Tensor] = []
+        if self.tree is not None:
+            parts.extend(tree_model.root_children_states(doc.tree, self.tree, wv,
+                                                         self.abl, self.vocab))
+        if self.seq is not None:
+            parts.append(parseq.encode_parseq(doc, wv, self.seq))
+        x = parts[0] if len(parts) == 1 else nc.concat(parts)
+        return nc.softmax_head(self.head_w, self.head_b, x)
 
     def predict(self, doc: Document, wv: WordVectors | None) -> int:
         dist = self.classify(doc, wv)
@@ -103,18 +117,31 @@ class Model:
 
 def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
                 wv_dim: int, rng: np.random.Generator) -> Model:
+    """Register the model's parameters in a fixed order, which fixes both the
+    RNG draws and the checkpoint layout:
+
+    * rst: ``tree.*``, its label table, ``classifier.*``, then ``edu.*`` if E is on
+    * parseq: ``seq.lstm1-3.*``, then ``classifier.*``
+    * ensemble: ``tree.*``, its label table, ``seq.*``, then ``joint.*``
+    """
     cfg.validate()
     bundle = nc.ParameterBundle()
-    if cfg.model == "rst":
-        params: object = tree_model.init_tree_model(
-            bundle, rng, cfg.features, vocab, cfg.hidden_size,
-            cfg.relation_dim, wv_dim)
-    elif cfg.model == "parseq":
-        params = parseq.init_parseq(bundle, rng, wv_dim, cfg.hidden_size)
-    else:
-        params = parseq.init_ensemble(bundle, rng, cfg.features, vocab,
-                                      cfg.hidden_size, cfg.relation_dim, wv_dim)
-    return Model(cfg.model, cfg.features, vocab, bundle, params)
+    hidden = cfg.hidden_size
+    tree = seq = None
+    width = 0
+    if cfg.model != "parseq":
+        tree = tree_model.init_tree_model(bundle, rng, cfg.features, vocab, hidden,
+                                          cfg.relation_dim)
+        width += 2 * hidden
+    if cfg.model != "rst":
+        seq = parseq.init_parseq(bundle, rng, wv_dim, hidden)
+        width += hidden
+    prefix = "joint" if cfg.model == "ensemble" else "classifier"
+    head_w = bundle.add(f"{prefix}.w", nc.glorot(rng, (len(metrics.CLASSES), width)))
+    head_b = bundle.add(f"{prefix}.b", np.zeros(len(metrics.CLASSES)))
+    if tree is not None and cfg.features.e:
+        tree.edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden)
+    return Model(cfg.features, vocab, bundle, tree, seq, head_w, head_b)
 
 
 def cross_entropy(dist: nc.Tensor, label: int) -> nc.Tensor:

@@ -1,4 +1,4 @@
-"""Bottom-up TreeLSTM coherence classifier over discourse trees.
+"""Bottom-up TreeLSTM document encoder over discourse trees.
 
 Each internal node combines its children through the 2-ary case of
 numcore's gated cell (forget gates f_l, f_r): all five gates read the
@@ -13,12 +13,13 @@ embeddings of the children's (relation, nuclearity) labels,
     c   = i*u + f_l*c_l + f_r*c_r
     h   = o*tanh(c)
 
-At the root, the children's hidden states concatenate into the document
-vector d = [h_l; h_r] which feeds the softmax head softmax(W d + b) over
-the three coherence classes. Feature switches: NS keys label embeddings by
-nuclearity alone, R by the combined relation_nuclearity label, E turns the
-leaf EDU encoder on (one packed LSTM pass over all of a document's
-EDUs); with everything off the output is a function of tree shape only.
+The hidden states h_l, h_r of the root's two children are the document
+representation; ``trainer.build_model`` puts the softmax head on top of
+them (rst) or of them and the ParSeq vector (ensemble). Feature switches:
+NS keys label embeddings by nuclearity alone, R by the combined
+relation_nuclearity label, E turns the leaf EDU encoder on (one packed
+LSTM pass over all of a document's EDUs); with everything off the output
+is a function of tree shape only.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import numpy as np
 from . import numcore as nc
 from .corpus import WordVectors, tokenize
 from .edu_encoder import encode_edus
-from .errors import ConfigError, DegenerateTreeError, ValidationError
-from .metrics import CLASSES
+from .errors import ConfigError, DataError
 from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
                        RstTree, leaves)
 
@@ -76,41 +76,24 @@ class AblationConfig:
 
 
 @dataclass
-class SoftmaxHead:
-    """softmax(w @ x + b) over the coherence classes."""
-
-    w: nc.Tensor
-    b: nc.Tensor
-
-    def __call__(self, x: nc.Tensor) -> nc.Tensor:
-        return nc.softmax_head(self.w, self.b, x)
-
-
-def init_head(bundle: nc.ParameterBundle, prefix: str, rng: np.random.Generator,
-              cols: int) -> SoftmaxHead:
-    """Register ``{prefix}.w`` (Glorot) and ``{prefix}.b`` (zero) for a head
-    over ``cols`` inputs."""
-    return SoftmaxHead(bundle.add(f"{prefix}.w", nc.glorot(rng, (len(CLASSES), cols))),
-                       bundle.add(f"{prefix}.b", np.zeros(len(CLASSES))))
-
-
-@dataclass
 class TreeModelParams:
     hidden_size: int
     relation_dim: int
     cell: nc.CellParams  # 2 children, over [h_l; h_r; r_l; r_r]
     relation_table: nc.Tensor | None  # (vocab size, relation_dim), row 0 = UNK
     nuclearity_table: nc.Tensor | None  # (2, relation_dim), rows N then S
-    classifier: SoftmaxHead | None  # (3, 2*hidden)
-    edu: nc.CellParams | None  # LSTM over the EDU's word vectors
+    edu: nc.CellParams | None = None  # LSTM over the EDU's word vectors
 
 
 def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
                     abl: AblationConfig, vocab: RelationVocabulary | None,
-                    hidden_size: int, relation_dim: int, wv_dim: int,
-                    with_classifier: bool = True) -> TreeModelParams:
-    """Allocate only what the feature row uses, in a fixed registration order."""
-    abl.validate()
+                    hidden_size: int, relation_dim: int) -> TreeModelParams:
+    """Register the tree cell, then the label table the feature row uses.
+
+    The EDU encoder is registered by the caller, after the head, so that
+    the registration order (and with it the RNG draws and the checkpoint
+    layout) stays tree, table, head, EDU LSTM.
+    """
     cell = nc.init_cell(bundle, "tree", rng, 2 * hidden_size + 2 * relation_dim,
                         hidden_size, 2)
     relation_table = None
@@ -123,14 +106,8 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     elif abl.ns:
         nuclearity_table = bundle.add(
             "nuclearity_table", nc.embedding_init(rng, (2, relation_dim)))
-    classifier = None
-    if with_classifier:
-        classifier = init_head(bundle, "classifier", rng, 2 * hidden_size)
-    edu = None
-    if abl.e:
-        edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden_size)
     return TreeModelParams(hidden_size, relation_dim, cell,
-                           relation_table, nuclearity_table, classifier, edu)
+                           relation_table, nuclearity_table)
 
 
 def label_embedding(label: NodeLabel, params: TreeModelParams, abl: AblationConfig,
@@ -165,7 +142,7 @@ def _leaf_states(leaf_nodes: list[Leaf], params: TreeModelParams,
     for leaf in leaf_nodes:
         tokens = tokenize(leaf.text)
         if not tokens:
-            raise ValidationError(f"EDU {leaf.text!r} has no tokens")
+            raise DataError(f"EDU {leaf.text!r} has no tokens")
         edus.append(tokens)
     return encode_edus(edus, wv, params.edu)
 
@@ -206,21 +183,11 @@ def root_children_states(tree: RstTree, params: TreeModelParams,
                          vocab: RelationVocabulary | None) -> tuple[nc.Tensor, nc.Tensor]:
     """Hidden states of the root's two children (the document representation)."""
     if not isinstance(tree, Internal):
-        raise DegenerateTreeError("document tree has a single EDU")
+        raise DataError("document tree has a single EDU")
     states = iter(_leaf_states(leaves(tree), params, wv, abl))
     h_l, _ = encode_subtree(tree.left, params, wv, abl, vocab, states)
     h_r, _ = encode_subtree(tree.right, params, wv, abl, vocab, states)
     return h_l, h_r
-
-
-def classify_document(tree: RstTree, params: TreeModelParams,
-                      wv: WordVectors | None, abl: AblationConfig,
-                      vocab: RelationVocabulary | None = None) -> nc.Tensor:
-    """Softmax distribution over coherence classes 1/2/3 for one document."""
-    if params.classifier is None:
-        raise ConfigError("model has no classification head")
-    h_l, h_r = root_children_states(tree, params, wv, abl, vocab)
-    return params.classifier(nc.concat((h_l, h_r)))
 
 
 def count_parameters(bundle: nc.ParameterBundle) -> dict[str, int]:

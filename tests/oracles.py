@@ -18,7 +18,7 @@ import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.edu_encoder import encode_edus
-from rstcoh.errors import DimensionError
+from rstcoh.errors import DataError
 
 
 def sig(x: float) -> float:
@@ -97,7 +97,7 @@ def scalar_adam_unroll(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def add(a, b):
     if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: {a.data.shape} vs {b.data.shape}")
+        raise DataError(f"add: {a.data.shape} vs {b.data.shape}")
 
     def bw(g):
         nc._accumulate(a, g)
@@ -108,7 +108,7 @@ def add(a, b):
 
 def mul(a, b):
     if a.data.shape != b.data.shape:
-        raise DimensionError(f"mul: {a.data.shape} vs {b.data.shape}")
+        raise DataError(f"mul: {a.data.shape} vs {b.data.shape}")
 
     def bw(g):
         nc._accumulate(a, g * b.data)
@@ -123,7 +123,7 @@ def neg(a):
 
 def matvec(w, x):
     if w.data.ndim != 2 or x.data.shape != w.data.shape[1:]:
-        raise DimensionError(f"matvec: {w.data.shape} @ {x.data.shape}")
+        raise DataError(f"matvec: {w.data.shape} @ {x.data.shape}")
 
     def bw(g):
         nc._accumulate(w, np.outer(g, x.data))
@@ -145,7 +145,7 @@ def tanh(a):
 
 def softmax(a):
     if a.data.ndim != 1:
-        raise DimensionError("softmax expects a 1-d tensor")
+        raise DataError("softmax expects a 1-d tensor")
     e = np.exp(a.data - a.data.max())
     p = e / e.sum()
     return nc._result(p, (a,), lambda g: nc._accumulate(a, p * (g - np.dot(g, p))))
@@ -253,9 +253,9 @@ def lstm_cell_step(x, h, c, p):
     [x; h] with one child cell."""
     input_size = p.cols - p.hidden_size
     if x.data.shape != (input_size,):
-        raise DimensionError(f"input shape {x.data.shape} != ({input_size},)")
+        raise DataError(f"input shape {x.data.shape} != ({input_size},)")
     if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
-        raise DimensionError(
+        raise DataError(
             f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
     return nc.cell_step(nc.concat((x, h)), (c,), p)
 

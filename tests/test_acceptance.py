@@ -41,6 +41,17 @@ def criterion(number: int, name: str, budget_s: float):
     print(f"\n[acceptance] criterion {number} ({name}): PASS ({dt:.1f}s)")
 
 
+def _build(kind, abl, vocab, hidden, rel_dim, wv_dim, rng) -> trainer.Model:
+    cfg = trainer.TrainConfig(hidden_size=hidden, relation_dim=rel_dim, model=kind,
+                              features=abl)
+    return trainer.build_model(cfg, vocab, wv_dim, rng)
+
+
+def _as_document(tree) -> corpus.Document:
+    """A document that only its tree tells apart: what an rst model reads."""
+    return corpus.Document("d", 1, "", [[["x"]]], tree)
+
+
 # --- criterion 1: majority-row reproduction ----------------------------------
 
 SUPPORTS = {"clinton": (50, 38, 109), "enron": (59, 50, 87), "yahoo": (78, 41, 73)}
@@ -136,12 +147,11 @@ def test_criterion_3_scalar_oracle_equivalence():
         # encode_subtree on a 3-EDU tree (EDU embeddings on)
         tree = three_edu_tree(("ax bx.", "cx.", "bx ax."))
         vocab = build_relation_vocab([tree])
-        tb = nc.ParameterBundle()
-        params = tree_model.init_tree_model(tb, rng,
-                                            AblationConfig(ns=True, r=True, e=True),
-                                            vocab, 1, 1, 1)
-        for t in tb.tensors():
+        model = _build("rst", AblationConfig(ns=True, r=True, e=True), vocab, 1, 1, 1,
+                       rng)
+        for t in model.bundle.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
+        params = model.tree
         tc = params.cell
         w_tree = oracles.scalar_gates(tc)
         ec = params.edu
@@ -168,10 +178,10 @@ def test_criterion_3_scalar_oracle_equivalence():
         assert abs(got_c.data[0] - want_c) < TOL
 
         # encode_parseq on a two-paragraph document
-        pb = nc.ParameterBundle()
-        pp = parseq.init_parseq(pb, rng, 1, 1)
-        for t in pb.tensors():
+        model = _build("parseq", AblationConfig(), None, 1, 1, 1, rng)
+        for t in model.bundle.tensors():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
+        pp = model.seq
 
         paragraphs = [[["ax", "bx"], ["cx"]], [["bx"]]]
         doc = corpus.Document("d", 1, "", paragraphs, tree)
@@ -228,10 +238,8 @@ def test_criterion_4_ablation_invariants():
         vocab = build_relation_vocab([three_edu_tree()])
         tnsr = AblationConfig(ns=True, r=True)
         tonly = AblationConfig()
-        bundle = nc.ParameterBundle()
-        params = tree_model.init_tree_model(bundle, rng, tnsr, vocab, 6, 4, 4)
-        bundle2 = nc.ParameterBundle()
-        params_t = tree_model.init_tree_model(bundle2, rng, tonly, None, 6, 4, 4)
+        model = _build("rst", tnsr, vocab, 6, 4, 4, rng)
+        model_t = _build("rst", tonly, None, 6, 4, 4, rng)
 
         def ensure_internal(make):
             while True:
@@ -243,16 +251,16 @@ def test_criterion_4_ablation_invariants():
             base = ensure_internal(lambda: _random_tree(rng, _texts))
             # identical shape and labels, different EDU texts: E off ignores text
             retexted = _retext(base, _texts, rng)
-            da = tree_model.classify_document(base, params, None, tnsr, vocab)
-            db = tree_model.classify_document(retexted, params, None, tnsr, vocab)
+            da = model.classify(_as_document(base), None)
+            db = model.classify(_as_document(retexted), None)
             assert np.array_equal(da.data, db.data)
 
         for _ in range(100):
             base = ensure_internal(lambda: _random_tree(rng, _texts))
             # same shape, new labels and texts: T-only sees only the shape
             twin = _relabel_and_retext(base, _texts, rng)
-            da = tree_model.classify_document(base, params_t, None, tonly)
-            db = tree_model.classify_document(twin, params_t, None, tonly)
+            da = model_t.classify(_as_document(base), None)
+            db = model_t.classify(_as_document(twin), None)
             assert np.array_equal(da.data, db.data)
 
 

@@ -165,6 +165,31 @@ def checkpoint_text(tmp_path_factory):
     return (Path(config["out_dir"]) / "checkpoint.json").read_text()
 
 
+def _edit_tensor(text, value):
+    """The checkpoint with the first value of its first tensor replaced."""
+    doc = json.loads(text)
+    next(iter(doc["tensors"].values()))["values"][0] = value
+    return json.dumps(doc)
+
+
+def _file_corpus(label):
+    """Config edit: train from files on two documents, the test one labelled
+    ``label``."""
+    def edit(config):
+        data = Path(config["out_dir"]).parent
+        docs = [{"id": "a", "label": 1, "text": "Alpha beta.", "split": "train"},
+                {"id": "b", "label": label, "text": "Gamma delta.", "split": "test"}]
+        (data / "documents.jsonl").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in docs))
+        (data / "trees.txt").write_text(
+            "".join(f'{doc["id"]}\t(rel A/N B/S (edu "x y") (edu "z w"))\n'
+                    for doc in docs))
+        config.update(generator=None, features="t,ns",
+                      paths={"documents": str(data / "documents.jsonl"),
+                             "trees": str(data / "trees.txt"), "word_vectors": None})
+    return edit
+
+
 def _edit_meta(text, key, value=None):
     doc = json.loads(text)
     if value is None:
@@ -230,6 +255,12 @@ MALFORMED_INPUTS = (
      EXIT_DATA),
     ("checkpoint tensors its meta does not build", None,
      lambda t: _edit_meta(t, "features", "t,ns,r"), EXIT_DATA),
+    ("NaN in a checkpoint tensor", None, lambda t: _edit_tensor(t, math.nan),
+     EXIT_DATA),
+    ("infinite value in a checkpoint tensor", None,
+     lambda t: _edit_tensor(t, math.inf), EXIT_DATA),
+    ("boolean document label", _file_corpus(True), None, EXIT_DATA),
+    ("fractional document label", _file_corpus(1.0), None, EXIT_DATA),
 )
 
 
@@ -293,10 +324,24 @@ class TestValidateTrees:
         trees = tmp_path / "trees.txt"
         trees.write_text(
             'a\t(rel A/N B/S (edu "x y") (edu "z w"))\n'
-            '(rel C/N D/S (edu "bare line") (edu "no id"))\n')
+            'b\t(rel C/N D/S (edu "second") (edu "tree"))\n')
         assert cli.main(["validate-trees", "--trees", str(trees)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "2/2 valid" in out
+
+    @pytest.mark.parametrize("line,error", [
+        ('(rel C/N D/S (edu "bare line") (edu "no id"))', "IngestError"),
+        ('\t(rel C/N D/S (edu "empty") (edu "id"))', "IngestError"),
+        ('a\t(rel C/N D/S (edu "duplicate") (edu "id"))', "DataError"),
+    ], ids=["no tab", "empty id", "duplicate id"])
+    def test_line_training_rejects_is_data_error(self, tmp_path, capsys, line,
+                                                 error):
+        trees = tmp_path / "trees.txt"
+        trees.write_text('a\t(rel A/N B/S (edu "x y") (edu "z w"))\n' + line + "\n")
+        assert cli.main(["validate-trees", "--trees", str(trees)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == error
 
     def test_invalid_file(self, tmp_path, capsys):
         trees = tmp_path / "trees.txt"

@@ -11,8 +11,7 @@ from rstcoh import corpus, rst_data
 from rstcoh.corpus import (GeneratorConfig, class_label_distribution, join_paragraphs,
                            load_corpus, load_word_vectors, segment,
                            synthesize_corpus, synthesize_word_vectors, tokenize)
-from rstcoh.errors import (ConfigError, DuplicateIdError, EmptyDocumentError,
-                           FormatError, IngestError)
+from rstcoh.errors import ConfigError, DataError, IngestError
 
 import oracles
 
@@ -32,7 +31,7 @@ class TestSegment:
         assert segment("Half-baked, really!") == [[["half", "baked", "really"]]]
 
     def test_no_tokens_raises(self):
-        with pytest.raises(EmptyDocumentError):
+        with pytest.raises(DataError):
             segment("?!... ---")
 
     def test_single_newline_stays_in_paragraph(self):
@@ -109,7 +108,7 @@ class TestLoadCorpus:
     def test_duplicate_document_id(self, tmp_path):
         docs = [{"id": "d0", "label": 1, "text": "Alpha beta."},
                 {"id": "d0", "label": 2, "text": "Gamma delta."}]
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(DataError):
             load_corpus(*write_corpus(tmp_path, docs, [("d0", TREE)]))
 
     def test_split_field_routes_documents(self, tmp_path):
@@ -144,14 +143,14 @@ class TestWordVectors:
     def test_inconsistent_dimension_raises(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("the 0.1 0.2 0.3\ncat 0.1 0.2\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError):
             load_word_vectors(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_rejected_with_its_line(self, tmp_path, value):
         path = tmp_path / "vec.txt"
         path.write_text(f"the 0.1 0.2\ncat 0.3 {value}\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             load_word_vectors(path)
 
     def test_trailing_spaces_and_crlf_endings_load(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from rstcoh import numcore as nc
 from rstcoh.corpus import WordVectors
-from rstcoh.errors import DimensionError, ValidationError
+from rstcoh.errors import DataError
 
 import oracles
 
@@ -65,11 +65,11 @@ def test_output_depends_on_every_token():
 
 def test_empty_tokens_rejected():
     enc, _ = make_encoder(2, 3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError):
         oracles.encode_edu([], WordVectors(2, {}), enc)
 
 
 def test_dimension_mismatch_rejected():
     enc, _ = make_encoder(2, 3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError):
         oracles.encode_edu(["a"], WordVectors(4, {}), enc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rstcoh.errors import ConfigError, EmptyEvaluationError
+from rstcoh.errors import ConfigError, DataError
 from rstcoh.metrics import (CSV_HEADER, ConfusionMatrix, EvaluationReport,
                             confidence_interval, csv_row, majority_baseline,
                             report)
@@ -66,11 +66,11 @@ class TestReport:
         assert rep.precision[2] == rep.recall[2] == rep.f1[2] == 0.0
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError):
             report(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError):
             ConfusionMatrix(np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -103,7 +103,7 @@ class TestReport:
 
     def test_from_pairs_rejects_labels_outside_1_to_3(self):
         for true_labels, predicted in (([0, 1], [1, 0]), ([1], [4]), ([4], [1])):
-            with pytest.raises(EmptyEvaluationError):
+            with pytest.raises(DataError):
                 ConfusionMatrix.from_pairs(true_labels, predicted)
 
     def test_round_trips(self):
@@ -139,7 +139,7 @@ class TestMajorityBaseline:
             majority_baseline("fixed:9", [1], [1])
 
     def test_empty_test_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError):
             majority_baseline("fixed:3", [1], [])
 
 
@@ -168,5 +168,5 @@ class TestConfidenceInterval:
         assert hw == pytest.approx(0.090, abs=1e-3)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyEvaluationError):
+        with pytest.raises(DataError):
             confidence_interval([])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rstcoh import cli, numcore as nc, trainer
-from rstcoh.errors import DimensionError, ShapeError, StateError
+from rstcoh.errors import DataError
 from rstcoh.tree_model import AblationConfig
 
 import oracles
@@ -62,9 +62,9 @@ class TestLstmCell:
 
     def test_dimension_mismatch(self):
         cell, _ = zero_cell(3, 4)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             oracles.lstm_cell_step(nc.zeros(2), nc.zeros(4), nc.zeros(4), cell)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             oracles.lstm_cell_step(nc.zeros(3), nc.zeros(5), nc.zeros(4), cell)
 
     @given(st.lists(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
@@ -267,7 +267,7 @@ class TestBackward:
     def test_non_scalar_loss_raises(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", [1.0, 2.0])
-        with nc.record(), pytest.raises(ShapeError):
+        with nc.record(), pytest.raises(DataError):
             nc.backward(oracles.mul(w, w), bundle)
 
     def test_non_participating_param_gets_zero(self):
@@ -363,7 +363,7 @@ class TestAdam:
         bundle.add("w", [0.0])
         bundle.zero_grads()
         state = nc.AdamState(bundle)
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             nc.adam_step(bundle, state, 0, 1e-3)
 
 
@@ -371,7 +371,7 @@ class TestBundleAndCheckpoint:
     def test_duplicate_name_rejected(self):
         bundle = nc.ParameterBundle()
         bundle.add("w", [1.0])
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             bundle.add("w", [2.0])
 
     def test_ordering_is_stable(self):
@@ -403,7 +403,7 @@ class TestBundleAndCheckpoint:
     def test_checkpoint_bad_version(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"version": 99, "tensors": {}}))
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             nc.load_checkpoint(path)
 
 
@@ -444,7 +444,7 @@ class TestFlatBundle:
     def test_load_state_rejects_names_the_bundle_lacks(self):
         bundle = nc.ParameterBundle()
         bundle.add("w", np.zeros(2))
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             bundle.load_state({"w": np.ones(2), "edu.w": np.ones(2)})
         assert np.array_equal(bundle["w"].data, np.zeros(2))
 
@@ -453,7 +453,7 @@ class TestFlatBundle:
         bundle.add("w", np.zeros(2))
         other = nc.ParameterBundle()
         other.add("w", np.zeros(3))
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             nc.adam_step(bundle, nc.AdamState(other), 1, 1e-3)
 
     def test_views_after_training_and_checkpoint_loading(self, tmp_path, tiny_split,
@@ -485,9 +485,9 @@ class TestOps:
             assert (p.data >= 0).all()
 
     def test_add_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), nc.zeros(2))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError):
             nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(3))
 
     def test_ops_outside_record_build_no_graph(self):
@@ -495,7 +495,7 @@ class TestOps:
         w = bundle.add("w", [1.0, 2.0])
         out = oracles.vsum(oracles.mul(w, w))
         assert not out.requires_grad
-        with pytest.raises(StateError):
+        with pytest.raises(DataError):
             nc.backward(out, bundle)
 
     def test_record_block_left_by_exception_stops_recording(self):

@@ -5,11 +5,10 @@ import pytest
 
 from rstcoh import numcore as nc
 from rstcoh.corpus import Document, WordVectors
-from rstcoh.errors import ConfigError, EmptyDocumentError
-from rstcoh.parseq import (EnsembleParams, classify_ensemble, classify_parseq,
-                           encode_parseq, init_ensemble, init_parseq)
+from rstcoh.errors import ConfigError, DataError
+from rstcoh.parseq import encode_parseq
 from rstcoh.rst_data import build_relation_vocab
-from rstcoh.trainer import cross_entropy
+from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 from rstcoh.tree_model import AblationConfig
 
 import oracles
@@ -23,23 +22,26 @@ def make_doc(paragraphs, tree=None, label=1, doc_id="d0"):
     return Document(doc_id, label, "", paragraphs, tree or two_edu_tree())
 
 
-def build_parseq(wv_dim=2, hidden=3, seed=0, zero=False):
-    bundle = nc.ParameterBundle()
+def build(kind, abl=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
+          zero=False):
     rng = np.random.default_rng(seed)
-    p = init_parseq(bundle, rng, wv_dim, hidden)
-    for t in bundle.tensors():
+    cfg = TrainConfig(model=kind, features=abl, hidden_size=hidden,
+                      relation_dim=rel_dim)
+    model = build_model(cfg, vocab, wv_dim, rng)
+    for t in model.bundle.tensors():
         t.data[:] = 0.0 if zero else rng.uniform(-0.7, 0.7, size=t.data.shape)
-    return p, bundle
+    return model
+
+
+def build_parseq(wv_dim=2, hidden=3, seed=0, zero=False):
+    """A parseq model and its encoder's parameters."""
+    model = build("parseq", wv_dim=wv_dim, hidden=hidden, seed=seed, zero=zero)
+    return model, model.seq
 
 
 def build_ensemble(abl=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
                    zero=False):
-    bundle = nc.ParameterBundle()
-    rng = np.random.default_rng(seed)
-    p = init_ensemble(bundle, rng, abl, vocab, hidden, rel_dim, wv_dim)
-    for t in bundle.tensors():
-        t.data[:] = 0.0 if zero else rng.uniform(-0.7, 0.7, size=t.data.shape)
-    return p, bundle
+    return build("ensemble", abl, vocab, wv_dim, hidden, rel_dim, seed, zero)
 
 
 def toy_wv(dim=2, seed=1):
@@ -50,13 +52,13 @@ def toy_wv(dim=2, seed=1):
 
 class TestEncodeParseq:
     def test_zero_params_zero_document_vector(self):
-        p, _ = build_parseq(zero=True)
+        _, p = build_parseq(zero=True)
         doc = make_doc([[["alpha", "beta"], ["gamma"]], [["delta"]]])
         d = encode_parseq(doc, toy_wv(), p)
         assert np.array_equal(d.data, np.zeros(3))
 
     def test_one_paragraph_one_sentence_unrolls_structurally(self):
-        p, _ = build_parseq(seed=4)
+        _, p = build_parseq(seed=4)
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"]]])
         d = encode_parseq(doc, wv, p)
@@ -67,7 +69,7 @@ class TestEncodeParseq:
         assert np.array_equal(d.data, want.data)
 
     def test_two_paragraph_doc_matches_scalar_oracle(self):
-        p, _ = build_parseq(wv_dim=1, hidden=1, seed=9)
+        _, p = build_parseq(wv_dim=1, hidden=1, seed=9)
         values = {"alpha": 0.3, "beta": -0.8, "gamma": 1.2, "delta": 0.1}
         wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
         paragraphs = [[["alpha", "beta"], ["gamma"]], [["delta", "alpha"]]]
@@ -80,8 +82,8 @@ class TestEncodeParseq:
         assert abs(got.data[0] - want) < 1e-12
 
     def test_empty_paragraphs_rejected(self):
-        p, _ = build_parseq()
-        with pytest.raises(EmptyDocumentError):
+        _, p = build_parseq()
+        with pytest.raises(DataError):
             encode_parseq(make_doc([]), toy_wv(), p)
 
     def test_paragraph_permutation_changes_vector(self):
@@ -90,7 +92,7 @@ class TestEncodeParseq:
         paragraphs = [[["alpha", "beta"]], [["gamma"]], [["delta", "alpha"]]]
         permuted = [paragraphs[2], paragraphs[0], paragraphs[1]]
         for seed in range(50):
-            p, _ = build_parseq(seed=seed)
+            _, p = build_parseq(seed=seed)
             a = encode_parseq(make_doc(paragraphs), wv, p)
             b = encode_parseq(make_doc(permuted), wv, p)
             hits += int(not np.allclose(a.data, b.data, atol=1e-12))
@@ -99,23 +101,24 @@ class TestEncodeParseq:
 
 class TestClassifyParseq:
     def test_zero_params_uniform(self):
-        p, _ = build_parseq(zero=True)
-        dist = classify_parseq(make_doc([[["alpha"]]]), toy_wv(), p)
+        model, _ = build_parseq(zero=True)
+        dist = model.classify(make_doc([[["alpha"]]]), toy_wv())
         assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         for seed in range(5):
-            p, _ = build_parseq(seed=seed)
-            dist = classify_parseq(make_doc([[["alpha", "gamma"]]]), toy_wv(), p)
+            model, _ = build_parseq(seed=seed)
+            dist = model.classify(make_doc([[["alpha", "gamma"]]]), toy_wv())
             assert abs(dist.data.sum() - 1.0) <= 1e-12
 
     def test_gradients_match_finite_differences(self):
-        p, bundle = build_parseq(seed=13)
+        model, _ = build_parseq(seed=13)
+        bundle = model.bundle
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"], ["gamma", "delta"]]], label=2)
 
         def loss() -> nc.Tensor:
-            return cross_entropy(classify_parseq(doc, wv, p), doc.label)
+            return cross_entropy(model.classify(doc, wv), doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)
@@ -127,23 +130,21 @@ class TestClassifyParseq:
 
 class TestEnsemble:
     def test_zero_params_uniform(self):
-        p, _ = build_ensemble(zero=True)
+        model = build_ensemble(zero=True)
         doc = make_doc([[["alpha"]]], tree=three_edu_tree())
-        dist = classify_ensemble(doc, toy_wv(), p, TONLY)
+        dist = model.classify(doc, toy_wv())
         assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_edu_features_rejected(self):
         with pytest.raises(ConfigError):
             build_ensemble(abl=AblationConfig(ns=True, r=True, e=True),
                            vocab=build_relation_vocab([two_edu_tree()]))
-        p, _ = build_ensemble()
-        doc = make_doc([[["alpha"]]])
-        with pytest.raises(ConfigError):
-            classify_ensemble(doc, toy_wv(), p,
-                              AblationConfig(ns=True, r=True, e=True))
+        model = build_ensemble(abl=TNSR, vocab=build_relation_vocab([two_edu_tree()]))
+        assert model.tree.edu is None
+        assert not any(name.startswith("edu.") for name in model.bundle.names())
 
     def test_t_only_ignores_tree_labels(self):
-        p, _ = build_ensemble(seed=3)
+        model = build_ensemble(seed=3)
         wv = toy_wv()
         paragraphs = [[["alpha", "beta"]]]
         a = make_doc(paragraphs, tree=three_edu_tree())
@@ -151,40 +152,40 @@ class TestEnsemble:
         relabeled = type(relabeled)(relabeled.left, relabeled.right,
                                     relabeled.right_label, relabeled.left_label)
         b = make_doc(paragraphs, tree=relabeled)
-        da = classify_ensemble(a, wv, p, TONLY)
-        db = classify_ensemble(b, wv, p, TONLY)
+        da = model.classify(a, wv)
+        db = model.classify(b, wv)
         assert np.array_equal(da.data, db.data)
 
     def test_zeroed_tree_side_degenerates_to_affine_of_parseq(self):
-        p, bundle = build_ensemble(seed=5)
-        for name, t in bundle.items():
+        model = build_ensemble(seed=5)
+        for name, t in model.bundle.items():
             if name.startswith("tree."):
                 t.data[:] = 0.0
         wv = toy_wv()
         doc = make_doc([[["alpha", "gamma"], ["beta"]]], tree=three_edu_tree())
-        dist = classify_ensemble(doc, wv, p, TONLY)
-        d_seq = encode_parseq(doc, wv, p.seq)
+        dist = model.classify(doc, wv)
+        d_seq = encode_parseq(doc, wv, model.seq)
         hidden = d_seq.data.shape[0]
-        w = p.joint.w.data[:, 2 * hidden:]
-        logits = w @ d_seq.data + p.joint.b.data
+        w = model.bundle["joint.w"].data[:, 2 * hidden:]
+        logits = w @ d_seq.data + model.bundle["joint.b"].data
         e = np.exp(logits - logits.max())
         assert dist.data == pytest.approx(e / e.sum(), abs=1e-12)
 
     def test_toy_ensemble_matches_scalar_oracle(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        p, _ = build_ensemble(abl=TNSR, vocab=vocab, wv_dim=1, hidden=1,
-                              rel_dim=1, seed=11)
+        model = build_ensemble(abl=TNSR, vocab=vocab, wv_dim=1, hidden=1,
+                               rel_dim=1, seed=11)
         values = {"alpha": 0.7, "beta": -0.4}
         wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
         paragraphs = [[["alpha", "beta"]], [["beta"]]]
         tree = three_edu_tree()
         doc = make_doc(paragraphs, tree=tree)
 
-        tc = p.tree.cell
+        tc = model.tree.cell
         w_tree = oracles.scalar_gates(tc)
 
         def rel(label):
-            return float(p.tree.relation_table.data[vocab.index_of_label(label)][0])
+            return float(model.tree.relation_table.data[vocab.index_of_label(label)][0])
 
         # tree side with zero leaves
         inner = tree.left
@@ -194,25 +195,26 @@ class TestEnsemble:
         h_l, _ = hi, ci
         h_r, c_r = 0.0, 0.0  # right child of root is a leaf
         d_seq = oracles.scalar_parseq(paragraphs, values,
-                                      oracles.scalar_gates(p.seq.lstm1),
-                                      oracles.scalar_gates(p.seq.lstm2),
-                                      oracles.scalar_gates(p.seq.lstm3))
+                                      oracles.scalar_gates(model.seq.lstm1),
+                                      oracles.scalar_gates(model.seq.lstm2),
+                                      oracles.scalar_gates(model.seq.lstm3))
         d = np.array([h_l, h_r, d_seq])
-        logits = p.joint.w.data @ d + p.joint.b.data
+        logits = model.bundle["joint.w"].data @ d + model.bundle["joint.b"].data
         e = np.exp(logits - logits.max())
         want = e / e.sum()
-        got = classify_ensemble(doc, wv, p, TNSR, vocab)
+        got = model.classify(doc, wv)
         assert got.data == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        p, bundle = build_ensemble(abl=TNSR, vocab=vocab, seed=17)
+        model = build_ensemble(abl=TNSR, vocab=vocab, seed=17)
+        bundle = model.bundle
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"]], [["gamma"]]], tree=three_edu_tree(),
                        label=3)
 
         def loss() -> nc.Tensor:
-            return cross_entropy(classify_ensemble(doc, wv, p, TNSR, vocab), doc.label)
+            return cross_entropy(model.classify(doc, wv), doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rstcoh import corpus, rst_data
-from rstcoh.errors import EmptyVocabError, ParseError
+from rstcoh.errors import DataError, ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, parse_tree, serialize_tree,
                              validate_tree)
@@ -162,7 +162,7 @@ class TestVocabulary:
         assert vocab.index_of("Evidence_S") == 2
 
     def test_empty_input_raises(self):
-        with pytest.raises(EmptyVocabError):
+        with pytest.raises(DataError):
             build_relation_vocab([])
 
     def test_all_31_default_labels_realized_gives_size_32(self):

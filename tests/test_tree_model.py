@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from rstcoh import numcore as nc, tree_model
-from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus
-from rstcoh.errors import ConfigError, DegenerateTreeError
+from rstcoh.corpus import Document, GeneratorConfig, WordVectors, synthesize_corpus
+from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, count_leaves, count_nodes)
-from rstcoh.trainer import cross_entropy
-from rstcoh.tree_model import (AblationConfig, classify_document, count_parameters,
-                               encode_subtree, init_tree_model, label_embedding)
+from rstcoh.trainer import TrainConfig, build_model, cross_entropy
+from rstcoh.tree_model import (AblationConfig, count_parameters, encode_subtree,
+                               label_embedding)
 
 import oracles
 from conftest import make_label, three_edu_tree, two_edu_tree
@@ -24,13 +24,19 @@ TONLY = AblationConfig()
 
 
 def build(abl, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True):
-    bundle = nc.ParameterBundle()
+    """An rst model; returns it and its tree encoder's parameters."""
     rng = np.random.default_rng(seed)
-    params = init_tree_model(bundle, rng, abl, vocab, hidden, rel_dim, wv_dim)
+    cfg = TrainConfig(model="rst", features=abl, hidden_size=hidden,
+                      relation_dim=rel_dim)
+    model = build_model(cfg, vocab, wv_dim, rng)
     if randomize:
-        for t in bundle.tensors():
+        for t in model.bundle.tensors():
             t.data[:] = rng.uniform(-0.7, 0.7, size=t.data.shape)
-    return params, bundle
+    return model, model.tree
+
+
+def classify(model, tree, wv=None):
+    return model.classify(Document("d0", 1, "", [[["x"]]], tree), wv)
 
 
 def toy_wv(dim=2, seed=1):
@@ -62,12 +68,12 @@ class TestAblationConfig:
 
 class TestLabelEmbedding:
     def test_t_only_gives_zero_vector(self):
-        params, _ = build(TONLY)
+        _, params = build(TONLY)
         r = label_embedding(make_label("Evidence", "S"), params, TONLY, None)
         assert np.array_equal(r.data, np.zeros(3))
 
     def test_ns_only_keys_on_nuclearity(self):
-        params, _ = build(TNS)
+        _, params = build(TNS)
         a = label_embedding(make_label("Evidence", "S"), params, TNS, None)
         b = label_embedding(make_label("Contrast", "S"), params, TNS, None)
         c = label_embedding(make_label("Evidence", "N"), params, TNS, None)
@@ -76,7 +82,7 @@ class TestLabelEmbedding:
 
     def test_unseen_label_falls_back_to_unk_row(self):
         vocab = build_relation_vocab([two_edu_tree()])
-        params, _ = build(TNSR, vocab)
+        _, params = build(TNSR, vocab)
         unseen = label_embedding(make_label("Never", "N"), params, TNSR, vocab)
         assert np.array_equal(unseen.data, params.relation_table.data[0])
 
@@ -84,8 +90,8 @@ class TestLabelEmbedding:
 class TestEncodeSubtree:
     def test_zero_params_e_off_all_states_zero(self):
         for abl in (TONLY, TNS):
-            params, bundle = build(abl, randomize=False)
-            for t in bundle.tensors():
+            model, params = build(abl, randomize=False)
+            for t in model.bundle.tensors():
                 t.data[:] = 0.0
             h, c = encode_subtree(three_edu_tree(), params, None, abl)
             assert np.array_equal(h.data, np.zeros(4))
@@ -93,7 +99,7 @@ class TestEncodeSubtree:
 
     def test_e_off_is_text_invariant(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        params, _ = build(TNSR, vocab, seed=3)
+        _, params = build(TNSR, vocab, seed=3)
         a = three_edu_tree(("one one.", "two two.", "three three."))
         b = three_edu_tree(("completely different.", "words here.", "indeed so."))
         ha, ca = encode_subtree(a, params, None, TNSR, vocab)
@@ -103,7 +109,7 @@ class TestEncodeSubtree:
 
     def test_matches_scalar_oracle_on_three_edu_tree(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        params, _ = build(FULL, vocab, hidden=1, rel_dim=1, wv_dim=1, seed=5)
+        _, params = build(FULL, vocab, hidden=1, rel_dim=1, wv_dim=1, seed=5)
         wv = toy_wv(dim=1, seed=6)
         tree = three_edu_tree(("alpha beta.", "gamma.", "delta epsilon."))
 
@@ -136,7 +142,7 @@ class TestEncodeSubtree:
 
     def test_every_node_visited_exactly_once(self, monkeypatch):
         vocab = build_relation_vocab([three_edu_tree()])
-        params, _ = build(TNSR, vocab)
+        _, params = build(TNSR, vocab)
         leaves = []
         cells = []
         leaf_states = tree_model._leaf_states
@@ -163,46 +169,46 @@ class TestEncodeSubtree:
 
 class TestClassify:
     def test_zero_params_uniform(self):
-        params, bundle = build(TONLY, randomize=False)
-        for t in bundle.tensors():
+        model, _ = build(TONLY, randomize=False)
+        for t in model.bundle.tensors():
             t.data[:] = 0.0
-        dist = classify_document(two_edu_tree(), params, None, TONLY)
+        dist = classify(model, two_edu_tree())
         assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         vocab = build_relation_vocab([three_edu_tree()])
         for seed in range(5):
-            params, _ = build(TNSR, vocab, seed=seed)
-            dist = classify_document(three_edu_tree(), params, None, TNSR, vocab)
+            model, _ = build(TNSR, vocab, seed=seed)
+            dist = classify(model, three_edu_tree())
             assert abs(dist.data.sum() - 1.0) <= 1e-12
             assert (dist.data >= 0).all()
 
     def test_t_only_depends_on_shape_alone(self):
-        params, _ = build(TONLY, seed=8)
+        model, _ = build(TONLY, seed=8)
         a = three_edu_tree(("red red.", "blue.", "green green."))
         b = Internal(
             Internal(Leaf("entirely other."), Leaf("unrelated words."),
                      make_label("Summary", "S"), make_label("Cause", "N")),
             Leaf("third thing."),
             make_label("Joint", "N"), make_label("Joint", "N"))
-        da = classify_document(a, params, None, TONLY)
-        db = classify_document(b, params, None, TONLY)
+        da = classify(model, a)
+        db = classify(model, b)
         assert np.array_equal(da.data, db.data)
 
     def test_single_leaf_rejected(self):
-        params, _ = build(TONLY)
-        with pytest.raises(DegenerateTreeError):
-            classify_document(Leaf("only"), params, None, TONLY)
+        model, _ = build(TONLY)
+        with pytest.raises(DataError):
+            classify(model, Leaf("only"))
 
     def test_swapping_root_children_changes_distribution(self):
         hits = 0
         for seed in range(100):
-            params, _ = build(TONLY, seed=seed)
+            model, _ = build(TONLY, seed=seed)
             base = three_edu_tree()
             swapped = Internal(base.right, base.left, base.right_label,
                                base.left_label)
-            da = classify_document(base, params, None, TONLY)
-            db = classify_document(swapped, params, None, TONLY)
+            da = classify(model, base)
+            db = classify(model, swapped)
             hits += int(not np.allclose(da.data, db.data, atol=1e-12))
         assert hits >= 99
 
@@ -213,13 +219,13 @@ class TestGradients:
                               tokens_per_edu=(2, 3), wv_dim=2)
         split = synthesize_corpus(cfg, seed=21)
         vocab = build_relation_vocab(d.tree for d in split.train)
-        params, bundle = build(FULL, vocab, hidden=3, rel_dim=2, wv_dim=2, seed=2)
+        model, _ = build(FULL, vocab, hidden=3, rel_dim=2, wv_dim=2, seed=2)
+        bundle = model.bundle
         wv = toy_wv(dim=2, seed=3)
         doc = split.train[0]
 
         def loss() -> nc.Tensor:
-            return cross_entropy(classify_document(doc.tree, params, wv, FULL, vocab),
-                                 doc.label)
+            return cross_entropy(model.classify(doc, wv), doc.label)
 
         with nc.record():
             nc.backward(loss(), bundle)
@@ -234,10 +240,10 @@ class TestCounts:
         cfg = GeneratorConfig(n_train=40, n_test=0)
         split = synthesize_corpus(cfg, seed=1)
         vocab = build_relation_vocab(d.tree for d in split.train)
-        bundle = nc.ParameterBundle()
-        init_tree_model(bundle, np.random.default_rng(0), FULL, vocab,
-                        hidden_size=100, relation_dim=50, wv_dim=300)
-        counts = count_parameters(bundle)
+        cfg = TrainConfig(model="rst", features=FULL, hidden_size=100,
+                          relation_dim=50)
+        model = build_model(cfg, vocab, 300, np.random.default_rng(0))
+        counts = count_parameters(model.bundle)
         # sequence cell: 4 gates over [x(300); h(100)] -> 100, plus biases
         assert counts["edu"] == 4 * ((300 + 100) * 100 + 100) == 160_400
         # tree cell: 5 gates over [h_l(100); h_r(100); r_l(50); r_r(50)]
@@ -247,6 +253,6 @@ class TestCounts:
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
     def test_word_vectors_never_counted(self):
-        params, bundle = build(FULL, build_relation_vocab([two_edu_tree()]),
-                               hidden=4, rel_dim=3, wv_dim=7)
-        assert all("wv" not in name for name in bundle.names())
+        model, _ = build(FULL, build_relation_vocab([two_edu_tree()]),
+                         hidden=4, rel_dim=3, wv_dim=7)
+        assert all("wv" not in name for name in model.bundle.names())
