@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, numcore as nc, rst_data, trainer
+from .atomic import atomic_write
 from .errors import ConfigError, DataError, ParseError, RstcohError, TrainingDiverged
 from .tree_model import AblationConfig
 
@@ -175,7 +176,7 @@ def _needs_word_vectors(cfg: trainer.TrainConfig) -> bool:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -213,7 +214,7 @@ def cmd_train(config: dict) -> int:
                                     workers=config["workers"])
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_log.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "run_log.jsonl") as fh:
         for rec in result.records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     summary = {
@@ -260,11 +261,14 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
         raise ConfigError(f"checkpoint does not exist: {checkpoint}")
     model, _ = load_model_from_checkpoint(checkpoint)
     split, wv = resolve_corpus(config)
+    if model.needs_word_vectors and wv is None:
+        raise ConfigError(f"checkpoint {checkpoint}: its model needs word vectors, "
+                          "and paths.word_vectors is not set")
     rep = trainer.evaluate_model(model, split.test, wv)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"config": config, "report": rep.to_dict()})
-    with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "report.csv") as fh:
         fh.write(metrics.CSV_HEADER + "\n")
         fh.write(metrics.csv_row(rep) + "\n")
     print(f"evaluate: accuracy={rep.accuracy:.4f} macro_f1={rep.macro_f1:.4f} "
@@ -310,7 +314,7 @@ def cmd_ablate(config: dict) -> int:
     header = ["model", "features", "accuracy_mean", "accuracy_ci",
               "weighted_f1_mean", "weighted_f1_ci", "macro_f1_mean",
               "macro_f1_ci", "runs", "diverged"]
-    with open(out_dir / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(out_dir / "ablation.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for kind, features, cells, runs, diverged in rows:

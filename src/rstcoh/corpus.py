@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import rst_data
+from .atomic import atomic_write
 from .errors import ConfigError, DataError, IngestError, ParseError
 from .metrics import CLASSES
 
@@ -48,6 +49,11 @@ class WordVectors:
         if vec is None:
             return np.zeros(self.dimension)
         return vec
+
+    def stack(self, tokens: Sequence[str]) -> np.ndarray:
+        """The vectors of ``tokens`` as the rows of one (len(tokens), D) array."""
+        return np.array([self.lookup(tok) for tok in tokens],
+                        dtype=np.float64).reshape(len(tokens), self.dimension)
 
 
 @dataclass
@@ -492,7 +498,7 @@ def synthesize_word_vectors(cfg: GeneratorConfig, seed: int) -> WordVectors:
 
 
 def write_documents(path, split: CorpusSplit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for name, docs in (("train", split.train), ("test", split.test)):
             for doc in docs:
                 record = {"id": doc.id, "label": doc.label, "text": doc.text,
@@ -501,13 +507,13 @@ def write_documents(path, split: CorpusSplit) -> None:
 
 
 def write_trees(path, split: CorpusSplit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in list(split.train) + list(split.test):
             fh.write(f"{doc.id}\t{rst_data.serialize_tree(doc.tree)}\n")
 
 
 def write_word_vectors(path, wv: WordVectors) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token in sorted(wv.vectors):
             values = " ".join(repr(v) for v in wv.vectors[token].tolist())
             fh.write(f"{token} {values}\n")

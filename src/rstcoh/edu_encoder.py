@@ -8,16 +8,15 @@ from .errors import DataError
 
 
 def encode_edus(edus: list[list[str]], wv: WordVectors,
-                p: nc.CellParams) -> list[tuple[nc.Tensor, nc.Tensor]]:
+                p: nc.CellParams) -> tuple[nc.Tensor, nc.Tensor]:
     """Run the LSTM over each EDU's word vectors from the zero state, all
     EDUs in one packed pass.
 
-    Returns each EDU's final hidden state (its embedding) and final cell
-    state, which seed the tree recursion at its leaf. Word vectors of the
-    wrong dimension raise DataError.
+    Returns the final hidden states (the EDU embeddings) and final cell
+    states as two (len(edus), H) tensors, which seed the tree recursion at
+    its leaves. Word vectors of the wrong dimension raise DataError.
     """
     if any(not tokens for tokens in edus):
         raise DataError("cannot encode an EDU with no tokens")
-    return nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in tokens]
-                         for tokens in edus], p)
-
+    x = nc.constant(wv.stack([tok for tokens in edus for tok in tokens]))
+    return nc.run_lstms(x, [len(tokens) for tokens in edus], p)

@@ -1,25 +1,27 @@
 """Dense float64 tensors with reverse-mode differentiation, one N-ary gated
 cell, a softmax head and loss, and the Adam optimizer.
 
-The six functions that record on the tape are exactly what the models call:
+The five functions that record on the tape are exactly what the models call:
 
-* :func:`concat` and :func:`row` assemble a tree node's input from its
-  children's states and its label embeddings;
-* :func:`cell_step` applies the gated cell once, and :func:`run_lstms` runs
-  many sequences through it as one packed batch;
-* :func:`softmax_head` is the output layer, softmax(w @ x + b);
-* :func:`nll` is the loss, -log(max(p[i], floor)).
+* :func:`concat` joins the encoders' outputs along their last axis;
+* :func:`run_lstms` runs many sequences through the 1-ary cell as one
+  packed batch, and :func:`run_tree` runs a batch of discourse trees
+  through the 2-ary cell one level at a time;
+* :func:`softmax_head` is the output layer, softmax(x @ w.T + b) per row;
+* :func:`nll` is the loss, the sum over rows of -log(max(p[label], floor)).
 
 The gated cell is the N-ary Tree-LSTM unit of Tai et al. (2015): gates i,
 o, u and one forget gate per child, all read one input vector z. The
 sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
 is its 2-ary case. One row-batched implementation of the gates, with a
 hand-written backward pass over plain arrays (Appleyard et al. 2016), serves
-both cell entries. Each call of any of the six is one tape entry, so a tree
-node's cell costs one entry and so does each packed LSTM pass over a
-document's EDUs or sentences. A cell's parameters are one weight and one
-bias tensor whose row blocks are its gates, the layout the kernel computes
-with.
+both. Each call of any of the five is one tape entry, whatever the number
+of rows: one packed pass over all the EDUs (or sentences) of a batch of
+documents, one level-by-level pass over all their trees. The ops take
+whole arrays and index arrays, never per-node tensors; a tree reaches
+:func:`run_tree` as a level schedule (dynamic batching, Looks et al. 2017).
+A cell's parameters are one weight and one bias tensor whose row blocks are
+its gates, the layout the kernel computes with.
 
 A :class:`ParameterBundle` keeps all of a model's parameters in one flat
 ``data`` vector and their gradients in one flat ``grad`` vector, in
@@ -46,11 +48,11 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 
 Array = np.ndarray
@@ -137,70 +139,66 @@ def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    for p in parts:
-        if p.data.ndim != 1:
-            raise DataError("concat expects 1-d tensors")
+    """Join tensors along their last axis; the leading shapes must agree."""
     parts = tuple(parts)
-    sizes = [p.data.shape[0] for p in parts]
+    try:
+        data = np.concatenate([p.data for p in parts], axis=-1)
+    except ValueError as exc:  # 0-d parts or leading shapes that differ
+        raise DataError(f"concat: {exc}") from None
+    sizes = [p.data.shape[-1] for p in parts]
 
     def bw(g):
         off = 0
         for p, n in zip(parts, sizes):
-            _accumulate(p, g[off:off + n])
+            _accumulate(p, g[..., off:off + n])
             off += n
 
-    return _result(np.concatenate([p.data for p in parts]), parts, bw)
-
-
-def row(m: Tensor, i: int) -> Tensor:
-    if m.data.ndim != 2:
-        raise DataError("row expects a 2-d tensor")
-
-    def bw(g):
-        gm = np.zeros_like(m.data)
-        gm[i] = g
-        _accumulate(m, gm)
-
-    return _result(m.data[i].copy(), (m,), bw)
+    return _result(data, parts, bw)
 
 
 def softmax_head(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """softmax(w @ x + b) as one tape entry: the classifiers' output layer."""
-    if w.data.ndim != 2 or x.data.shape != w.data.shape[1:] \
+    """softmax(x @ w.T + b) of each row of ``x`` as one tape entry: the
+    classifiers' output layer, (B, D) in and (B, K) out."""
+    if w.data.ndim != 2 or x.data.ndim != 2 or x.data.shape[1:] != w.data.shape[1:] \
             or b.data.shape != w.data.shape[:1]:
         raise DataError(
-            f"softmax_head: {w.data.shape} @ {x.data.shape} + {b.data.shape}")
-    logits = w.data @ x.data + b.data
-    e = np.exp(logits - logits.max())
-    p = e / e.sum()
+            f"softmax_head: {x.data.shape} @ {w.data.shape}.T + {b.data.shape}")
+    logits = x.data @ w.data.T + b.data
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
 
     def bw(g):
-        g_logits = p * (g - np.dot(g, p))
-        _accumulate(w, np.outer(g_logits, x.data))
-        _accumulate(b, g_logits)
-        _accumulate(x, w.data.T @ g_logits)
+        g_logits = p * (g - (g * p).sum(axis=1, keepdims=True))
+        _accumulate(w, g_logits.T @ x.data)
+        _accumulate(b, g_logits.sum(axis=0))
+        _accumulate(x, g_logits @ w.data)
 
     return _result(p, (w, b, x), bw)
 
 
-def nll(dist: Tensor, i: int, floor: float) -> Tensor:
-    """-log(max(dist[i], floor)) as one tape entry.
+def nll(dist: Tensor, labels: Sequence[int], floor: float) -> Tensor:
+    """The sum over rows b of -log(max(dist[b, labels[b]], floor)), as one
+    tape entry.
 
     The gradient is zero where the probability is below the floor. The
     comparison is written so that NaN is not floored away but passes
     through.
     """
-    if dist.data.ndim != 1:
-        raise DataError("nll expects a 1-d distribution")
-    keep = ~(dist.data[i] < floor)
-    p = np.where(keep, dist.data[i], floor)
+    if dist.data.ndim != 2 or len(labels) != dist.data.shape[0]:
+        raise DataError(f"nll: {len(labels)} labels for a distribution of "
+                        f"shape {dist.data.shape}")
+    rows = np.arange(len(labels))
+    cols = np.asarray(labels, dtype=np.intp)
+    picked = dist.data[rows, cols]
+    keep = ~(picked < floor)
+    p = np.where(keep, picked, floor)
 
     def bw(g):
         g_dist = np.zeros_like(dist.data)
-        g_dist[i] = -g / p * keep
+        g_dist[rows, cols] = -g / p * keep
         _accumulate(dist, g_dist)
 
-    return _result(-np.log(p), (dist,), bw)
+    return _result(-np.log(p).sum(), (dist,), bw)
 
 
 # --- backward pass ----------------------------------------------------------
@@ -345,9 +343,11 @@ def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
 
 
 def _sigmoid(x: Array) -> Array:
-    # exp of a non-positive number never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 0.5 * (1 + tanh(x / 2)), written in place; tanh never overflows
+    s = np.tanh(0.5 * x)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _gates_forward(pre: Array, child_cs: Sequence[Array]) -> tuple[Array, Array, tuple]:
@@ -383,126 +383,177 @@ def _gates_backward(cache: tuple, dh: Array, dc: Array) -> tuple[Array, list[Arr
     return dpre, [dc * s[:, k * n:(k + 1) * n] for k in range(1, len(child_cs) + 1)]
 
 
-def cell_step(z: Tensor, child_cs: Sequence[Tensor],
-              p: CellParams) -> tuple[Tensor, Tensor]:
-    """One application of the cell to input ``z`` and the children's cells.
-
-    i, f_k, o = sigmoid gates over z; u = tanh candidate;
-    c = i*u + sum_k f_k*c_k; h = o*tanh(c). One tape entry.
-    """
-    if len(child_cs) != p.children:
-        raise DataError(
-            f"cell has {p.children} forget gates, got {len(child_cs)} children")
-    if z.data.shape != (p.cols,):
-        raise DataError(f"cell input shape {z.data.shape} != ({p.cols},)")
-    n = p.hidden_size
-    for c_k in child_cs:
-        if c_k.data.shape != (n,):
-            raise DataError(f"child cell shape {c_k.data.shape} != ({n},)")
-    w = p.w.data
-    zs = z.data[None, :]
-    h, c, cache = _gates_forward(zs @ w.T + p.b.data,
-                                 [c_k.data[None, :] for c_k in child_cs])
-
-    def bw(gh, gc):
-        dpre, d_children = _gates_backward(
-            cache, np.zeros((1, n)) if gh is None else gh[None, :],
-            np.zeros((1, n)) if gc is None else gc[None, :])
-        _accumulate(p.w, dpre.T @ zs)
-        _accumulate(p.b, dpre[0])
-        if z.requires_grad:
-            _accumulate(z, (dpre @ w)[0])
-        for c_k, d in zip(child_cs, d_children):
-            if c_k.requires_grad:
-                _accumulate(c_k, d[0])
-
-    outs = (Tensor(h[0]), Tensor(c[0]))
-    _record(outs, (z, *child_cs, p.w), bw)
-    return outs
-
-
 def init_lstm_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
                    input_size: int, hidden_size: int) -> CellParams:
     """The 1-ary cell over [x; h]."""
     return init_cell(bundle, prefix, rng, input_size + hidden_size, hidden_size, 1)
 
 
-def run_lstms(seqs: Sequence[Sequence[Tensor]],
-              p: CellParams) -> list[tuple[Tensor, Tensor]]:
-    """Run the 1-ary cell over each sequence from the zero state, all as one
-    packed batch; return each sequence's final (h, c), in input order.
+def run_lstms(x: Tensor, lengths: Sequence[int],
+              p: CellParams) -> tuple[Tensor, Tensor]:
+    """Run the 1-ary cell from the zero state over consecutive runs of the
+    rows of ``x``, all as one packed batch: sequence k is the next
+    ``lengths[k]`` rows. Return the final h and c of every sequence as two
+    (len(lengths), H) tensors, in input order.
 
-    Rows are sorted by length, longest first and stably, so the rows still
-    running at step t are a prefix of the batch. One matrix product projects
-    the inputs of every step; each step adds the recurrent product of its
-    prefix. The backward pass is backpropagation through time over the same
-    prefixes, and it also gives the gradients of inputs that need them. One
-    tape entry; a sequence of length 0 ends in the zero state.
+    Sequences are ranked by length, longest first and stably, so the ones
+    still running at step t are a prefix of the ranking, and the rows of x
+    are packed step by step: step t reads one contiguous block. One matrix
+    product projects every row; each step adds the recurrent product of its
+    block. The backward pass is backpropagation through time over the same
+    blocks, and it also gives the gradient of ``x`` when that needs one.
+    One tape entry; a sequence of length 0 ends in the zero state.
     """
     n = p.hidden_size
     dim = p.cols - n
-    order = sorted(range(len(seqs)), key=lambda k: -len(seqs[k]))
-    lengths = [len(seqs[k]) for k in order]
-    steps = lengths[0] if lengths else 0
-    rows = len(order)
-    # active[t]: how many rows run step t; rows active[t+1]..active[t]-1 end there
-    active = [sum(length > t for length in lengths) for t in range(steps)] + [0]
-    z = np.zeros((steps, rows, p.cols))  # the cell input [x; h] of each step
-    for r, k in enumerate(order):
-        for t, x_t in enumerate(seqs[k]):
-            if x_t.data.shape != (dim,):
-                raise DataError(f"input shape {x_t.data.shape} != ({dim},)")
-            z[t, r, :dim] = x_t.data
-    wx, wh = p.w.data[:, :dim], p.w.data[:, dim:]
-    px = z[:, :, :dim] @ wx.T + p.b.data
-    h = c = np.zeros((rows, n))
-    hs, cs, caches = [], [], []
+    lengths = np.asarray(lengths, dtype=np.intp).reshape(-1)
+    total = int(lengths.sum())
+    if x.data.ndim != 2 or x.data.shape != (total, dim):
+        raise DataError(f"input shape {x.data.shape} != ({total}, {dim})")
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    steps = int(ranked[0]) if len(ranked) else 0
+    running = ranked > np.arange(steps)[:, None]  # (steps, sequences)
+    # active[t] ranked sequences run step t, as packed rows
+    # offsets[t]:offsets[t+1]; those from active[t+1] on end there
+    active = running.sum(axis=1).tolist() + [0]
+    offsets = [0]
+    for m in active[:-1]:
+        offsets.append(offsets[-1] + m)
+    # the row of x that each packed row reads
+    perm = ((np.cumsum(lengths) - lengths)[order] + np.arange(steps)[:, None])[running]
+    w = p.w.data
+    wx, wh = w[:, :dim], w[:, dim:]
+    z = np.empty((total, p.cols))  # each packed row's cell input [x; h]
+    z[:, :dim] = x.data[perm]
+    px = z[:, :dim] @ wx.T + p.b.data
+    h_out = np.zeros((len(lengths), n))
+    c_out = np.zeros((len(lengths), n))
+    h = c = np.zeros((len(lengths), n))
+    caches = []
     for t in range(steps):
-        m = active[t]
-        z[t, :m, dim:] = h[:m]
-        h, c, cache = _gates_forward(px[t, :m] + h[:m] @ wh.T, (c[:m],))
-        hs.append(h)
-        cs.append(c)
+        lo, hi, ending = offsets[t], offsets[t + 1], active[t + 1]
+        z[lo:hi, dim:] = h[:hi - lo]
+        h, c, cache = _gates_forward(px[lo:hi] + h[:hi - lo] @ wh.T, (c[:hi - lo],))
+        h_out[order[ending:hi - lo]] = h[ending:]
+        c_out[order[ending:hi - lo]] = c[ending:]
         caches.append(cache)
 
-    def bw(*grads):
-        gh = np.zeros((rows, n))
-        gc = np.zeros((rows, n))
-        for r, k in enumerate(order):
-            if grads[2 * k] is not None:
-                gh[r] = grads[2 * k]
-            if grads[2 * k + 1] is not None:
-                gc[r] = grads[2 * k + 1]
-        dpx = np.zeros_like(px)
+    def bw(gh, gc):
+        gh = np.zeros((len(lengths), n)) if gh is None else gh[order]
+        gc = np.zeros((len(lengths), n)) if gc is None else gc[order]
+        dpx = np.empty((total, w.shape[0]))
         dh = dc = np.zeros((0, n))
         for t in reversed(range(steps)):
-            m, ending = active[t], active[t + 1]
-            dh = np.concatenate((dh, gh[ending:m]))
-            dc = np.concatenate((dc, gc[ending:m]))
+            lo, hi, ending = offsets[t], offsets[t + 1], active[t + 1]
+            dh = np.concatenate((dh, gh[ending:hi - lo]))
+            dc = np.concatenate((dc, gc[ending:hi - lo]))
             dpre, (dc,) = _gates_backward(caches[t], dh, dc)
-            dpx[t, :m] = dpre
+            dpx[lo:hi] = dpre
             dh = dpre @ wh
-        flat = dpx.reshape(-1, dpx.shape[2])
-        _accumulate(p.w, flat.T @ z.reshape(-1, p.cols))
-        _accumulate(p.b, flat.sum(axis=0))
-        if any(x_t.requires_grad for seq in seqs for x_t in seq):
-            dx = dpx @ wx
-            for r, k in enumerate(order):
-                for t, x_t in enumerate(seqs[k]):
-                    if x_t.requires_grad:
-                        _accumulate(x_t, dx[t, r])
+        _accumulate(p.w, dpx.T @ z)
+        _accumulate(p.b, dpx.sum(axis=0))
+        if x.requires_grad:
+            dx = np.empty_like(x.data)
+            dx[perm] = dpx @ wx
+            _accumulate(x, dx)
 
-    results: list[tuple[Tensor, Tensor]] = [(zeros(n), zeros(n))] * len(seqs)
-    for r, k in enumerate(order):
-        if lengths[r]:
-            results[k] = (Tensor(hs[lengths[r] - 1][r]), Tensor(cs[lengths[r] - 1][r]))
-    _record(tuple(t for pair in results for t in pair), chain((p.w,), *seqs), bw)
-    return results
+    outs = (Tensor(h_out), Tensor(c_out))
+    _record(outs, (x, p.w), bw)
+    return outs
 
 
-def run_lstm(inputs: Sequence[Tensor], p: CellParams) -> tuple[Tensor, Tensor]:
-    """Run the cell left-to-right from the zero state; return final (h, c)."""
-    return run_lstms([inputs], p)[0]
+def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
+             level_sizes: Sequence[int], roots: Array, table: Tensor | None,
+             p: CellParams) -> tuple[Tensor, Tensor]:
+    """Run the 2-ary cell over a batch of binary trees, one level at a time.
+
+    Every node owns one row of a state table: the L leaves come first, with
+    the states ``leaf_h``/``leaf_c`` (L, H), then the N internal nodes,
+    level by level, ``level_sizes[k]`` of them in level k. Row i of
+    ``children`` (N, 2) holds the state-table rows of internal node i's
+    left and right children, and row i of ``labels`` (N, 2) the ``table``
+    rows of those children's labels. The cell input of a node is
+    [h_l; h_r; table[left label]; table[right label]], with zeros for the
+    labels when ``table`` is None. ``roots`` is (B, 2): the rows of each
+    tree's two root children. Return h and c as two (B, 2H) tensors, row b
+    holding [left; right] of tree b.
+
+    The label embeddings are gathered with one fancy index and each level
+    is one call of the gate kernel. The backward pass replays the levels in
+    reverse and scatters the table gradient with ``np.add.at``. One tape
+    entry.
+    """
+    if p.children != 2:
+        raise DataError(f"run_tree needs a 2-ary cell, got {p.children} children")
+    n = p.hidden_size
+    n_leaves = leaf_h.data.shape[0]
+    if leaf_h.data.shape != (n_leaves, n) or leaf_c.data.shape != (n_leaves, n):
+        raise DataError(f"leaf state shapes {leaf_h.data.shape}/{leaf_c.data.shape} "
+                        f"!= ({n_leaves}, {n})")
+    ends = [n_leaves]  # state-table rows ends[k]:ends[k+1] are level k
+    for size in level_sizes:
+        ends.append(ends[-1] + size)
+    inner = ends[-1] - n_leaves
+    if children.shape != (inner, 2) or labels.shape != (inner, 2):
+        raise DataError(f"children {children.shape} and labels {labels.shape} "
+                        f"!= ({inner}, 2)")
+    label_cols = p.cols - 2 * n
+    if table is not None and 2 * table.data.shape[1] != label_cols:
+        raise DataError(f"label table width {table.data.shape[1]} != {label_cols // 2}")
+    hs = np.empty((ends[-1], n))
+    cs = np.empty((ends[-1], n))
+    hs[:n_leaves] = leaf_h.data
+    cs[:n_leaves] = leaf_c.data
+    z = np.zeros((ends[-1], p.cols))  # each internal node's cell input
+    if table is not None:
+        z[n_leaves:, 2 * n:] = table.data[labels].reshape(inner, label_cols)
+    w = p.w.data
+    caches = []
+    for k in range(len(level_sizes)):
+        lo, hi = ends[k], ends[k + 1]
+        left, right = children[lo - n_leaves:hi - n_leaves].T
+        z[lo:hi, :n] = hs[left]
+        z[lo:hi, n:2 * n] = hs[right]
+        hs[lo:hi], cs[lo:hi], cache = _gates_forward(z[lo:hi] @ w.T + p.b.data,
+                                                     (cs[left], cs[right]))
+        caches.append(cache)
+
+    def bw(gh, gc):
+        # every row has one parent, on a level above it or the root
+        dh = np.zeros_like(hs)
+        dc = np.zeros_like(cs)
+        if gh is not None:
+            dh[roots.ravel()] = gh.reshape(-1, n)
+        if gc is not None:
+            dc[roots.ravel()] = gc.reshape(-1, n)
+        dpre = np.zeros((ends[-1], w.shape[0]))
+        dz = np.empty((ends[-1], p.cols))
+        for k in reversed(range(len(level_sizes))):
+            lo, hi = ends[k], ends[k + 1]
+            left, right = children[lo - n_leaves:hi - n_leaves].T
+            dpre[lo:hi], (dc_l, dc_r) = _gates_backward(caches[k], dh[lo:hi], dc[lo:hi])
+            dz[lo:hi] = dpre[lo:hi] @ w
+            dh[left] += dz[lo:hi, :n]
+            dh[right] += dz[lo:hi, n:2 * n]
+            dc[left] += dc_l
+            dc[right] += dc_r
+        _accumulate(p.w, dpre.T @ z)
+        _accumulate(p.b, dpre.sum(axis=0))
+        if table is not None:
+            g_table = np.zeros_like(table.data)
+            np.add.at(g_table, labels, dz[n_leaves:, 2 * n:].reshape(inner, 2, -1))
+            _accumulate(table, g_table)
+        if leaf_h.requires_grad:
+            _accumulate(leaf_h, dh[:n_leaves])
+        if leaf_c.requires_grad:
+            _accumulate(leaf_c, dc[:n_leaves])
+
+    outs = (Tensor(hs[roots].reshape(len(roots), 2 * n)),
+            Tensor(cs[roots].reshape(len(roots), 2 * n)))
+    parents = (leaf_h, leaf_c, p.w) if table is None else (leaf_h, leaf_c, p.w, table)
+    _record(outs, parents, bw)
+    return outs
 
 
 # --- Adam -------------------------------------------------------------------
@@ -550,7 +601,8 @@ CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, bundle: ParameterBundle, meta: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint; byte-stable for identical values."""
+    """Write a versioned JSON checkpoint atomically; byte-stable for identical
+    values."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
@@ -559,7 +611,7 @@ def save_checkpoint(path, bundle: ParameterBundle, meta: dict | None = None) -> 
             for name, t in bundle.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
 

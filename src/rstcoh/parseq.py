@@ -4,18 +4,20 @@ ParSeq stacks three LSTMs: one over each sentence's word vectors, one over
 the resulting sentence vectors per paragraph, one over the paragraph
 vectors. The final document vector is the ParSeq model's input to its
 softmax head, and the ensemble's, after the tree encoder's root-children
-states; ``trainer.build_model`` builds both.
+states; ``trainer.build_model`` builds both. A batch of documents takes
+three packed passes, one per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import numcore as nc
 from .corpus import Document, WordVectors
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -34,22 +36,26 @@ def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
         nc.init_lstm_cell(bundle, "seq.lstm3", rng, hidden_size, hidden_size))
 
 
-def encode_parseq(doc: Document, wv: WordVectors, p: ParseqParams) -> nc.Tensor:
-    """Document vector: final hidden state at each of the three levels,
-    all chains starting from the zero state. Each level is one packed pass:
-    all sentences of the document, then all its paragraphs."""
-    if not doc.paragraphs:
-        raise DataError(f"document {doc.id!r} has no paragraphs")
-    for paragraph in doc.paragraphs:
-        if not paragraph:
-            raise DataError(f"document {doc.id!r} has an empty paragraph")
-        if not all(paragraph):
-            raise DataError(f"document {doc.id!r} has an empty sentence")
-    sentences = nc.run_lstms([[nc.constant(wv.lookup(tok)) for tok in sentence]
-                              for paragraph in doc.paragraphs
-                              for sentence in paragraph], p.lstm1)
-    states = iter(sentences)
-    paragraphs = nc.run_lstms([[next(states)[0] for _ in paragraph]
-                               for paragraph in doc.paragraphs], p.lstm2)
-    d, _ = nc.run_lstm([h for h, _ in paragraphs], p.lstm3)
-    return d
+def encode_parseq(docs: Sequence[Document], wv: WordVectors | None,
+                  p: ParseqParams) -> nc.Tensor:
+    """Document vectors, (len(docs), H): the final hidden state at each of
+    the three levels, all chains starting from the zero state. Each level is
+    one packed pass over the whole batch: all sentences, then all
+    paragraphs, then all documents."""
+    if wv is None:
+        raise ConfigError("ParSeq needs word vectors")
+    for doc in docs:
+        if not doc.paragraphs:
+            raise DataError(f"document {doc.id!r} has no paragraphs")
+        for paragraph in doc.paragraphs:
+            if not paragraph:
+                raise DataError(f"document {doc.id!r} has an empty paragraph")
+            if not all(paragraph):
+                raise DataError(f"document {doc.id!r} has an empty sentence")
+    paragraphs = [paragraph for doc in docs for paragraph in doc.paragraphs]
+    sentences = [sentence for paragraph in paragraphs for sentence in paragraph]
+    x = nc.constant(wv.stack([tok for sentence in sentences for tok in sentence]))
+    h, _ = nc.run_lstms(x, [len(sentence) for sentence in sentences], p.lstm1)
+    h, _ = nc.run_lstms(h, [len(paragraph) for paragraph in paragraphs], p.lstm2)
+    h, _ = nc.run_lstms(h, [len(doc.paragraphs) for doc in docs], p.lstm3)
+    return h

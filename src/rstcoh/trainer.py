@@ -3,7 +3,8 @@ multi-seed harness.
 
 Every model kind is its document encoders (the tree encoder, ParSeq, or
 both for the ensemble) feeding one softmax head; ``build_model`` registers
-them and ``Model.classify`` is the one forward path.
+them and ``Model.classify`` is the one forward path. It takes a list of
+documents: training passes one, evaluation chunks of ``EVAL_CHUNK``.
 
 One run = fresh seeded parameters, per-document Adam steps (batch size 1),
 documents reshuffled each epoch from the run's generator, then one
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +31,10 @@ from .tree_model import AblationConfig
 MODEL_KINDS = ("rst", "parseq", "ensemble")
 
 PROB_FLOOR = 1e-12
+
+# Documents per forward pass in evaluation. Larger chunks amortise more
+# interpreter overhead per document; 64 keeps the arrays of a chunk small.
+EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -99,20 +105,23 @@ class Model:
     head_w: nc.Tensor  # (3, width of the encoders' output)
     head_b: nc.Tensor  # (3,)
 
-    def classify(self, doc: Document, wv: WordVectors | None) -> nc.Tensor:
-        """Softmax distribution over coherence classes 1/2/3 for one document."""
+    def classify(self, docs: Sequence[Document], wv: WordVectors | None) -> nc.Tensor:
+        """Softmax distributions over coherence classes 1/2/3, (len(docs), 3):
+        each encoder runs once over the whole batch, then one head."""
         parts: list[nc.Tensor] = []
         if self.tree is not None:
-            parts.extend(tree_model.root_children_states(doc.tree, self.tree, wv,
-                                                         self.abl, self.vocab))
+            h, _ = tree_model.encode_trees([doc.tree for doc in docs], self.tree, wv,
+                                           self.abl, self.vocab)
+            parts.append(h)
         if self.seq is not None:
-            parts.append(parseq.encode_parseq(doc, wv, self.seq))
+            parts.append(parseq.encode_parseq(docs, wv, self.seq))
         x = parts[0] if len(parts) == 1 else nc.concat(parts)
         return nc.softmax_head(self.head_w, self.head_b, x)
 
-    def predict(self, doc: Document, wv: WordVectors | None) -> int:
-        dist = self.classify(doc, wv)
-        return int(np.argmax(dist.data)) + 1
+    @property
+    def needs_word_vectors(self) -> bool:
+        """ParSeq reads word vectors, and so does the tree encoder with E on."""
+        return self.seq is not None or self.abl.e
 
 
 def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
@@ -144,17 +153,23 @@ def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
     return Model(cfg.features, vocab, bundle, tree, seq, head_w, head_b)
 
 
-def cross_entropy(dist: nc.Tensor, label: int) -> nc.Tensor:
-    """-log p(label), with the probability floored at 1e-12 before the log."""
-    if label not in metrics.CLASSES:
-        raise ConfigError(f"label must be one of {metrics.CLASSES}, got {label!r}")
-    return nc.nll(dist, label - 1, PROB_FLOOR)
+def cross_entropy(dist: nc.Tensor, labels: Sequence[int]) -> nc.Tensor:
+    """The sum over rows of -log p(label), each probability floored at 1e-12
+    before the log."""
+    for label in labels:
+        if label not in metrics.CLASSES:
+            raise ConfigError(f"label must be one of {metrics.CLASSES}, got {label!r}")
+    return nc.nll(dist, [label - 1 for label in labels], PROB_FLOOR)
 
 
 def evaluate_model(model: Model, docs: list[Document],
                    wv: WordVectors | None) -> metrics.EvaluationReport:
+    """Classify ``docs`` in chunks of EVAL_CHUNK, one forward pass each."""
+    predicted: list[int] = []
+    for start in range(0, len(docs), EVAL_CHUNK):
+        dist = model.classify(docs[start:start + EVAL_CHUNK], wv)
+        predicted.extend((np.argmax(dist.data, axis=1) + 1).tolist())
     true_labels = [doc.label for doc in docs]
-    predicted = [model.predict(doc, wv) for doc in docs]
     return metrics.report(metrics.ConfusionMatrix.from_pairs(true_labels, predicted))
 
 
@@ -171,8 +186,8 @@ def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
     for k in order:
         doc = docs[int(k)]
         with nc.record():
-            dist = model.classify(doc, wv)
-            loss = cross_entropy(dist, doc.label)
+            dist = model.classify([doc], wv)
+            loss = cross_entropy(dist, [doc.label])
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(doc.id)

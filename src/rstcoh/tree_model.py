@@ -17,15 +17,23 @@ The hidden states h_l, h_r of the root's two children are the document
 representation; ``trainer.build_model`` puts the softmax head on top of
 them (rst) or of them and the ParSeq vector (ensemble). Feature switches:
 NS keys label embeddings by nuclearity alone, R by the combined
-relation_nuclearity label, E turns the leaf EDU encoder on (one packed
-LSTM pass over all of a document's EDUs); with everything off the output
-is a function of tree shape only.
+relation_nuclearity label, E turns the leaf EDU encoder on; with
+everything off the output is a function of tree shape only.
+
+A batch of trees takes at most two recording calls, whatever its size.
+:func:`encode_trees` walks each tree once into a level schedule (a level is
+the set of internal nodes of equal height), runs all the batch's EDUs
+through one packed LSTM pass when E is on, and hands the schedule to
+``numcore.run_tree``, which applies the cell once per level (dynamic
+batching, Looks et al. 2017; a tree as a flat schedule, as in SPINN,
+Bowman et al. 2016). This module owns the mapping from trees to index
+arrays; numcore sees only the arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .corpus import WordVectors, tokenize
 from .edu_encoder import encode_edus
 from .errors import ConfigError, DataError
 from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
-                       RstTree, leaves)
+                       RstTree)
 
 
 @dataclass(frozen=True)
@@ -110,84 +118,114 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
                            relation_table, nuclearity_table)
 
 
-def label_embedding(label: NodeLabel, params: TreeModelParams, abl: AblationConfig,
-                    vocab: RelationVocabulary | None) -> nc.Tensor:
-    """Embedding of a child's (relation, nuclearity) label under the feature row.
+class TreeSchedule(NamedTuple):
+    """A batch of trees as the index arrays :func:`numcore.run_tree` reads.
 
-    R looks up the combined label (UNK row for labels unseen at vocabulary
-    build time); NS alone keys on nuclearity; with both off the slot is a
-    zero vector so the cell input layout never changes.
+    Rows 0..len(leaves)-1 of the state table are the leaves, left to right
+    and tree after tree; the internal nodes below the roots follow, level
+    by level (a node's level is its height; leaves have height 0), with
+    ``level_sizes[k]`` nodes of height k+1. Row i of ``children`` holds the
+    state-table rows of the i-th internal node's left and right children,
+    and row i of ``labels`` the label-table rows of those children's
+    labels. ``roots`` holds the rows of each tree's two root children. The
+    root itself is not computed: its children's states are the document
+    representation.
     """
+
+    leaves: list[Leaf]
+    children: np.ndarray  # (N, 2)
+    labels: np.ndarray  # (N, 2)
+    level_sizes: list[int]
+    roots: np.ndarray  # (B, 2)
+
+
+def tree_schedule(trees: Sequence[RstTree],
+                  label_row: Callable[[NodeLabel], int]) -> TreeSchedule:
+    """Level schedule of ``trees``, one iterative post-order walk per tree.
+
+    ``label_row`` maps a child's label to its row in the label table.
+    """
+    leaf_nodes: list[Leaf] = []
+    level_sizes: list[int] = []
+    # (height, left height, left position, right height, right position,
+    # left label row, right label row) of each internal node, in walk
+    # order; a position counts the nodes of one height
+    nodes = []
+    root_keys = []
+    for tree in trees:
+        if not isinstance(tree, Internal):
+            raise DataError("document tree has a single EDU")
+        done: list[tuple[int, int]] = []  # (height, position) of finished subtrees
+        stack: list[tuple[RstTree, bool]] = [(tree.right, False), (tree.left, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, Leaf):
+                done.append((0, len(leaf_nodes)))
+                leaf_nodes.append(node)
+            elif not expanded:
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                right = done.pop()
+                left = done.pop()
+                height = max(left[0], right[0]) + 1
+                if height > len(level_sizes):
+                    level_sizes.append(0)
+                nodes.append((height, *left, *right, label_row(node.left_label),
+                              label_row(node.right_label)))
+                done.append((height, level_sizes[height - 1]))
+                level_sizes[height - 1] += 1
+        root_keys.append(done)
+    base = np.cumsum([0, len(leaf_nodes)] + level_sizes)  # first row of each height
+    a = np.array(nodes, dtype=np.intp).reshape(-1, 7)
+    a = a[np.argsort(a[:, 0], kind="stable")]  # by level, by position within one
+    keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
+    return TreeSchedule(leaf_nodes, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
+                        level_sizes, base[keys[..., 0]] + keys[..., 1])
+
+
+def _label_row(abl: AblationConfig, vocab: RelationVocabulary | None
+               ) -> Callable[[NodeLabel], int]:
+    """A child label's row in the feature row's label table: R keys on the
+    combined label (the UNK row for labels unseen at vocabulary build time),
+    NS alone on nuclearity; with both off there is no table."""
     if abl.r:
-        assert params.relation_table is not None and vocab is not None
-        return nc.row(params.relation_table, vocab.index_of_label(label))
+        if vocab is None:
+            raise ConfigError("relation embeddings need a vocabulary")
+        return vocab.index_of_label
     if abl.ns:
-        assert params.nuclearity_table is not None
-        return nc.row(params.nuclearity_table,
-                      0 if label.nuclearity is Nuclearity.N else 1)
-    return nc.zeros(params.relation_dim)
+        return lambda label: 0 if label.nuclearity is Nuclearity.N else 1
+    return lambda label: 0
 
 
-def _leaf_states(leaf_nodes: list[Leaf], params: TreeModelParams,
-                 wv: WordVectors | None, abl: AblationConfig) -> list[tuple[nc.Tensor, nc.Tensor]]:
-    """(h, c) of each leaf: zero vectors, or with E on one packed LSTM pass
-    over all the EDUs."""
-    if not abl.e:
-        zero = nc.zeros(params.hidden_size)
-        return [(zero, zero)] * len(leaf_nodes)
-    assert params.edu is not None
-    if wv is None:
-        raise ConfigError("EDU embeddings need word vectors")
-    edus = []
-    for leaf in leaf_nodes:
-        tokens = tokenize(leaf.text)
-        if not tokens:
-            raise DataError(f"EDU {leaf.text!r} has no tokens")
-        edus.append(tokens)
-    return encode_edus(edus, wv, params.edu)
+def encode_trees(trees: Sequence[RstTree], params: TreeModelParams,
+                 wv: WordVectors | None, abl: AblationConfig,
+                 vocab: RelationVocabulary | None) -> tuple[nc.Tensor, nc.Tensor]:
+    """h and c of each tree's two root children, (B, 2H) each: row b is
+    [left; right] of tree b, and its h is the document representation.
 
-
-def encode_subtree(tree: RstTree, params: TreeModelParams, wv: WordVectors | None,
-                   abl: AblationConfig, vocab: RelationVocabulary | None = None,
-                   leaf_states: Iterator[tuple[nc.Tensor, nc.Tensor]] | None = None,
-                   ) -> tuple[nc.Tensor, nc.Tensor]:
-    """Bottom-up (h, c) encoding; every node is computed exactly once.
-
-    ``leaf_states`` yields the (h, c) of the tree's leaves left to right;
-    by default they are computed here, in one pass.
+    Leaves are zero states, or with E on the states of one packed LSTM pass
+    over all the trees' EDUs; one :func:`numcore.run_tree` call runs every
+    internal node below the roots.
     """
-    if leaf_states is None:
-        leaf_states = iter(_leaf_states(leaves(tree), params, wv, abl))
-    results: list[tuple[nc.Tensor, nc.Tensor]] = []
-    stack: list[tuple[RstTree, bool]] = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            results.append(next(leaf_states))
-        elif not expanded:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            h_r, c_r = results.pop()
-            h_l, c_l = results.pop()
-            r_l = label_embedding(node.left_label, params, abl, vocab)
-            r_r = label_embedding(node.right_label, params, abl, vocab)
-            z = nc.concat((h_l, h_r, r_l, r_r))
-            results.append(nc.cell_step(z, (c_l, c_r), params.cell))
-    return results[0]
-
-
-def root_children_states(tree: RstTree, params: TreeModelParams,
-                         wv: WordVectors | None, abl: AblationConfig,
-                         vocab: RelationVocabulary | None) -> tuple[nc.Tensor, nc.Tensor]:
-    """Hidden states of the root's two children (the document representation)."""
-    if not isinstance(tree, Internal):
-        raise DataError("document tree has a single EDU")
-    states = iter(_leaf_states(leaves(tree), params, wv, abl))
-    h_l, _ = encode_subtree(tree.left, params, wv, abl, vocab, states)
-    h_r, _ = encode_subtree(tree.right, params, wv, abl, vocab, states)
-    return h_l, h_r
+    sched = tree_schedule(trees, _label_row(abl, vocab))
+    if abl.e:
+        assert params.edu is not None
+        if wv is None:
+            raise ConfigError("EDU embeddings need word vectors")
+        edus = []
+        for leaf in sched.leaves:
+            tokens = tokenize(leaf.text)
+            if not tokens:
+                raise DataError(f"EDU {leaf.text!r} has no tokens")
+            edus.append(tokens)
+        leaf_h, leaf_c = encode_edus(edus, wv, params.edu)
+    else:
+        leaf_h = leaf_c = nc.zeros(len(sched.leaves), params.hidden_size)
+    table = params.relation_table if abl.r else params.nuclearity_table
+    return nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels, sched.level_sizes,
+                       sched.roots, table, params.cell)
 
 
 def count_parameters(bundle: nc.ParameterBundle) -> dict[str, int]:

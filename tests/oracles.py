@@ -19,6 +19,7 @@ import numpy as np
 from rstcoh import numcore as nc
 from rstcoh.edu_encoder import encode_edus
 from rstcoh.errors import DataError
+from rstcoh.rst_data import Leaf
 
 
 def sig(x: float) -> float:
@@ -143,6 +144,18 @@ def tanh(a):
     return nc._result(val, (a,), lambda g: nc._accumulate(a, g * (1.0 - val * val)))
 
 
+def row(m, i):
+    if m.data.ndim != 2:
+        raise DataError("row expects a 2-d tensor")
+
+    def bw(g):
+        gm = np.zeros_like(m.data)
+        gm[i] = g
+        nc._accumulate(m, gm)
+
+    return nc._result(m.data[i].copy(), (m,), bw)
+
+
 def softmax(a):
     if a.data.ndim != 1:
         raise DataError("softmax expects a 1-d tensor")
@@ -248,8 +261,44 @@ def composed_run_lstm(inputs, gates):
     return h, c
 
 
+def cell_step(z, child_cs, p):
+    """One application of the fused gate kernel to a 1-d input ``z`` and the
+    children's cells, recorded as one tape entry with the kernel's
+    hand-written backward: the single-node cell that ``nc.run_lstms`` and
+    ``nc.run_tree`` batch, and the one the per-node walks below compose."""
+    if len(child_cs) != p.children:
+        raise DataError(
+            f"cell has {p.children} forget gates, got {len(child_cs)} children")
+    if z.data.shape != (p.cols,):
+        raise DataError(f"cell input shape {z.data.shape} != ({p.cols},)")
+    n = p.hidden_size
+    for c_k in child_cs:
+        if c_k.data.shape != (n,):
+            raise DataError(f"child cell shape {c_k.data.shape} != ({n},)")
+    w = p.w.data
+    zs = z.data[None, :]
+    h, c, cache = nc._gates_forward(zs @ w.T + p.b.data,
+                                    [c_k.data[None, :] for c_k in child_cs])
+
+    def bw(gh, gc):
+        dpre, d_children = nc._gates_backward(
+            cache, np.zeros((1, n)) if gh is None else gh[None, :],
+            np.zeros((1, n)) if gc is None else gc[None, :])
+        nc._accumulate(p.w, dpre.T @ zs)
+        nc._accumulate(p.b, dpre[0])
+        if z.requires_grad:
+            nc._accumulate(z, (dpre @ w)[0])
+        for c_k, d in zip(child_cs, d_children):
+            if c_k.requires_grad:
+                nc._accumulate(c_k, d[0])
+
+    outs = (nc.Tensor(h[0]), nc.Tensor(c[0]))
+    nc._record(outs, (z, *child_cs, p.w), bw)
+    return outs
+
+
 def lstm_cell_step(x, h, c, p):
-    """One step of the standard LSTM recurrence: ``nc.cell_step`` over
+    """One step of the standard LSTM recurrence: :func:`cell_step` over
     [x; h] with one child cell."""
     input_size = p.cols - p.hidden_size
     if x.data.shape != (input_size,):
@@ -257,12 +306,56 @@ def lstm_cell_step(x, h, c, p):
     if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
         raise DataError(
             f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
-    return nc.cell_step(nc.concat((x, h)), (c,), p)
+    return cell_step(nc.concat((x, h)), (c,), p)
+
+
+def run_lstm(inputs, p):
+    """``nc.run_lstms`` over one sequence of 1-d inputs: its final (h, c)."""
+    h, c = nc.run_lstms(nc.constant(np.array([x.data for x in inputs])
+                                    .reshape(len(inputs), p.cols - p.hidden_size)),
+                        [len(inputs)], p)
+    return row(h, 0), row(c, 0)
 
 
 def encode_edu(tokens, wv, p):
     """``encode_edus`` for one EDU: its final (h, c)."""
-    return encode_edus([tokens], wv, p)[0]
+    h, c = encode_edus([tokens], wv, p)
+    return row(h, 0), row(c, 0)
+
+
+def composed_tree_walk(trees, leaf_h, leaf_c, label_row, table, p):
+    """The per-node walk that ``nc.run_tree`` replaces: one :func:`cell_step`
+    per internal node below each root, in post-order, its input assembled
+    with :func:`row` and ``nc.concat``. Leaves take the rows of ``leaf_h``/
+    ``leaf_c`` left to right, tree after tree; a label's slot is its
+    ``table`` row (``label_row`` picks it) or zeros when ``table`` is None.
+    Returns, per tree, [h_l; h_r] and [c_l; c_r] of the root's children:
+    the reference for ``nc.run_tree``."""
+    label_dim = (p.cols - 2 * p.hidden_size) // 2
+    leaf_rows = iter(range(leaf_h.data.shape[0]))
+
+    def embed(label):
+        return nc.zeros(label_dim) if table is None else row(table, label_row(label))
+
+    out = []
+    for tree in trees:
+        results = []
+        stack = [(tree.right, False), (tree.left, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, Leaf):
+                i = next(leaf_rows)
+                results.append((row(leaf_h, i), row(leaf_c, i)))
+            elif not expanded:
+                stack.extend(((node, True), (node.right, False), (node.left, False)))
+            else:
+                h_r, c_r = results.pop()
+                h_l, c_l = results.pop()
+                z = nc.concat((h_l, h_r, embed(node.left_label), embed(node.right_label)))
+                results.append(cell_step(z, (c_l, c_r), p))
+        (h_l, c_l), (h_r, c_r) = results
+        out.append((nc.concat((h_l, h_r)), nc.concat((c_l, c_r))))
+    return out
 
 
 # --- finite differences -------------------------------------------------------

@@ -92,7 +92,7 @@ def _check_model_gradients(kind: str, features: str, docs, wv):
                                 np.random.default_rng(99))
     for doc in docs:
         def loss() -> nc.Tensor:
-            return trainer.cross_entropy(model.classify(doc, wv), doc.label)
+            return trainer.cross_entropy(model.classify([doc], wv), [doc.label])
 
         with nc.record():
             nc.backward(loss(), model.bundle)
@@ -144,7 +144,8 @@ def test_criterion_3_scalar_oracle_equivalence():
         assert abs(e.data[0] - want_e) < TOL
         assert abs(ce.data[0] - want_ce) < TOL
 
-        # encode_subtree on a 3-EDU tree (EDU embeddings on)
+        # run_tree on a 3-EDU tree (EDU embeddings on), the left child of a
+        # document root
         tree = three_edu_tree(("ax bx.", "cx.", "bx ax."))
         vocab = build_relation_vocab([tree])
         model = _build("rst", AblationConfig(ns=True, r=True, e=True), vocab, 1, 1, 1,
@@ -172,10 +173,11 @@ def test_criterion_3_scalar_oracle_equivalence():
             w_tree)
         want_h, want_c = oracles.scalar_tree_node(
             hi, ci, h3, c3, rel(tree.left_label), rel(tree.right_label), w_tree)
-        got_h, got_c = tree_model.encode_subtree(
-            tree, params, wv1, AblationConfig(ns=True, r=True, e=True), vocab)
-        assert abs(got_h.data[0] - want_h) < TOL
-        assert abs(got_c.data[0] - want_c) < TOL
+        root = Internal(tree, Leaf("cx."), tree.left_label, tree.right_label)
+        got_h, got_c = tree_model.encode_trees(
+            [root], params, wv1, AblationConfig(ns=True, r=True, e=True), vocab)
+        assert abs(got_h.data[0, 0] - want_h) < TOL
+        assert abs(got_c.data[0, 0] - want_c) < TOL
 
         # encode_parseq on a two-paragraph document
         model = _build("parseq", AblationConfig(), None, 1, 1, 1, rng)
@@ -185,11 +187,11 @@ def test_criterion_3_scalar_oracle_equivalence():
 
         paragraphs = [[["ax", "bx"], ["cx"]], [["bx"]]]
         doc = corpus.Document("d", 1, "", paragraphs, tree)
-        got = parseq.encode_parseq(doc, wv1, pp)
+        got = parseq.encode_parseq([doc], wv1, pp)
         want = oracles.scalar_parseq(paragraphs, values,
                                      *[oracles.scalar_gates(c)
                                        for c in (pp.lstm1, pp.lstm2, pp.lstm3)])
-        assert abs(got.data[0] - want) < TOL
+        assert abs(got.data[0, 0] - want) < TOL
 
 
 # --- criterion 4: ablation invariants ------------------------------------------
@@ -251,16 +253,16 @@ def test_criterion_4_ablation_invariants():
             base = ensure_internal(lambda: _random_tree(rng, _texts))
             # identical shape and labels, different EDU texts: E off ignores text
             retexted = _retext(base, _texts, rng)
-            da = model.classify(_as_document(base), None)
-            db = model.classify(_as_document(retexted), None)
+            da = model.classify([_as_document(base)], None)
+            db = model.classify([_as_document(retexted)], None)
             assert np.array_equal(da.data, db.data)
 
         for _ in range(100):
             base = ensure_internal(lambda: _random_tree(rng, _texts))
             # same shape, new labels and texts: T-only sees only the shape
             twin = _relabel_and_retext(base, _texts, rng)
-            da = model_t.classify(_as_document(base), None)
-            db = model_t.classify(_as_document(twin), None)
+            da = model_t.classify([_as_document(base)], None)
+            db = model_t.classify([_as_document(twin)], None)
             assert np.array_equal(da.data, db.data)
 
 
@@ -285,7 +287,9 @@ def test_criterion_5_overfit_32_documents():
         for epoch in range(200):
             _, step = trainer.run_epoch(model, split.train, wv, state,
                                         cfg.learning_rate, rng, True, step)
-            correct = sum(model.predict(d, wv) == d.label for d in split.train)
+            dist = model.classify(split.train, wv)
+            correct = sum(int(np.argmax(p)) + 1 == d.label
+                          for p, d in zip(dist.data, split.train))
             if correct == len(split.train):
                 reached_at = epoch + 1
                 break

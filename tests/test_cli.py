@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from rstcoh import cli, corpus, metrics
+from rstcoh import cli, corpus, metrics, numcore as nc
+from rstcoh.atomic import atomic_write
 from rstcoh.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
 
@@ -190,6 +193,17 @@ def _file_corpus(label):
     return edit
 
 
+@functools.lru_cache(maxsize=None)
+def _trained_checkpoint(model, features):
+    """The checkpoint text of a small trained ``model``, whatever the
+    checkpoint under edit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, config = write_config(Path(tmp), model=model, features=features,
+                                        n_runs=1)
+        assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_OK
+        return (Path(config["out_dir"]) / "checkpoint.json").read_text()
+
+
 def _edit_meta(text, key, value=None):
     doc = json.loads(text)
     if value is None:
@@ -259,6 +273,10 @@ MALFORMED_INPUTS = (
      EXIT_DATA),
     ("infinite value in a checkpoint tensor", None,
      lambda t: _edit_tensor(t, math.inf), EXIT_DATA),
+    ("parseq checkpoint without word vectors", _file_corpus(1),
+     lambda t: _trained_checkpoint("parseq", "t"), EXIT_CONFIG),
+    ("ensemble checkpoint without word vectors", _file_corpus(1),
+     lambda t: _trained_checkpoint("ensemble", "t,ns,r"), EXIT_CONFIG),
     ("boolean document label", _file_corpus(True), None, EXIT_DATA),
     ("fractional document label", _file_corpus(1.0), None, EXIT_DATA),
 )
@@ -354,3 +372,34 @@ class TestValidateTrees:
         assert "ParseError" in out
         assert "DegenerateTree" in out
         assert "1/3 valid" in out
+
+
+class TestAtomicWrites:
+    def test_raising_midway_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError), atomic_write(path) as fh:
+            fh.write("new, partial")
+            fh.flush()
+            raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_json_artifact_failing_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        cli._write_json(path, {"a": 1})
+        old = path.read_bytes()
+        with pytest.raises(TypeError):  # json.dump fails on the second key
+            cli._write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_checkpoint_write_replaces_whole_file(self, tmp_path):
+        bundle = nc.ParameterBundle()
+        bundle.add("w", [1.0, 2.0])
+        path = tmp_path / "checkpoint.json"
+        path.write_text("x" * 10_000)
+        nc.save_checkpoint(path, bundle)
+        _, tensors = nc.load_checkpoint(path)
+        assert tensors["w"].tolist() == [1.0, 2.0]
+        assert list(tmp_path.iterdir()) == [path]

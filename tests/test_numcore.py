@@ -71,15 +71,15 @@ class TestLstmCell:
                     min_size=1, max_size=8))
     def test_zero_fixpoint_for_any_sequence(self, seq):
         cell, _ = zero_cell(2, 3)
-        h, c = nc.run_lstm([nc.constant(x) for x in seq], cell)
+        h, c = oracles.run_lstm([nc.constant(x) for x in seq], cell)
         assert np.array_equal(h.data, np.zeros(3))
         assert np.array_equal(c.data, np.zeros(3))
 
     def test_forward_determinism(self):
         cell, _ = random_cell(2, 3, seed=9)
         xs = [nc.constant([0.3, -0.7]), nc.constant([1.1, 0.2])]
-        h1, c1 = nc.run_lstm(xs, cell)
-        h2, c2 = nc.run_lstm(xs, cell)
+        h1, c1 = oracles.run_lstm(xs, cell)
+        h2, c2 = oracles.run_lstm(xs, cell)
         assert np.array_equal(h1.data, h2.data)
         assert np.array_equal(c1.data, c2.data)
 
@@ -94,6 +94,9 @@ def assert_kernel_close(got, want):
 def random_tensor(rng, shape, bundle=None, name=None):
     values = rng.uniform(-1.5, 1.5, size=shape)
     return bundle.add(name, values) if bundle is not None else nc.constant(values)
+
+
+LENGTHS = [(3,), (1,), (4, 1, 4, 2, 3), (2, 2, 2), (1, 3)]
 
 
 class TestFusedCellAgainstComposedOps:
@@ -128,7 +131,7 @@ class TestFusedCellAgainstComposedOps:
         child_cs = [random_tensor(rng, 5, bundle, f"c{k}") for k in range(children)]
         weights = [nc.constant(rng.uniform(-1, 1, size=5)) for _ in range(2)]
         results = []
-        for step, p in ((nc.cell_step, cell), (oracles.composed_cell_step, gates)):
+        for step, p in ((oracles.cell_step, cell), (oracles.composed_cell_step, gates)):
             with nc.record():
                 h, c = step(z, child_cs, p)
                 loss = oracles.add(oracles.vsum(oracles.mul(h, weights[0])),
@@ -140,67 +143,94 @@ class TestFusedCellAgainstComposedOps:
         assert_kernel_close(c, want_c)
         self.assert_grads_close(cell, grads, want_grads)
 
-    @pytest.mark.parametrize("lengths", [(3,), (1,), (4, 1, 4, 2, 3), (2, 2, 2), (1, 3)])
+    @pytest.mark.parametrize("lengths", LENGTHS)
     def test_packed_lstms(self, lengths):
+        self.check_packed_lstms(lengths, x_needs_grad=True)
+
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_packed_lstms_on_constant_inputs(self, lengths):
+        self.check_packed_lstms(lengths, x_needs_grad=False)
+
+    def check_packed_lstms(self, lengths, x_needs_grad):
         rng = np.random.default_rng(sum(lengths))
         bundle = nc.ParameterBundle()
         cell = nc.init_lstm_cell(bundle, "cell", rng, 3, 4)
         for t in bundle.tensors():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
         gates = oracles.gate_leaves(bundle, cell)
-        # every other sequence reads inputs that need a gradient
-        seqs = [[random_tensor(rng, 3, bundle if k % 2 else None, f"x{k}.{t}")
-                 for t in range(n)] for k, n in enumerate(lengths)]
+        # the sequences' inputs, one row per step, need a gradient or not
+        x = random_tensor(rng, (sum(lengths), 3), bundle if x_needs_grad else None, "x")
+        starts = np.cumsum((0,) + lengths)
         # each sequence feeds the loss through h, c or both
-        weights = [(nc.constant(rng.uniform(-1, 1, size=4)) if k % 3 != 1 else None,
-                    nc.constant(rng.uniform(-1, 1, size=4)) if k % 3 != 0 else None)
+        weights = [(rng.uniform(-1, 1, size=4) if k % 3 != 1 else np.zeros(4),
+                    rng.uniform(-1, 1, size=4) if k % 3 != 0 else np.zeros(4))
                    for k in range(len(lengths))]
+        wh = nc.constant([w for w, _ in weights])
+        wc = nc.constant([w for _, w in weights])
 
-        def run(states):
-            terms = [oracles.vsum(oracles.mul(s, w))
-                     for (h, c), (wh, wc) in zip(states, weights)
-                     for s, w in ((h, wh), (c, wc)) if w is not None]
+        def run(loss):
+            nc.backward(loss, bundle)
+            return self.grads(bundle)
+
+        with nc.record():
+            h, c = nc.run_lstms(x, lengths, cell)
+            assert len(nc._rec.tape) == 1
+            got_grads = run(oracles.add(oracles.vsum(oracles.mul(h, wh)),
+                                        oracles.vsum(oracles.mul(c, wc))))
+        with nc.record():
+            want = [oracles.composed_run_lstm(
+                        [oracles.row(x, i) for i in range(starts[k], starts[k + 1])],
+                        gates)
+                    for k in range(len(lengths))]
+            terms = [oracles.vsum(oracles.mul(s, nc.constant(w)))
+                     for (h_k, c_k), (w_h, w_c) in zip(want, weights)
+                     for s, w in ((h_k, w_h), (c_k, w_c))]
             loss = terms[0]
             for term in terms[1:]:
                 loss = oracles.add(loss, term)
-            nc.backward(loss, bundle)
-            return [(h.data, c.data) for h, c in states], self.grads(bundle)
-
-        with nc.record():
-            states = nc.run_lstms(seqs, cell)
-            assert len(nc._rec.tape) == 1
-            got, got_grads = run(states)
-        with nc.record():
-            want, want_grads = run([oracles.composed_run_lstm(seq, gates) for seq in seqs])
-        for (h, c), (want_h, want_c) in zip(got, want):
-            assert_kernel_close(h, want_h)
-            assert_kernel_close(c, want_c)
+            want_grads = run(loss)
+        for k, (want_h, want_c) in enumerate(want):
+            assert_kernel_close(h.data[k], want_h.data)
+            assert_kernel_close(c.data[k], want_c.data)
         self.assert_grads_close(cell, got_grads, want_grads)
 
     def test_sequence_of_length_zero_ends_in_zero_state(self):
         cell, _ = random_cell(2, 3, seed=2)
-        (h, c), (h1, c1) = nc.run_lstms([[], [nc.constant([0.5, -0.5])]], cell)
-        assert np.array_equal(h.data, np.zeros(3))
-        assert np.array_equal(c.data, np.zeros(3))
-        assert not np.array_equal(h1.data, np.zeros(3))
+        h, c = nc.run_lstms(nc.constant([[0.5, -0.5]]), [0, 1], cell)
+        assert np.array_equal(h.data[0], np.zeros(3))
+        assert np.array_equal(c.data[0], np.zeros(3))
+        assert not np.array_equal(h.data[1], np.zeros(3))
+
+    def test_input_rows_must_match_lengths(self):
+        cell, _ = random_cell(2, 3, seed=2)
+        with pytest.raises(DataError):
+            nc.run_lstms(nc.constant([[0.5, -0.5]]), [2], cell)
+        with pytest.raises(DataError):
+            nc.run_lstms(nc.constant([[0.5, -0.5, 0.1]]), [1], cell)
 
 
 class TestFusedHeadAndLoss:
     """softmax_head and nll against the matvec/add/softmax and
-    pick/clamp_min/log/neg chains they replace: values and every gradient."""
+    pick/clamp_min/log/neg chains they replace: values and every gradient.
+    The fused pair runs on a one-row batch, the composed chain on its row."""
 
     @staticmethod
     def run_both(bundle, w, b, x, label, floor=1e-12):
         results = []
-        for head, loss_fn in ((nc.softmax_head, nc.nll),
-                              (oracles.composed_softmax_head, oracles.composed_nll)):
-            with nc.record():
-                dist = head(w, b, x)
-                loss = loss_fn(dist, label, floor)
-                nc.backward(loss, bundle)
-                entries = len(nc._rec.tape)
-            results.append((dist.data, loss.data, entries,
-                            {name: t.grad.copy() for name, t in bundle.items()}))
+        with nc.record():
+            dist = nc.softmax_head(w, b, x)
+            loss = nc.nll(dist, [label], floor)
+            nc.backward(loss, bundle)
+            entries = len(nc._rec.tape)
+        results.append((dist.data[0], loss.data, entries,
+                        {name: t.grad.copy() for name, t in bundle.items()}))
+        with nc.record():
+            dist = oracles.composed_softmax_head(w, b, oracles.row(x, 0))
+            loss = oracles.composed_nll(dist, label, floor)
+            nc.backward(loss, bundle)
+            entries = len(nc._rec.tape)
+        results.append((dist.data, loss.data, entries,
+                        {name: t.grad.copy() for name, t in bundle.items()}))
         return results
 
     @pytest.mark.parametrize("label", [0, 1, 2])
@@ -209,7 +239,7 @@ class TestFusedHeadAndLoss:
         bundle = nc.ParameterBundle()
         w = random_tensor(rng, (3, 5), bundle, "w")
         b = random_tensor(rng, 3, bundle, "b")
-        x = random_tensor(rng, 5, bundle, "x")
+        x = random_tensor(rng, (1, 5), bundle, "x")
         (dist, loss, entries, grads), (want_dist, want_loss, _, want_grads) = \
             self.run_both(bundle, w, b, x, label)
         assert entries == 2
@@ -219,11 +249,35 @@ class TestFusedHeadAndLoss:
             assert np.any(grads[name] != 0.0)
             assert_kernel_close(grads[name], want_grads[name])
 
+    def test_rows_are_independent_and_losses_add(self):
+        rng = np.random.default_rng(7)
+        bundle = nc.ParameterBundle()
+        w = random_tensor(rng, (3, 5), bundle, "w")
+        b = random_tensor(rng, 3, bundle, "b")
+        xs = rng.uniform(-1.5, 1.5, size=(4, 5))
+        labels = [2, 0, 1, 2]
+        with nc.record():
+            loss = nc.nll(nc.softmax_head(w, b, nc.constant(xs)), labels, 1e-12)
+            nc.backward(loss, bundle)
+        got = loss.item(), w.grad.copy(), b.grad.copy()
+        want_loss = 0.0
+        want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
+        for x_k, label in zip(xs, labels):
+            with nc.record():
+                loss = nc.nll(nc.softmax_head(w, b, nc.constant([x_k])), [label], 1e-12)
+                nc.backward(loss, bundle)
+            want_loss += loss.item()
+            want_w += w.grad
+            want_b += b.grad
+        assert got[0] == pytest.approx(want_loss, rel=KERNEL_RTOL)
+        assert_kernel_close(got[1], want_w)
+        assert_kernel_close(got[2], want_b)
+
     def test_probability_below_floor_has_zero_gradient(self):
         bundle = nc.ParameterBundle()
         w = bundle.add("w", np.full((3, 2), 0.1))
         b = bundle.add("b", [60.0, 0.0, 0.0])  # p[1] ~ exp(-60) < 1e-12
-        x = bundle.add("x", [0.5, -0.5])
+        x = bundle.add("x", [[0.5, -0.5]])
         (dist, loss, _, grads), (_, want_loss, _, want_grads) = \
             self.run_both(bundle, w, b, x, 1)
         assert dist[1] < 1e-12
@@ -234,13 +288,13 @@ class TestFusedHeadAndLoss:
 
     def test_nan_passes_through(self):
         bundle = nc.ParameterBundle()
-        dist = bundle.add("dist", [math.nan, 0.5, 0.5])
+        dist = bundle.add("dist", [[math.nan, 0.5, 0.5]])
         got = []
-        for loss_fn in (nc.nll, oracles.composed_nll):
+        for loss_fn, label in ((nc.nll, [0]), (oracles.composed_nll, (0, 0))):
             with nc.record():
-                loss = loss_fn(dist, 0, 1e-12)
+                loss = loss_fn(dist, label, 1e-12)
                 nc.backward(loss, bundle)
-            got.append((loss.data, dist.grad.copy()))
+            got.append((loss.data, dist.grad[0].copy()))
         (loss, grad), (want_loss, want_grad) = got
         assert math.isnan(loss) and math.isnan(want_loss)
         assert math.isnan(grad[0]) and math.isnan(want_grad[0])
@@ -297,12 +351,12 @@ class TestBackward:
         def loss_fn():
             z = nc.concat((oracles.tanh(oracles.matvec(nc.Tensor(w.data, True),
                                                        nc.Tensor(v.data, True))),
-                           nc.row(nc.Tensor(m.data, True), 2)))
+                           oracles.row(nc.Tensor(m.data, True), 2)))
             p = oracles.softmax(z)
             return float(oracles.composed_nll(p, 1, 1e-12).data)
 
         with nc.record():
-            z = nc.concat((oracles.tanh(oracles.matvec(w, v)), nc.row(m, 2)))
+            z = nc.concat((oracles.tanh(oracles.matvec(w, v)), oracles.row(m, 2)))
             p = oracles.softmax(z)
             loss = oracles.composed_nll(p, 1, 1e-12)
             nc.backward(loss, bundle)
@@ -316,7 +370,7 @@ class TestBackward:
         xs = [rng.uniform(-1, 1, size=2) for _ in range(4)]
 
         def forward() -> nc.Tensor:
-            h, c = nc.run_lstm([nc.constant(x) for x in xs], cell)
+            h, c = oracles.run_lstm([nc.constant(x) for x in xs], cell)
             p = oracles.softmax(h)
             return oracles.composed_nll(p, 0, 1e-12)
 
@@ -480,15 +534,31 @@ class TestOps:
     def test_softmax_normalizes(self, rng):
         for _ in range(10):
             p = nc.softmax_head(nc.constant(np.eye(3)), nc.zeros(3),
-                                nc.constant(rng.uniform(-30, 30, size=3)))
-            assert abs(p.data.sum() - 1.0) <= 1e-12
+                                nc.constant(rng.uniform(-30, 30, size=(4, 3))))
+            assert np.all(np.abs(p.data.sum(axis=1) - 1.0) <= 1e-12)
             assert (p.data >= 0).all()
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DataError):
-            nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), nc.zeros(2))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), nc.zeros(1, 2))
         with pytest.raises(DataError):
-            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(3))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(1, 3))
+        with pytest.raises(DataError):
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(2))
+
+    def test_concat_joins_last_axis(self):
+        bundle = nc.ParameterBundle()
+        a = bundle.add("a", [[1.0, 2.0], [3.0, 4.0]])
+        b = bundle.add("b", [[5.0], [6.0]])
+        with nc.record():
+            out = nc.concat((a, b))
+            nc.backward(oracles.vsum(oracles.mul(out, nc.constant(
+                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))), bundle)
+        assert np.array_equal(out.data, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+        assert np.array_equal(a.grad, [[1.0, 2.0], [4.0, 5.0]])
+        assert np.array_equal(b.grad, [[3.0], [6.0]])
+        with pytest.raises(DataError):
+            nc.concat((a, nc.zeros(3, 1)))
 
     def test_ops_outside_record_build_no_graph(self):
         bundle = nc.ParameterBundle()

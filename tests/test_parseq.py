@@ -54,19 +54,19 @@ class TestEncodeParseq:
     def test_zero_params_zero_document_vector(self):
         _, p = build_parseq(zero=True)
         doc = make_doc([[["alpha", "beta"], ["gamma"]], [["delta"]]])
-        d = encode_parseq(doc, toy_wv(), p)
-        assert np.array_equal(d.data, np.zeros(3))
+        d = encode_parseq([doc], toy_wv(), p)
+        assert np.array_equal(d.data, np.zeros((1, 3)))
 
     def test_one_paragraph_one_sentence_unrolls_structurally(self):
         _, p = build_parseq(seed=4)
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"]]])
-        d = encode_parseq(doc, wv, p)
-        s, _ = nc.run_lstm([nc.constant(wv.lookup("alpha")),
-                            nc.constant(wv.lookup("beta"))], p.lstm1)
-        para, _ = nc.run_lstm([s], p.lstm2)
-        want, _ = nc.run_lstm([para], p.lstm3)
-        assert np.array_equal(d.data, want.data)
+        d = encode_parseq([doc], wv, p)
+        s, _ = oracles.run_lstm([nc.constant(wv.lookup("alpha")),
+                                 nc.constant(wv.lookup("beta"))], p.lstm1)
+        para, _ = oracles.run_lstm([s], p.lstm2)
+        want, _ = oracles.run_lstm([para], p.lstm3)
+        assert np.array_equal(d.data[0], want.data)
 
     def test_two_paragraph_doc_matches_scalar_oracle(self):
         _, p = build_parseq(wv_dim=1, hidden=1, seed=9)
@@ -78,13 +78,13 @@ class TestEncodeParseq:
         want = oracles.scalar_parseq(paragraphs, values,
                                      *[oracles.scalar_gates(c)
                                        for c in (p.lstm1, p.lstm2, p.lstm3)])
-        got = encode_parseq(doc, wv, p)
-        assert abs(got.data[0] - want) < 1e-12
+        got = encode_parseq([doc], wv, p)
+        assert abs(got.data[0, 0] - want) < 1e-12
 
     def test_empty_paragraphs_rejected(self):
         _, p = build_parseq()
         with pytest.raises(DataError):
-            encode_parseq(make_doc([]), toy_wv(), p)
+            encode_parseq([make_doc([])], toy_wv(), p)
 
     def test_paragraph_permutation_changes_vector(self):
         hits = 0
@@ -93,8 +93,8 @@ class TestEncodeParseq:
         permuted = [paragraphs[2], paragraphs[0], paragraphs[1]]
         for seed in range(50):
             _, p = build_parseq(seed=seed)
-            a = encode_parseq(make_doc(paragraphs), wv, p)
-            b = encode_parseq(make_doc(permuted), wv, p)
+            a = encode_parseq([make_doc(paragraphs)], wv, p)
+            b = encode_parseq([make_doc(permuted)], wv, p)
             hits += int(not np.allclose(a.data, b.data, atol=1e-12))
         assert hits >= 49
 
@@ -102,13 +102,13 @@ class TestEncodeParseq:
 class TestClassifyParseq:
     def test_zero_params_uniform(self):
         model, _ = build_parseq(zero=True)
-        dist = model.classify(make_doc([[["alpha"]]]), toy_wv())
-        assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
+        dist = model.classify([make_doc([[["alpha"]]])], toy_wv())
+        assert dist.data[0] == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         for seed in range(5):
             model, _ = build_parseq(seed=seed)
-            dist = model.classify(make_doc([[["alpha", "gamma"]]]), toy_wv())
+            dist = model.classify([make_doc([[["alpha", "gamma"]]])], toy_wv())
             assert abs(dist.data.sum() - 1.0) <= 1e-12
 
     def test_gradients_match_finite_differences(self):
@@ -118,7 +118,7 @@ class TestClassifyParseq:
         doc = make_doc([[["alpha", "beta"], ["gamma", "delta"]]], label=2)
 
         def loss() -> nc.Tensor:
-            return cross_entropy(model.classify(doc, wv), doc.label)
+            return cross_entropy(model.classify([doc], wv), [doc.label])
 
         with nc.record():
             nc.backward(loss(), bundle)
@@ -132,8 +132,8 @@ class TestEnsemble:
     def test_zero_params_uniform(self):
         model = build_ensemble(zero=True)
         doc = make_doc([[["alpha"]]], tree=three_edu_tree())
-        dist = model.classify(doc, toy_wv())
-        assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
+        dist = model.classify([doc], toy_wv())
+        assert dist.data[0] == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_edu_features_rejected(self):
         with pytest.raises(ConfigError):
@@ -152,8 +152,8 @@ class TestEnsemble:
         relabeled = type(relabeled)(relabeled.left, relabeled.right,
                                     relabeled.right_label, relabeled.left_label)
         b = make_doc(paragraphs, tree=relabeled)
-        da = model.classify(a, wv)
-        db = model.classify(b, wv)
+        da = model.classify([a], wv)
+        db = model.classify([b], wv)
         assert np.array_equal(da.data, db.data)
 
     def test_zeroed_tree_side_degenerates_to_affine_of_parseq(self):
@@ -163,13 +163,13 @@ class TestEnsemble:
                 t.data[:] = 0.0
         wv = toy_wv()
         doc = make_doc([[["alpha", "gamma"], ["beta"]]], tree=three_edu_tree())
-        dist = model.classify(doc, wv)
-        d_seq = encode_parseq(doc, wv, model.seq)
-        hidden = d_seq.data.shape[0]
+        dist = model.classify([doc], wv)
+        d_seq = encode_parseq([doc], wv, model.seq).data[0]
+        hidden = d_seq.shape[0]
         w = model.bundle["joint.w"].data[:, 2 * hidden:]
-        logits = w @ d_seq.data + model.bundle["joint.b"].data
+        logits = w @ d_seq + model.bundle["joint.b"].data
         e = np.exp(logits - logits.max())
-        assert dist.data == pytest.approx(e / e.sum(), abs=1e-12)
+        assert dist.data[0] == pytest.approx(e / e.sum(), abs=1e-12)
 
     def test_toy_ensemble_matches_scalar_oracle(self):
         vocab = build_relation_vocab([three_edu_tree()])
@@ -202,8 +202,8 @@ class TestEnsemble:
         logits = model.bundle["joint.w"].data @ d + model.bundle["joint.b"].data
         e = np.exp(logits - logits.max())
         want = e / e.sum()
-        got = model.classify(doc, wv)
-        assert got.data == pytest.approx(want, abs=1e-10)
+        got = model.classify([doc], wv)
+        assert got.data[0] == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self):
         vocab = build_relation_vocab([three_edu_tree()])
@@ -214,7 +214,7 @@ class TestEnsemble:
                        label=3)
 
         def loss() -> nc.Tensor:
-            return cross_entropy(model.classify(doc, wv), doc.label)
+            return cross_entropy(model.classify([doc], wv), [doc.label])
 
         with nc.record():
             nc.backward(loss(), bundle)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rstcoh import corpus, numcore as nc, trainer
+from rstcoh import corpus, metrics, numcore as nc, trainer
 from rstcoh.errors import ConfigError, TrainingDiverged
-from rstcoh.rst_data import RelationVocabulary
+from rstcoh.rst_data import RelationVocabulary, build_relation_vocab
 from rstcoh.tree_model import AblationConfig
 from rstcoh.trainer import (MODEL_KINDS, RunRecord, TrainConfig, cross_entropy,
                             run_multi_seed, train)
@@ -23,27 +23,27 @@ def small_cfg(**kwargs):
 
 class TestCrossEntropy:
     def test_uniform_distribution(self):
-        dist = nc.constant([1 / 3, 1 / 3, 1 / 3])
+        dist = nc.constant([[1 / 3, 1 / 3, 1 / 3]])
         for label in (1, 2, 3):
-            assert cross_entropy(dist, label).item() == pytest.approx(math.log(3),
+            assert cross_entropy(dist, [label]).item() == pytest.approx(math.log(3),
                                                                       abs=1e-12)
 
     def test_certain_prediction(self):
-        assert cross_entropy(nc.constant([0.0, 1.0, 0.0]), 2).item() == 0.0
+        assert cross_entropy(nc.constant([[0.0, 1.0, 0.0]]), [2]).item() == 0.0
 
     def test_quarter_probability(self):
-        dist = nc.constant([0.25, 0.5, 0.25])
-        assert cross_entropy(dist, 1).item() == pytest.approx(-math.log(0.25),
+        dist = nc.constant([[0.25, 0.5, 0.25]])
+        assert cross_entropy(dist, [1]).item() == pytest.approx(-math.log(0.25),
                                                               abs=1e-12)
-        assert cross_entropy(dist, 1).item() == pytest.approx(1.3863, abs=1e-4)
+        assert cross_entropy(dist, [1]).item() == pytest.approx(1.3863, abs=1e-4)
 
     def test_zero_probability_is_floored(self):
-        loss = cross_entropy(nc.constant([0.0, 0.0, 1.0]), 1)
+        loss = cross_entropy(nc.constant([[0.0, 0.0, 1.0]]), [1])
         assert loss.item() == pytest.approx(-math.log(1e-12))
 
     def test_bad_label(self):
         with pytest.raises(ConfigError):
-            cross_entropy(nc.constant([1.0, 0.0, 0.0]), 0)
+            cross_entropy(nc.constant([[1.0, 0.0, 0.0]]), [0])
 
 
 class TestTrainConfig:
@@ -212,3 +212,63 @@ class TestRunMultiSeed:
         d = result.records[0].to_dict()
         assert d["seed"] == 0
         assert d["report"]["accuracy"] == result.records[0].report.accuracy
+
+
+@pytest.fixture(scope="module")
+def chunk_corpus():
+    """2 * EVAL_CHUNK + 1 test documents: two full chunks and one of one."""
+    gen = corpus.GeneratorConfig(n_train=4, n_test=2 * trainer.EVAL_CHUNK + 1,
+                                 edu_range=(2, 7), tokens_per_edu=(1, 3), wv_dim=3)
+    return corpus.synthesize_corpus(gen, seed=3), corpus.synthesize_word_vectors(gen, 3)
+
+
+def random_model(kind, features, split, wv, seed):
+    cfg = small_cfg(model=kind, features=AblationConfig.from_features(features))
+    vocab = None
+    if trainer.needs_vocab(cfg):
+        vocab = build_relation_vocab(d.tree for d in split.train)
+    rng = np.random.default_rng(seed)
+    model = trainer.build_model(cfg, vocab, wv.dimension, rng)
+    model.bundle.data[:] = rng.uniform(-0.8, 0.8, size=model.bundle.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind,features", [("rst", "t,ns,r,e"), ("rst", "t"),
+                                           ("parseq", "t"), ("ensemble", "t,ns,r")])
+def test_chunked_evaluation_equals_one_document_classify(kind, features, chunk_corpus,
+                                                          monkeypatch):
+    split, wv = chunk_corpus
+    docs = split.test
+    model = random_model(kind, features, split, wv, seed=8)
+    chunks = []
+    classify = trainer.Model.classify
+
+    def spy(self, batch, wv):
+        dist = classify(self, batch, wv)
+        chunks.append(dist.data)
+        return dist
+
+    monkeypatch.setattr(trainer.Model, "classify", spy)
+    rep = trainer.evaluate_model(model, docs, wv)
+    assert [len(c) for c in chunks] == [trainer.EVAL_CHUNK, trainer.EVAL_CHUNK, 1]
+    monkeypatch.undo()
+    chunked = np.concatenate(chunks)
+    single = np.concatenate([model.classify([doc], wv).data for doc in docs])
+    np.testing.assert_allclose(chunked, single, rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.argmax(chunked, axis=1), np.argmax(single, axis=1))
+    predicted = (np.argmax(single, axis=1) + 1).tolist()
+    want = metrics.ConfusionMatrix.from_pairs([d.label for d in docs], predicted)
+    assert rep.to_dict() == metrics.report(want).to_dict()
+
+
+@pytest.mark.parametrize("kind,features,entries", [("rst", "t,ns,r,e", 4),
+                                                   ("rst", "t", 3),
+                                                   ("parseq", "t", 5),
+                                                   ("ensemble", "t,ns,r", 7)])
+def test_tape_entries_per_training_document(kind, features, entries, tiny_split,
+                                            tiny_wv):
+    model = random_model(kind, features, tiny_split, tiny_wv, seed=2)
+    doc = tiny_split.train[0]
+    with nc.record():
+        cross_entropy(model.classify([doc], tiny_wv), [doc.label])
+        assert len(nc._rec.tape) == entries

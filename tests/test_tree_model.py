@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rstcoh import numcore as nc, tree_model
+from rstcoh import numcore as nc, rst_data, tree_model
 from rstcoh.corpus import Document, GeneratorConfig, WordVectors, synthesize_corpus
 from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, count_leaves, count_nodes)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
-from rstcoh.tree_model import (AblationConfig, count_parameters, encode_subtree,
-                               label_embedding)
+from rstcoh.tree_model import (AblationConfig, count_parameters, encode_trees,
+                               tree_schedule)
 
 import oracles
 from conftest import make_label, three_edu_tree, two_edu_tree
@@ -36,7 +36,44 @@ def build(abl, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True
 
 
 def classify(model, tree, wv=None):
-    return model.classify(Document("d0", 1, "", [[["x"]]], tree), wv)
+    """The distribution of a one-document batch, as a (3,) array."""
+    return model.classify([Document("d0", 1, "", [[["x"]]], tree)], wv).data[0]
+
+
+def encode_subtree(tree, params, wv, abl, vocab=None):
+    """(h, c) of ``tree``'s root, as run_tree computes it for the left child
+    of a document root."""
+    root = Internal(tree, Leaf("pad."), make_label("Joint", "N"),
+                    make_label("Joint", "N"))
+    h, c = encode_trees([root], params, wv, abl, vocab)
+    n = params.hidden_size
+    return h.data[0, :n], c.data[0, :n]
+
+
+def label_vector(label, params, abl, vocab=None):
+    """What run_tree puts in a label's slot of the cell input."""
+    table = params.relation_table if abl.r else params.nuclearity_table
+    if table is None:
+        return np.zeros(params.relation_dim)
+    return table.data[tree_model._label_row(abl, vocab)(label)]
+
+
+def left_chain(n, label=("Elaboration", "N")):
+    """n leaves, each internal node's left child the next internal node."""
+    tree = Leaf("edu 0.")
+    for k in range(1, n):
+        tree = Internal(tree, Leaf(f"edu {k}."), make_label(*label),
+                        make_label("Evidence", "S"))
+    return tree
+
+
+def right_chain(n, label=("Elaboration", "N")):
+    """n leaves, each internal node's right child the next internal node."""
+    tree = Leaf(f"edu {n - 1}.")
+    for k in range(n - 2, -1, -1):
+        tree = Internal(Leaf(f"edu {k}."), tree, make_label(*label),
+                        make_label("Evidence", "S"))
+    return tree
 
 
 def toy_wv(dim=2, seed=1):
@@ -69,22 +106,22 @@ class TestAblationConfig:
 class TestLabelEmbedding:
     def test_t_only_gives_zero_vector(self):
         _, params = build(TONLY)
-        r = label_embedding(make_label("Evidence", "S"), params, TONLY, None)
-        assert np.array_equal(r.data, np.zeros(3))
+        r = label_vector(make_label("Evidence", "S"), params, TONLY)
+        assert np.array_equal(r, np.zeros(3))
 
     def test_ns_only_keys_on_nuclearity(self):
         _, params = build(TNS)
-        a = label_embedding(make_label("Evidence", "S"), params, TNS, None)
-        b = label_embedding(make_label("Contrast", "S"), params, TNS, None)
-        c = label_embedding(make_label("Evidence", "N"), params, TNS, None)
-        assert np.array_equal(a.data, b.data)
-        assert not np.array_equal(a.data, c.data)
+        a = label_vector(make_label("Evidence", "S"), params, TNS)
+        b = label_vector(make_label("Contrast", "S"), params, TNS)
+        c = label_vector(make_label("Evidence", "N"), params, TNS)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_unseen_label_falls_back_to_unk_row(self):
         vocab = build_relation_vocab([two_edu_tree()])
         _, params = build(TNSR, vocab)
-        unseen = label_embedding(make_label("Never", "N"), params, TNSR, vocab)
-        assert np.array_equal(unseen.data, params.relation_table.data[0])
+        unseen = label_vector(make_label("Never", "N"), params, TNSR, vocab)
+        assert np.array_equal(unseen, params.relation_table.data[0])
 
 
 class TestEncodeSubtree:
@@ -94,8 +131,8 @@ class TestEncodeSubtree:
             for t in model.bundle.tensors():
                 t.data[:] = 0.0
             h, c = encode_subtree(three_edu_tree(), params, None, abl)
-            assert np.array_equal(h.data, np.zeros(4))
-            assert np.array_equal(c.data, np.zeros(4))
+            assert np.array_equal(h, np.zeros(4))
+            assert np.array_equal(c, np.zeros(4))
 
     def test_e_off_is_text_invariant(self):
         vocab = build_relation_vocab([three_edu_tree()])
@@ -104,8 +141,8 @@ class TestEncodeSubtree:
         b = three_edu_tree(("completely different.", "words here.", "indeed so."))
         ha, ca = encode_subtree(a, params, None, TNSR, vocab)
         hb, cb = encode_subtree(b, params, None, TNSR, vocab)
-        assert np.array_equal(ha.data, hb.data)
-        assert np.array_equal(ca.data, cb.data)
+        assert np.array_equal(ha, hb)
+        assert np.array_equal(ca, cb)
 
     def test_matches_scalar_oracle_on_three_edu_tree(self):
         vocab = build_relation_vocab([three_edu_tree()])
@@ -137,34 +174,127 @@ class TestEncodeSubtree:
                                                   rel(tree.left_label),
                                                   rel(tree.right_label), w_tree)
         got_h, got_c = encode_subtree(tree, params, wv, FULL, vocab)
-        assert abs(got_h.data[0] - want_h) < 1e-12
-        assert abs(got_c.data[0] - want_c) < 1e-12
+        assert abs(got_h[0] - want_h) < 1e-12
+        assert abs(got_c[0] - want_c) < 1e-12
 
-    def test_every_node_visited_exactly_once(self, monkeypatch):
-        vocab = build_relation_vocab([three_edu_tree()])
-        _, params = build(TNSR, vocab)
-        leaves = []
-        cells = []
-        leaf_states = tree_model._leaf_states
-        cell_step = nc.cell_step
+    def test_every_node_visited_exactly_once(self):
+        trees = [two_edu_tree(), three_edu_tree(), left_chain(6), right_chain(5),
+                 Internal(three_edu_tree(), right_chain(4),
+                          make_label("Joint", "N"), make_label("Joint", "N"))]
+        for batch_trees in [[t] for t in trees] + [trees]:
+            sched = tree_schedule(batch_trees, lambda label: 0)
+            n_leaves = sum(count_leaves(t) for t in batch_trees)
+            # each leaf once, left to right and tree after tree
+            assert [id(leaf) for leaf in sched.leaves] == \
+                [id(leaf) for t in batch_trees for leaf in rst_data.leaves(t)]
+            assert len(sched.leaves) == n_leaves
+            # each internal node below a root in exactly one level: every
+            # row of the state table is the child of exactly one node or root
+            inner = sum(count_nodes(t) - count_leaves(t) - 1 for t in batch_trees)
+            assert sum(sched.level_sizes) == len(sched.children) == inner
+            assert sched.labels.shape == (inner, 2)
+            rows = np.concatenate((sched.roots.ravel(), sched.children.ravel()))
+            assert np.array_equal(np.sort(rows), np.arange(n_leaves + inner))
+            # a node's level is its height: its taller child sits on the
+            # level right below (the leaves below level 0), the other no higher
+            below, start = 0, n_leaves
+            for size in sched.level_sizes:
+                kids = sched.children[start - n_leaves:start - n_leaves + size]
+                assert (kids.max(axis=1) >= below).all() and kids.max() < start
+                below, start = start, start + size
+            assert sched.roots.shape == (len(batch_trees), 2)
 
-        def count_leaf(leaf_list, *args):
-            leaves.extend(leaf_list)
-            return leaf_states(leaf_list, *args)
 
-        def count_cell(*args):
-            cells.append(args)
-            return cell_step(*args)
+class TestRunTree:
+    """nc.run_tree against the per-node walk it replaces, in values and in
+    the gradients of the cell, the label table and the leaf states."""
 
-        monkeypatch.setattr(tree_model, "_leaf_states", count_leaf)
-        monkeypatch.setattr(nc, "cell_step", count_cell)
-        for tree in (two_edu_tree(), three_edu_tree()):
-            leaves.clear()
-            cells.clear()
-            encode_subtree(tree, params, None, TNSR, vocab)
-            assert len(leaves) == count_leaves(tree)
-            assert len({id(n) for n in leaves}) == len(leaves)
-            assert len(leaves) + len(cells) == count_nodes(tree)
+    @staticmethod
+    def run_both(trees, abl, seed=0, hidden=3, rel_dim=2):
+        vocab = build_relation_vocab(trees) if abl.r else None
+        model, params = build(abl, vocab, hidden=hidden, rel_dim=rel_dim, seed=seed)
+        bundle = model.bundle
+        rng = np.random.default_rng(seed + 100)
+        n_leaves = sum(count_leaves(t) for t in trees)
+        leaf_h = bundle.add("leaf_h", rng.uniform(-1, 1, size=(n_leaves, hidden)))
+        leaf_c = bundle.add("leaf_c", rng.uniform(-1, 1, size=(n_leaves, hidden)))
+        table = params.relation_table if abl.r else params.nuclearity_table
+        label_row = tree_model._label_row(abl, vocab)
+        wh = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
+        wc = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
+
+        def grads():
+            return {name: t.grad.copy() for name, t in bundle.items()}
+
+        with nc.record():
+            sched = tree_schedule(trees, label_row)
+            h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
+                               sched.level_sizes, sched.roots, table, params.cell)
+            assert len(nc._rec.tape) == 1
+            nc.backward(oracles.add(oracles.vsum(oracles.mul(h, nc.constant(wh))),
+                                    oracles.vsum(oracles.mul(c, nc.constant(wc)))),
+                        bundle)
+            got = h.data, c.data, grads()
+        with nc.record():
+            states = oracles.composed_tree_walk(trees, leaf_h, leaf_c, label_row,
+                                                table, params.cell)
+            loss = None
+            for (h_k, c_k), wh_k, wc_k in zip(states, wh, wc):
+                for state, weight in ((h_k, wh_k), (c_k, wc_k)):
+                    term = oracles.vsum(oracles.mul(state, nc.constant(weight)))
+                    loss = term if loss is None else oracles.add(loss, term)
+            nc.backward(loss, bundle)
+            want = (np.array([h_k.data for h_k, _ in states]),
+                    np.array([c_k.data for _, c_k in states]), grads())
+        return got, want, table
+
+    def assert_match(self, trees, abl, **kwargs):
+        (h, c, grads), (want_h, want_c, want_grads), table = \
+            self.run_both(trees, abl, **kwargs)
+        np.testing.assert_allclose(h, want_h, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=0.0)
+        names = ["tree.w", "tree.b", "leaf_h", "leaf_c"]
+        if table is not None:
+            names.append("relation_table" if abl.r else "nuclearity_table")
+        for name in names:
+            assert np.any(grads[name] != 0.0), name
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12,
+                                       atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("abl", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
+    def test_mixed_batch_matches_per_node_walk(self, abl):
+        trees = [three_edu_tree(), two_edu_tree(),
+                 Internal(left_chain(4), right_chain(3, ("Contrast", "S")),
+                          make_label("Joint", "N"), make_label("Cause", "S")),
+                 Internal(right_chain(2), three_edu_tree(),
+                          make_label("Summary", "S"), make_label("Joint", "N"))]
+        self.assert_match(trees, abl, seed=3)
+
+    def test_root_with_a_leaf_child(self):
+        # three_edu_tree's right root child is a leaf: its state passes through
+        self.assert_match([three_edu_tree()], TNSR, seed=4)
+
+    @pytest.mark.parametrize("chain", [left_chain, right_chain])
+    def test_300_edu_chain(self, chain):
+        trees = [chain(300)]
+        sched = tree_schedule(trees, lambda label: 0)
+        assert sched.level_sizes == [1] * 298
+        self.assert_match(trees, TNS, seed=5)
+
+    def test_batched_trees_equal_one_tree_batches(self):
+        trees = [three_edu_tree(), left_chain(5), right_chain(4), two_edu_tree()]
+        vocab = build_relation_vocab(trees)
+        _, params = build(TNSR, vocab, seed=6)
+        h, c = encode_trees(trees, params, None, TNSR, vocab)
+        for k, tree in enumerate(trees):
+            h_k, c_k = encode_trees([tree], params, None, TNSR, vocab)
+            np.testing.assert_allclose(h.data[k], h_k.data[0], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(c.data[k], c_k.data[0], rtol=1e-12, atol=0.0)
+
+    def test_single_leaf_tree_rejected(self):
+        with pytest.raises(DataError):
+            tree_schedule([two_edu_tree(), Leaf("only")], lambda label: 0)
 
 
 class TestClassify:
@@ -173,15 +303,15 @@ class TestClassify:
         for t in model.bundle.tensors():
             t.data[:] = 0.0
         dist = classify(model, two_edu_tree())
-        assert dist.data == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert dist == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
         vocab = build_relation_vocab([three_edu_tree()])
         for seed in range(5):
             model, _ = build(TNSR, vocab, seed=seed)
             dist = classify(model, three_edu_tree())
-            assert abs(dist.data.sum() - 1.0) <= 1e-12
-            assert (dist.data >= 0).all()
+            assert abs(dist.sum() - 1.0) <= 1e-12
+            assert (dist >= 0).all()
 
     def test_t_only_depends_on_shape_alone(self):
         model, _ = build(TONLY, seed=8)
@@ -193,7 +323,7 @@ class TestClassify:
             make_label("Joint", "N"), make_label("Joint", "N"))
         da = classify(model, a)
         db = classify(model, b)
-        assert np.array_equal(da.data, db.data)
+        assert np.array_equal(da, db)
 
     def test_single_leaf_rejected(self):
         model, _ = build(TONLY)
@@ -209,7 +339,7 @@ class TestClassify:
                                base.left_label)
             da = classify(model, base)
             db = classify(model, swapped)
-            hits += int(not np.allclose(da.data, db.data, atol=1e-12))
+            hits += int(not np.allclose(da, db, atol=1e-12))
         assert hits >= 99
 
 
@@ -225,7 +355,7 @@ class TestGradients:
         doc = split.train[0]
 
         def loss() -> nc.Tensor:
-            return cross_entropy(model.classify(doc, wv), doc.label)
+            return cross_entropy(model.classify([doc], wv), [doc.label])
 
         with nc.record():
             nc.backward(loss(), bundle)
