@@ -61,16 +61,24 @@ DEFAULT_CONFIG = {
 }
 
 
+def _require_file(path: str, what: str) -> None:
+    """A named input must be a regular file, not a missing path or a directory."""
+    if not Path(path).is_file():
+        problem = "is not a file" if Path(path).exists() else "does not exist"
+        raise ConfigError(f"{what} {problem}: {path}")
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
+        _require_file(path, "config file")
         try:
             with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8 text ({exc.reason})") from None
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         for key, value in user.items():
@@ -157,14 +165,11 @@ def resolve_corpus(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors
         if not (paths.get("documents") and paths.get("trees")):
             raise ConfigError("paths.documents and paths.trees must be given together")
         for key in ("documents", "trees"):
-            if not Path(paths[key]).exists():
-                raise ConfigError(f"paths.{key} does not exist: {paths[key]}")
+            _require_file(paths[key], f"paths.{key}")
         split = corpus.load_corpus(paths["documents"], paths["trees"])
         wv = None
         if paths.get("word_vectors"):
-            if not Path(paths["word_vectors"]).exists():
-                raise ConfigError(
-                    f"paths.word_vectors does not exist: {paths['word_vectors']}")
+            _require_file(paths["word_vectors"], "paths.word_vectors")
             wv = corpus.load_word_vectors(paths["word_vectors"],
                                           corpus.corpus_token_vocab(split))
         return split, wv
@@ -257,8 +262,7 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
 
 
 def cmd_evaluate(config: dict, checkpoint: str) -> int:
-    if not Path(checkpoint).exists():
-        raise ConfigError(f"checkpoint does not exist: {checkpoint}")
+    _require_file(checkpoint, "checkpoint")
     model, _ = load_model_from_checkpoint(checkpoint)
     split, wv = resolve_corpus(config)
     if model.needs_word_vectors and wv is None:
@@ -342,8 +346,7 @@ def cmd_synth(config: dict) -> int:
 def cmd_validate_trees(trees_path: str) -> int:
     """Parse and validate each tree; the line format is the training
     loader's, so a file reported all valid also loads for training."""
-    if not Path(trees_path).exists():
-        raise ConfigError(f"trees file does not exist: {trees_path}")
+    _require_file(trees_path, "trees file")
     bad = 0
     total = 0
     for line_no, _, text in corpus.read_tree_lines(trees_path):

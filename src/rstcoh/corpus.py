@@ -17,7 +17,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -144,6 +144,16 @@ def _parse_document_record(obj: dict, line_no: int) -> tuple[str, int, str, Para
     return doc_id, label, text, paragraphs, split
 
 
+def _numbered_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based number, line) of each line of a UTF-8 text file; bytes that
+    are not UTF-8 raise :class:`DataError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_tree_lines(path) -> Iterator[tuple[int, str, str]]:
     """(line number, id, tree text) of each non-blank line of a trees file.
 
@@ -152,21 +162,20 @@ def read_tree_lines(path) -> Iterator[tuple[int, str, str]]:
     repeated id :class:`DataError`. The tree text is not parsed here.
     """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise IngestError("expected '<id><TAB><tree>'", line_no)
-            doc_id, text = line.split("\t", 1)
-            doc_id = doc_id.strip()
-            if not doc_id:
-                raise IngestError("empty tree id", line_no)
-            if doc_id in seen:
-                raise DataError(f"duplicate tree id {doc_id!r} at line {line_no}")
-            seen.add(doc_id)
-            yield line_no, doc_id, text
+    for line_no, line in _numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise IngestError("expected '<id><TAB><tree>'", line_no)
+        doc_id, text = line.split("\t", 1)
+        doc_id = doc_id.strip()
+        if not doc_id:
+            raise IngestError("empty tree id", line_no)
+        if doc_id in seen:
+            raise DataError(f"duplicate tree id {doc_id!r} at line {line_no}")
+        seen.add(doc_id)
+        yield line_no, doc_id, text
 
 
 def _load_trees_file(path) -> dict[str, tuple[rst_data.RstTree | None, str]]:
@@ -191,41 +200,40 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
     test: list[Document] = []
     excluded: list[Exclusion] = []
     seen: set[str] = set()
-    with open(docs_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for line_no, line in _numbered_lines(docs_path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"bad JSON: {exc.msg}", line_no) from exc
+        doc_id, label, text, paragraphs, split = _parse_document_record(obj, line_no)
+        if doc_id in seen:
+            raise DataError(f"duplicate document id {doc_id!r} at line {line_no}")
+        seen.add(doc_id)
+        if paragraphs is None:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"bad JSON: {exc.msg}", line_no) from exc
-            doc_id, label, text, paragraphs, split = _parse_document_record(obj, line_no)
-            if doc_id in seen:
-                raise DataError(f"duplicate document id {doc_id!r} at line {line_no}")
-            seen.add(doc_id)
-            if paragraphs is None:
-                try:
-                    paragraphs = segment(text)
-                except DataError as exc:
-                    raise IngestError(str(exc), line_no) from exc
-            entry = trees.get(doc_id)
-            if entry is None:
-                excluded.append(Exclusion(doc_id, "missing tree"))
-                continue
-            tree, reason = entry
-            if tree is None:
-                excluded.append(Exclusion(doc_id, reason))
-                continue
-            violations = rst_data.validate_tree(tree)
-            if violations:
-                codes = ",".join(sorted({v.code for v in violations}))
-                excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
-                continue
-            if any(not tokenize(t) for t in rst_data.leaf_texts(tree)):
-                excluded.append(Exclusion(doc_id, "EDU with no tokens"))
-                continue
-            doc = Document(doc_id, label, text, paragraphs, tree)
-            (train if split == "train" else test).append(doc)
+                paragraphs = segment(text)
+            except DataError as exc:
+                raise IngestError(str(exc), line_no) from exc
+        entry = trees.get(doc_id)
+        if entry is None:
+            excluded.append(Exclusion(doc_id, "missing tree"))
+            continue
+        tree, reason = entry
+        if tree is None:
+            excluded.append(Exclusion(doc_id, reason))
+            continue
+        violations = rst_data.validate_tree(tree)
+        if violations:
+            codes = ",".join(sorted({v.code for v in violations}))
+            excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
+            continue
+        if any(not tokenize(t) for t in rst_data.leaf_texts(tree)):
+            excluded.append(Exclusion(doc_id, "EDU with no tokens"))
+            continue
+        doc = Document(doc_id, label, text, paragraphs, tree)
+        (train if split == "train" else test).append(doc)
     return CorpusSplit(train, test, excluded)
 
 
@@ -238,31 +246,30 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
     """
     dimension: int | None = None
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        rows = ((line_no, line.split()) for line_no, line in enumerate(fh, start=1))
-        head = list(itertools.islice(rows, 2))
-        if len(head) == 2 and len(head[0][1]) == 2 \
-                and all(f.isdecimal() for f in head[0][1]) \
-                and int(head[0][1][1]) == len(head[1][1]) - 1:
-            head = head[1:]
-        for line_no, parts in itertools.chain(head, rows):
-            if len(parts) < 2:
-                raise DataError(f"line {line_no}: expected 'token v1 ... vD'")
-            token, values = parts[0], parts[1:]
-            if dimension is None:
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise DataError(
-                    f"line {line_no}: {len(values)} values, expected {dimension}")
-            if vocab is not None and token not in vocab:
-                continue
-            try:
-                vec = np.asarray([float(v) for v in values])
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: non-numeric value") from exc
-            if not np.isfinite(vec).all():
-                raise DataError(f"line {line_no}: non-finite value")
-            vectors[token] = vec
+    rows = ((line_no, line.split()) for line_no, line in _numbered_lines(path))
+    head = list(itertools.islice(rows, 2))
+    if len(head) == 2 and len(head[0][1]) == 2 \
+            and all(f.isdecimal() for f in head[0][1]) \
+            and int(head[0][1][1]) == len(head[1][1]) - 1:
+        head = head[1:]
+    for line_no, parts in itertools.chain(head, rows):
+        if len(parts) < 2:
+            raise DataError(f"line {line_no}: expected 'token v1 ... vD'")
+        token, values = parts[0], parts[1:]
+        if dimension is None:
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise DataError(
+                f"line {line_no}: {len(values)} values, expected {dimension}")
+        if vocab is not None and token not in vocab:
+            continue
+        try:
+            vec = np.asarray([float(v) for v in values])
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: non-numeric value") from exc
+        if not np.isfinite(vec).all():
+            raise DataError(f"line {line_no}: non-finite value")
+        vectors[token] = vec
     if dimension is None:
         raise DataError("empty word-vector file")
     return WordVectors(dimension, vectors)

@@ -8,9 +8,12 @@ Tree text format (one s-expression per line in tree files)::
     nuc      := "N" | "S"
     label    := [A-Za-z][A-Za-z0-9-]*
 
-Whitespace between tokens is insignificant. Inside quoted strings the
-escapes \\" and \\\\ are honored. The first label/nuc pair describes the
-left child, the second the right child; the root itself carries no label.
+Whitespace (any character for which ``str.isspace`` holds) between tokens
+is insignificant. Inside quoted strings the escapes \\" and \\\\ are honored.
+The first label/nuc pair describes the left child, the second the right
+child; the root itself carries no label. Every :class:`ParseError` carries
+the UTF-8 byte offset of the offending token, and a lexical error anywhere
+on a line is reported before any grammar error on it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, NoReturn, Union
 
 from .errors import DataError, ParseError
 
@@ -51,7 +54,8 @@ class Internal:
 
 RstTree = Union[Leaf, Internal]
 
-_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+_LABEL = r"[A-Za-z][A-Za-z0-9-]*"
+_LABEL_RE = re.compile(_LABEL)
 
 
 # --- traversal helpers (iterative: trees from real parsers can be deep) ------
@@ -69,10 +73,6 @@ def iter_nodes(tree: RstTree) -> Iterable[RstTree]:
 
 def count_leaves(tree: RstTree) -> int:
     return len(leaves(tree))
-
-
-def count_nodes(tree: RstTree) -> int:
-    return sum(1 for _ in iter_nodes(tree))
 
 
 def leaves(tree: RstTree) -> list[Leaf]:
@@ -97,134 +97,126 @@ def child_labels(tree: RstTree) -> list[NodeLabel]:
 # --- parsing ----------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # "(", ")", "/", "atom", "string"
-    value: str
-    pos: int  # character offset into the source
+# One match per node: a leaf ``(edu "...")`` whole, or the header
+# ``(rel A/N B/S`` of an internal node; a third pattern matches its ``)``.
+# Every match starts and ends on a token boundary, so the text before a
+# failed match holds whole, well-formed tokens.
+_PAIR = rf"({_LABEL})\s*/\s*([NS])(?![A-Za-z0-9-])"
+_STRING_BODY = r'([^"\\]*(?:\\["\\][^"\\]*)*)'  # up to a quote or a bad escape
+_NODE_RE = re.compile(rf'\s*\(\s*(?:edu\s*"(?!"){_STRING_BODY}"\s*\)'
+                      rf"|rel\s+{_PAIR}\s*{_PAIR})")
+_CLOSE_RE = re.compile(r"\s*\)")
+_UNESCAPE_RE = re.compile(r'\\(["\\])')
+# One token of the error path: punctuation, an atom, or a string whose
+# closing quote is missing when it stops at a bad escape or the end.
+_TOKEN_RE = re.compile(rf'\s*(?:([()/])|({_LABEL})|"{_STRING_BODY}("?))?')
+_NUCLEARITY = {"N": Nuclearity.N, "S": Nuclearity.S}
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokens(text: str, pos: int) -> list[tuple[str, str, int]]:
+    """(kind, value, character offset) of each token from ``pos`` on; kind is
+    ``(``, ``)``, ``/``, ``atom`` or ``string``. Raises the first lexical error."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()/":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            buf = []
-            while i < n:
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", _byte_offset(text, i))
-                    nxt = text[i + 1]
-                    if nxt not in ('"', "\\"):
-                        raise ParseError(f"unknown escape \\{nxt}",
-                                         _byte_offset(text, i))
-                    buf.append(nxt)
-                    i += 2
-                elif ch == '"':
-                    i += 1
-                    tokens.append(_Token("string", "".join(buf), start))
-                    break
-                else:
-                    buf.append(ch)
-                    i += 1
-            else:
-                raise ParseError("unterminated string", _byte_offset(text, start))
-            continue
-        m = _LABEL_RE.match(text, i)
-        if m:
-            tokens.append(_Token("atom", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    return tokens
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        pos = m.end()
+        punct, atom, string, closed = m.groups()
+        if punct is not None:
+            tokens.append((punct, punct, m.start(1)))
+        elif atom is not None:
+            tokens.append(("atom", atom, m.start(2)))
+        elif string is not None:
+            start = m.start(3) - 1
+            if not closed:  # it stops at the end of the text or at a backslash
+                if pos == len(text):
+                    raise ParseError("unterminated string", _byte_offset(text, start))
+                message = ("unterminated escape" if pos + 1 == len(text)
+                           else f"unknown escape \\{text[pos + 1]}")
+                raise ParseError(message, _byte_offset(text, pos))
+            tokens.append(("string", _UNESCAPE_RE.sub(r"\1", string), start))
+        elif pos == len(text):
+            return tokens
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             _byte_offset(text, pos))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _raise_at(text: str, pos: int, expected: str) -> NoReturn:
+    """Raise the error of the text from ``pos`` on, where ``expected`` (a node,
+    ``)`` or the end) failed to match. A lexical error anywhere there wins;
+    the text before ``pos`` has none."""
+    tokens = iter(_tokens(text, pos))
 
-    def _fail(self, message: str, tok: _Token | None = None):
-        pos = tok.pos if tok is not None else len(self.text)
-        raise ParseError(message, _byte_offset(self.text, pos))
+    def fail(message, tok=None):
+        raise ParseError(message, _byte_offset(text, len(text) if tok is None else tok[2]))
 
-    def _next(self, expected: str) -> _Token:
-        if self.i >= len(self.tokens):
-            self._fail(f"unbalanced parentheses: expected {expected}, got end of input")
-        tok = self.tokens[self.i]
-        self.i += 1
+    def take(what, kind=None):
+        tok = next(tokens, None)
+        if tok is None:
+            fail(f"unbalanced parentheses: expected {what}, got end of input")
+        if kind is not None and tok[0] != kind:
+            fail(f"expected {what}, got {tok[1]!r}", tok)
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._next(what)
-        if tok.kind != kind:
-            self._fail(f"expected {what}, got {tok.value!r}", tok)
-        return tok
-
-    def _label_pair(self) -> NodeLabel:
-        lab = self._expect("atom", "relation label")
-        self._expect("/", "'/'")
-        nuc = self._next("nuclearity")
-        if nuc.kind != "atom" or nuc.value not in ("N", "S"):
-            self._fail(f"bad nuclearity token {nuc.value!r}", nuc)
-        return NodeLabel(lab.value, Nuclearity(nuc.value))
-
-    def parse(self) -> RstTree:
-        root = self._tree()
-        if self.i < len(self.tokens):
-            self._fail("unbalanced parentheses: trailing content",
-                       self.tokens[self.i])
-        return root
-
-    def _tree(self) -> RstTree:
-        # Iterative: a stack of partially-built internal nodes.
-        frames: list[tuple[NodeLabel, NodeLabel, list[RstTree]]] = []
-        while True:
-            self._expect("(", "'('")
-            kw = self._expect("atom", "node keyword")
-            if kw.value == "edu":
-                s = self._expect("string", "quoted EDU text")
-                if s.value == "":
-                    self._fail("empty EDU string", s)
-                self._expect(")", "')'")
-                node: RstTree = Leaf(s.value)
-            elif kw.value == "rel":
-                left_label = self._label_pair()
-                right_label = self._label_pair()
-                frames.append((left_label, right_label, []))
-                continue
-            else:
-                self._fail(f"unknown node keyword {kw.value!r}", kw)
-            while frames:
-                frames[-1][2].append(node)
-                if len(frames[-1][2]) < 2:
-                    break
-                ll, rl, children = frames.pop()
-                self._expect(")", "')'")
-                node = Internal(children[0], children[1], ll, rl)
-            else:
-                return node
+    if expected == "end":
+        fail("unbalanced parentheses: trailing content", next(tokens))
+    elif expected == ")":
+        take("')'", ")")
+    else:
+        take("'('", "(")
+        keyword = take("node keyword", "atom")
+        if keyword[1] == "edu":
+            string = take("quoted EDU text", "string")
+            if string[1] == "":
+                fail("empty EDU string", string)
+            take("')'", ")")
+        elif keyword[1] == "rel":
+            for _ in range(2):
+                take("relation label", "atom")
+                take("'/'", "/")
+                nuc = take("nuclearity")
+                if nuc[0] != "atom" or nuc[1] not in _NUCLEARITY:
+                    fail(f"bad nuclearity token {nuc[1]!r}", nuc)
+        else:
+            fail(f"unknown node keyword {keyword[1]!r}", keyword)
+    raise AssertionError(f"well-formed node at offset {pos} did not match")
 
 
 def parse_tree(text: str) -> RstTree:
     """Parse one serialized tree; raises :class:`ParseError` with byte offset."""
-    return _Parser(text).parse()
+    # Each frame is an open internal node: its two labels and its children.
+    frames: list[tuple[NodeLabel, NodeLabel, list[RstTree]]] = []
+    pos = 0
+    while True:
+        m = _NODE_RE.match(text, pos)
+        if m is None:
+            _raise_at(text, pos, "node")
+        pos = m.end()
+        leaf, rel1, nuc1, rel2, nuc2 = m.groups()
+        if leaf is None:
+            frames.append((NodeLabel(rel1, _NUCLEARITY[nuc1]),
+                           NodeLabel(rel2, _NUCLEARITY[nuc2]), []))
+            continue
+        node: RstTree = Leaf(_UNESCAPE_RE.sub(r"\1", leaf) if "\\" in leaf else leaf)
+        while frames:
+            children = frames[-1][2]
+            children.append(node)
+            if len(children) < 2:
+                break
+            m = _CLOSE_RE.match(text, pos)
+            if m is None:
+                _raise_at(text, pos, ")")
+            pos = m.end()
+            left_label, right_label, _ = frames.pop()
+            node = Internal(children[0], children[1], left_label, right_label)
+        else:
+            if text[pos:].strip():
+                _raise_at(text, pos, "end")
+            return node
 
 
 def _escape(text: str) -> str:
@@ -234,22 +226,18 @@ def _escape(text: str) -> str:
 def serialize_tree(tree: RstTree) -> str:
     """Canonical single-space serialization; inverse of :func:`parse_tree`."""
     out: list[str] = []
-    stack: list[tuple[str, object]] = [("node", tree)]
+    stack: list[RstTree | str] = [tree]  # nodes still to write, and the text between
     while stack:
-        kind, item = stack.pop()
-        if kind == "text":
-            out.append(item)  # type: ignore[arg-type]
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
         elif isinstance(item, Leaf):
             out.append(f'(edu "{_escape(item.text)}")')
         else:
-            node: Internal = item  # type: ignore[assignment]
-            ll, rl = node.left_label, node.right_label
+            ll, rl = item.left_label, item.right_label
             out.append(f"(rel {ll.relation}/{ll.nuclearity.value} "
                        f"{rl.relation}/{rl.nuclearity.value} ")
-            stack.append(("text", ")"))
-            stack.append(("node", node.right))
-            stack.append(("text", " "))
-            stack.append(("node", node.left))
+            stack += (")", item.right, " ", item.left)
     return "".join(out)
 
 

@@ -19,6 +19,10 @@ def make_label(rel: str, nuc: str) -> rst_data.NodeLabel:
     return rst_data.NodeLabel(rel, rst_data.Nuclearity(nuc))
 
 
+def count_nodes(tree: rst_data.RstTree) -> int:
+    return sum(1 for _ in rst_data.iter_nodes(tree))
+
+
 def two_edu_tree(left_text="A claim.", right_text="Its proof.") -> rst_data.Internal:
     return rst_data.Internal(
         rst_data.Leaf(left_text), rst_data.Leaf(right_text),

@@ -7,19 +7,23 @@ paths. The exceptions are the composed references: primitive ops recorded
 on numcore's tape through its ``_record``/``_accumulate`` hooks, and the
 gated cell, softmax head and loss built from them, so that the fused
 entries' forward values and hand-written gradients can be checked against
-the tape's.
+the tape's. ``reference_parse_tree`` is the token-by-token tree parser that
+``rst_data.parse_tree`` replaced, kept as the reference for its trees, error
+messages and byte offsets.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.edu_encoder import encode_edus
-from rstcoh.errors import DataError
-from rstcoh.rst_data import Leaf
+from rstcoh.errors import DataError, ParseError
+from rstcoh.rst_data import Internal, Leaf, NodeLabel, Nuclearity
 
 
 def sig(x: float) -> float:
@@ -356,6 +360,144 @@ def composed_tree_walk(trees, leaf_h, leaf_c, label_row, table, p):
         (h_l, c_l), (h_r, c_r) = results
         out.append((nc.concat((h_l, h_r)), nc.concat((c_l, c_r))))
     return out
+
+
+# --- tree parsing -------------------------------------------------------------
+
+_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+
+
+class _Token(NamedTuple):
+    kind: str  # "(", ")", "/", "atom", "string"
+    value: str
+    pos: int  # character offset into the source
+
+
+def _byte_offset(text, pos):
+    return len(text[:pos].encode("utf-8"))
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "()/":
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            buf = []
+            while i < n:
+                ch = text[i]
+                if ch == "\\":
+                    if i + 1 >= n:
+                        raise ParseError("unterminated escape", _byte_offset(text, i))
+                    nxt = text[i + 1]
+                    if nxt not in ('"', "\\"):
+                        raise ParseError(f"unknown escape \\{nxt}",
+                                         _byte_offset(text, i))
+                    buf.append(nxt)
+                    i += 2
+                elif ch == '"':
+                    i += 1
+                    tokens.append(_Token("string", "".join(buf), start))
+                    break
+                else:
+                    buf.append(ch)
+                    i += 1
+            else:
+                raise ParseError("unterminated string", _byte_offset(text, start))
+            continue
+        m = _LABEL_RE.match(text, i)
+        if m:
+            tokens.append(_Token("atom", m.group(), i))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def _fail(self, message, tok=None):
+        pos = tok.pos if tok is not None else len(self.text)
+        raise ParseError(message, _byte_offset(self.text, pos))
+
+    def _next(self, expected):
+        if self.i >= len(self.tokens):
+            self._fail(f"unbalanced parentheses: expected {expected}, got end of input")
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def _expect(self, kind, what):
+        tok = self._next(what)
+        if tok.kind != kind:
+            self._fail(f"expected {what}, got {tok.value!r}", tok)
+        return tok
+
+    def _label_pair(self):
+        lab = self._expect("atom", "relation label")
+        self._expect("/", "'/'")
+        nuc = self._next("nuclearity")
+        if nuc.kind != "atom" or nuc.value not in ("N", "S"):
+            self._fail(f"bad nuclearity token {nuc.value!r}", nuc)
+        return NodeLabel(lab.value, Nuclearity(nuc.value))
+
+    def parse(self):
+        root = self._tree()
+        if self.i < len(self.tokens):
+            self._fail("unbalanced parentheses: trailing content",
+                       self.tokens[self.i])
+        return root
+
+    def _tree(self):
+        # Iterative: a stack of partially-built internal nodes.
+        frames = []
+        while True:
+            self._expect("(", "'('")
+            kw = self._expect("atom", "node keyword")
+            if kw.value == "edu":
+                s = self._expect("string", "quoted EDU text")
+                if s.value == "":
+                    self._fail("empty EDU string", s)
+                self._expect(")", "')'")
+                node = Leaf(s.value)
+            elif kw.value == "rel":
+                left_label = self._label_pair()
+                right_label = self._label_pair()
+                frames.append((left_label, right_label, []))
+                continue
+            else:
+                self._fail(f"unknown node keyword {kw.value!r}", kw)
+            while frames:
+                frames[-1][2].append(node)
+                if len(frames[-1][2]) < 2:
+                    break
+                ll, rl, children = frames.pop()
+                self._expect(")", "')'")
+                node = Internal(children[0], children[1], ll, rl)
+            else:
+                return node
+
+
+def reference_parse_tree(text):
+    """The token-by-token parser that ``rst_data.parse_tree`` replaces: the
+    whole line is tokenized first (so a lexical error anywhere wins), then a
+    recursive-descent pass over the tokens builds the tree. The reference
+    for its trees, error messages and byte offsets."""
+    return _Parser(text).parse()
 
 
 # --- finite differences -------------------------------------------------------

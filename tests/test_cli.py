@@ -302,6 +302,81 @@ def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text
     assert set(json.loads(err[0])) == {"error", "message"}
 
 
+def _byte_ff_in(key, command="train"):
+    """Set-up: put a 0xff byte, never valid in UTF-8, at the start of the
+    second line of the file ``paths.<key>``."""
+    def set_up(config, cfg_path, tmp_path):
+        path = Path(config["paths"][key])
+        data = path.read_bytes()
+        cut = data.index(b"\n") + 1
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        if command == "validate-trees":
+            return ["validate-trees", "--trees", str(path)], str(path)
+        return ["train", "--config", str(cfg_path)], str(path)
+    return set_up
+
+
+def _byte_ff_in_config(config, cfg_path, tmp_path):
+    cfg_path.write_bytes(b'{"model": "rst",\n"\xff": 1}')
+    return ["train", "--config", str(cfg_path)], str(cfg_path)
+
+
+def _directory_as(flag):
+    """Set-up: name a directory where a file belongs, as ``flag`` or as the
+    config key ``paths.<flag>``."""
+    def set_up(config, cfg_path, tmp_path):
+        directory = str(tmp_path)
+        argv = {"--config": ["train", "--config", directory],
+                "--checkpoint": ["evaluate", "--config", str(cfg_path),
+                                 "--checkpoint", directory],
+                "--trees": ["validate-trees", "--trees", directory]}.get(flag)
+        if argv is None:
+            config["paths"][flag] = directory
+            cfg_path.write_text(json.dumps(config))
+            argv = ["train", "--config", str(cfg_path)]
+        return argv, directory
+    return set_up
+
+
+# (probe, set-up returning the argv and the path the error must name, exit)
+UNREADABLE_INPUTS = (
+    ("0xff byte in the trees file under validate-trees",
+     _byte_ff_in("trees", "validate-trees"), EXIT_DATA),
+    ("0xff byte in the trees file under train", _byte_ff_in("trees"), EXIT_DATA),
+    ("0xff byte in the documents file", _byte_ff_in("documents"), EXIT_DATA),
+    ("0xff byte in the word-vector file", _byte_ff_in("word_vectors"), EXIT_DATA),
+    ("0xff byte in the config file", _byte_ff_in_config, EXIT_CONFIG),
+    ("directory as --config", _directory_as("--config"), EXIT_CONFIG),
+    ("directory as paths.documents", _directory_as("documents"), EXIT_CONFIG),
+    ("directory as paths.trees", _directory_as("trees"), EXIT_CONFIG),
+    ("directory as paths.word_vectors", _directory_as("word_vectors"), EXIT_CONFIG),
+    ("directory as --checkpoint", _directory_as("--checkpoint"), EXIT_CONFIG),
+    ("directory as --trees", _directory_as("--trees"), EXIT_CONFIG),
+)
+
+
+@pytest.mark.parametrize("set_up,code", [probe[1:] for probe in UNREADABLE_INPUTS],
+                         ids=[probe[0] for probe in UNREADABLE_INPUTS])
+def test_unreadable_input_ends_in_one_json_line_naming_it(tmp_path, capsys, set_up,
+                                                          code):
+    cfg_path, config = write_config(tmp_path, features="t,ns,r,e", n_runs=1)
+    assert cli.main(["synth", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "data")]) == EXIT_OK
+    data = tmp_path / "data"
+    config.update(generator=None, paths={
+        "documents": str(data / "documents.jsonl"), "trees": str(data / "trees.txt"),
+        "word_vectors": str(data / "vectors.txt")})
+    cfg_path.write_text(json.dumps(config))
+    argv, named = set_up(config, cfg_path, tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    parsed = json.loads(err[0])
+    assert set(parsed) == {"error", "message"}
+    assert named in parsed["message"]
+
+
 class TestAblate:
     def test_integer_majority_policy_ends_in_one_json_line(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, majority_policy=5)

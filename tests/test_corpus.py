@@ -11,9 +11,10 @@ from rstcoh import corpus, rst_data
 from rstcoh.corpus import (GeneratorConfig, class_label_distribution, join_paragraphs,
                            load_corpus, load_word_vectors, segment,
                            synthesize_corpus, synthesize_word_vectors, tokenize)
-from rstcoh.errors import ConfigError, DataError, IngestError
+from rstcoh.errors import ConfigError, DataError, IngestError, ParseError
 
 import oracles
+from test_rst_data import ERROR_CASES
 
 
 class TestSegment:
@@ -87,6 +88,19 @@ class TestLoadCorpus:
         assert "DegenerateTree" in reasons["d1"]
         assert "parse error" in reasons["d2"]
         assert "no tokens" in reasons["d4"]
+
+    def test_parse_error_reasons_are_the_reference_messages(self, tmp_path):
+        # exclusion reasons are part of summary.json's bytes
+        docs = [{"id": f"d{k}", "label": 1, "text": "Alpha beta."}
+                for k in range(len(ERROR_CASES))]
+        trees = [(f"d{k}", case[1]) for k, case in enumerate(ERROR_CASES)]
+        split = load_corpus(*write_corpus(tmp_path, docs, trees))
+        expected = []
+        for doc_id, text in trees:
+            with pytest.raises(ParseError) as exc:
+                oracles.reference_parse_tree(text)
+            expected.append((doc_id, f"tree parse error: {exc.value}"))
+        assert [(e.doc_id, e.reason) for e in split.exclusion_log] == expected
 
     def test_paper_scale_accounting_199_of_200(self, tmp_path):
         # 200 test records, 199 parsed trees -> 99.5% retention

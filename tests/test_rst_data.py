@@ -10,6 +10,7 @@ from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, parse_tree, serialize_tree,
                              validate_tree)
 
+import oracles
 from conftest import make_label, two_edu_tree
 
 
@@ -134,6 +135,134 @@ class TestProperties:
         base = build_relation_vocab(trees)
         shuffled = build_relation_vocab([trees[i] for i in order])
         assert shuffled == base
+
+
+def _outcome(parse, text):
+    """The tree ``parse`` builds from ``text``, or its error's message and
+    byte offset."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+
+
+def _random_tree(rng, depth=0):
+    texts = ("plain", 'with "quotes"', "back\\slash", "café au lait",
+             "mixed \\\" both", "tab\tchar", "\u00a0nbsp\u2003em")
+    if depth >= 4 or (depth > 0 and rng.random() < 0.4):
+        return Leaf(texts[int(rng.integers(0, len(texts)))])
+    labels = ("Cause", "Same-Unit", "Elaboration", "N", "S2", "edu", "rel")
+
+    def lab():
+        return make_label(labels[int(rng.integers(0, len(labels)))],
+                          "N" if rng.random() < 0.5 else "S")
+    return Internal(_random_tree(rng, depth + 1), _random_tree(rng, depth + 1),
+                    lab(), lab())
+
+
+WHITESPACE_VARIANTS = {
+    "spaces inside and none between": '( rel A / N B / S(edu"a")(edu "b") )',
+    "tabs": '\t(rel\tA/N\tB/S\t(edu\t"a")\t(edu "b"))\t',
+    "carriage returns": '(rel\rA/N\r\nB/S\r(edu "a")\r(edu "b")\r)\r',
+    "\\x1c": '\x1c(rel\x1cA\x1c/\x1cN\x1cB/S(edu\x1c"a")(edu "b"))\x1c',
+    "U+00A0": '(rel\u00a0A/N\u00a0B/S (edu "a")\u00a0(edu\u00a0"b")\u00a0)\u00a0',
+    "U+2003": '\u2003(rel\u2003A/N\u2003B/S\u2003(edu "a") (edu "b"))',
+}
+
+# (case, text, the message the case stands for): one case for each of the ten
+# messages, then the cases where the order of the checks shows
+ERROR_CASES = (
+    ("unterminated escape", '(edu "abc\\', "unterminated escape"),
+    ("unknown escape", '(edu "a\\x")', "unknown escape \\x"),
+    ("unterminated string", '(rel A/N B/S (edu "a") (edu "b))', "unterminated string"),
+    ("unexpected character", '(rel A/N B/S (edu "a") 9 (edu "b"))',
+     "unexpected character '9'"),
+    ("end of input", '(rel A/N B/S (edu "a") (edu "b")',
+     "expected ')', got end of input"),
+    ("wrong token", '(rel A/N B/S (edu "a") (edu "b") (edu "c"))',
+     "expected ')', got '('"),
+    ("bad nuclearity", '(rel Foo/X Bar/S (edu "a") (edu "b"))',
+     "bad nuclearity token 'X'"),
+    ("trailing content", TWO_EDU + ' (edu "extra")', "trailing content"),
+    ("empty EDU string", '(rel A/N B/S (edu "a") (edu ""))', "empty EDU string"),
+    ("unknown node keyword", '(node "x")', "unknown node keyword 'node'"),
+    ("lexical error after a grammar error", '(rel Foo/X Bar/S (edu "a") (edu "b") %)',
+     "unexpected character '%'"),
+    ("unknown escape after a grammar error", '(rel A/N B/S (edu "a") ) (edu "\\q")',
+     "unknown escape \\q"),
+    ("multi-byte characters before the bad token",
+     '(rel A/N B/S (edu "café ☃ 𝄞") (foo "b"))', "unknown node keyword 'foo'"),
+    ("multi-byte bad character", '(rel A/N B/S (edu "a") é)', "unexpected character 'é'"),
+    ("nuclearity run into the next label", '(rel A/NB/S (edu "a") (edu "b"))',
+     "bad nuclearity token 'NB'"),
+    ("keyword run into the label", '(relA/N B/S (edu "a") (edu "b"))',
+     "unknown node keyword 'relA'"),
+    ("stray ) for a node", '(rel A/N B/S (edu "a") ) (edu "b"))', "expected '(', got ')'"),
+    ("stray ) first", ')', "expected '(', got ')'"),
+    ("stray ) after the root", '(edu "a"))', "trailing content"),
+    ("trailing atom", TWO_EDU + " x", "trailing content"),
+    ("string for a keyword", '("edu" "a")', "expected node keyword, got 'edu'"),
+    ("string for a label", '(rel "A"/N B/S (edu "a") (edu "b"))',
+     "expected relation label, got 'A'"),
+    ("missing slash", '(rel A N B/S (edu "a") (edu "b"))', "expected '/', got 'N'"),
+    ("end in a header", '(rel A/N B/', "expected nuclearity, got end of input"),
+    ("empty line", " \t", "expected '(', got end of input"),
+)
+
+
+class TestAgainstReference:
+    """``parse_tree`` against ``oracles.reference_parse_tree``, the
+    token-by-token parser it replaced: equal trees, and the same error
+    message and byte offset."""
+
+    def test_random_round_trip_trees(self):
+        rng = np.random.default_rng(88)
+        for k in range(1000):
+            text = serialize_tree(_random_tree(rng))
+            assert parse_tree(text) == oracles.reference_parse_tree(text), f"tree {k}"
+
+    @pytest.mark.parametrize("text", WHITESPACE_VARIANTS.values(),
+                             ids=WHITESPACE_VARIANTS.keys())
+    def test_whitespace_variants(self, text):
+        tree = parse_tree(text)
+        assert tree == oracles.reference_parse_tree(text)
+        assert tree == Internal(Leaf("a"), Leaf("b"), make_label("A", "N"),
+                                make_label("B", "S"))
+
+    @pytest.mark.parametrize("text,message", [case[1:] for case in ERROR_CASES],
+                             ids=[case[0] for case in ERROR_CASES])
+    def test_error_message_and_offset(self, text, message):
+        ours = _outcome(parse_tree, text)
+        assert ours == _outcome(oracles.reference_parse_tree, text)
+        assert ours[0] == "ParseError" and message in ours[1]
+
+    def test_offset_counts_the_bytes_of_multi_byte_characters(self):
+        text = '(rel A/N B/S (edu "café ☃ 𝄞") (foo "b"))'
+        assert _outcome(parse_tree, text)[2] == text.encode("utf-8").index(b"foo")
+
+
+# characters the fuzz inserts, deletes and replaces: the grammar's
+# punctuation, whitespace of several kinds, nuclearity letters, a multi-byte
+# letter and the keyword letters
+MUTATION_CHARS = tuple('()/"\\') + (" ", "\t", "\r", "\x1c", "\u00a0", "\u2003",
+                                      "N", "S", "é", "e", "d", "u", "r", "l", "A", "x")
+EDIT_ST = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                    st.integers(min_value=0), st.sampled_from(MUTATION_CHARS))
+
+
+class TestFuzzAgainstReference:
+    @given(TREE_ST, st.lists(EDIT_ST, min_size=1, max_size=4))
+    def test_mutated_trees_parse_as_the_reference_does(self, tree, edits):
+        text = serialize_tree(tree)
+        for op, at, char in edits:
+            i = at % (len(text) + 1)
+            if op == "insert":
+                text = text[:i] + char + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + char + text[i + 1:]
+        assert _outcome(parse_tree, text) == _outcome(oracles.reference_parse_tree, text)
 
 
 class TestValidate:

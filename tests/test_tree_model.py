@@ -9,13 +9,13 @@ from rstcoh import numcore as nc, rst_data, tree_model
 from rstcoh.corpus import Document, GeneratorConfig, WordVectors, synthesize_corpus
 from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
-                             build_relation_vocab, count_leaves, count_nodes)
+                             build_relation_vocab, count_leaves)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 from rstcoh.tree_model import (AblationConfig, count_parameters, encode_trees,
                                tree_schedule)
 
 import oracles
-from conftest import make_label, three_edu_tree, two_edu_tree
+from conftest import count_nodes, make_label, three_edu_tree, two_edu_tree
 
 FULL = AblationConfig(ns=True, r=True, e=True)
 TNSR = AblationConfig(ns=True, r=True)
