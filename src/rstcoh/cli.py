@@ -176,10 +176,6 @@ def resolve_corpus(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors
     return synthesize(config)
 
 
-def _needs_word_vectors(cfg: trainer.TrainConfig) -> bool:
-    return cfg.model in ("parseq", "ensemble") or cfg.features.e
-
-
 def _write_json(path: Path, obj: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -212,7 +208,7 @@ def _checkpoint_meta(cfg: trainer.TrainConfig, model: trainer.Model,
 def cmd_train(config: dict) -> int:
     cfg = make_train_config(config)
     split, wv = resolve_corpus(config)
-    if _needs_word_vectors(cfg) and wv is None:
+    if cfg.needs_word_vectors and wv is None:
         raise ConfigError(f"model {cfg.model!r} with features "
                           f"{cfg.features.features()!r} needs word vectors")
     result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"],
@@ -265,7 +261,7 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     _require_file(checkpoint, "checkpoint")
     model, _ = load_model_from_checkpoint(checkpoint)
     split, wv = resolve_corpus(config)
-    if model.needs_word_vectors and wv is None:
+    if model.cfg.needs_word_vectors and wv is None:
         raise ConfigError(f"checkpoint {checkpoint}: its model needs word vectors, "
                           "and paths.word_vectors is not set")
     rep = trainer.evaluate_model(model, split.test, wv)
@@ -301,7 +297,7 @@ def cmd_ablate(config: dict) -> int:
         row_config = dict(config, model=kind,
                           features="t" if kind == "parseq" else features)
         cfg = make_train_config(row_config)
-        if _needs_word_vectors(cfg) and wv is None:
+        if cfg.needs_word_vectors and wv is None:
             raise ConfigError(f"ablation row {kind} needs word vectors")
         result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"],
                                         workers=config["workers"])

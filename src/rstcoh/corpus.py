@@ -1,5 +1,11 @@
 """Dataset ingestion, text segmentation, and a planted-signal corpus generator.
 
+This module owns the rule that turns text into tokens (:func:`tokenize`):
+:func:`segment` applies it to a document's sentences and
+:attr:`Document.edus` to its tree's leaves, once per document. Ingest
+drops a document with an EDU that has no tokens, so every model reads
+non-empty token lists.
+
 File formats:
 
 * documents: JSON Lines, one object per document with fields
@@ -13,9 +19,11 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -36,6 +44,17 @@ class Document:
     text: str
     paragraphs: Paragraphs
     tree: rst_data.RstTree
+
+    @functools.cached_property
+    def edus(self) -> list[list[str]]:
+        """The tokens of the tree's leaves, left to right, interned.
+
+        Computed on first use, so a document that no model reads (most of
+        a synthesized pool) never holds them; ``tree`` must not be
+        replaced after that.
+        """
+        return [[sys.intern(tok) for tok in tokenize(text)]
+                for text in rst_data.leaf_texts(self.tree)]
 
 
 @dataclass
@@ -146,9 +165,11 @@ def _parse_document_record(obj: dict, line_no: int) -> tuple[str, int, str, Para
 
 def _numbered_lines(path) -> Iterator[tuple[int, str]]:
     """(1-based number, line) of each line of a UTF-8 text file; bytes that
-    are not UTF-8 raise :class:`DataError` naming the file."""
+    are not UTF-8 raise :class:`DataError` naming the file. Only ``\n``
+    ends a line: a lone ``\r`` is part of it (a CRLF line keeps its
+    ``\r``, which every reader takes as trailing whitespace)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -229,10 +250,10 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
             codes = ",".join(sorted({v.code for v in violations}))
             excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
             continue
-        if any(not tokenize(t) for t in rst_data.leaf_texts(tree)):
+        doc = Document(doc_id, label, text, paragraphs, tree)
+        if not all(doc.edus):
             excluded.append(Exclusion(doc_id, "EDU with no tokens"))
             continue
-        doc = Document(doc_id, label, text, paragraphs, tree)
         (train if split == "train" else test).append(doc)
     return CorpusSplit(train, test, excluded)
 
@@ -278,12 +299,12 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
 def corpus_token_vocab(split: CorpusSplit) -> set[str]:
     """All tokens appearing in documents or tree leaves of a split."""
     vocab: set[str] = set()
-    for doc in list(split.train) + list(split.test):
+    for doc in itertools.chain(split.train, split.test):
         for para in doc.paragraphs:
             for sent in para:
                 vocab.update(sent)
-        for text in rst_data.leaf_texts(doc.tree):
-            vocab.update(tokenize(text))
+        for tokens in doc.edus:
+            vocab.update(tokens)
     return vocab
 
 
@@ -367,6 +388,11 @@ class GeneratorConfig:
         if not isinstance(self.token_pool, (list, tuple)) or not self.token_pool \
                 or not all(isinstance(tok, str) for tok in self.token_pool):
             raise ConfigError("token_pool must be a non-empty list of strings")
+        # tokenize(tok) == [tok] exactly when the token pattern matches all of tok
+        bad = [tok for tok in self.token_pool if not _TOKEN_RE.fullmatch(tok)]
+        if bad:
+            raise ConfigError("token_pool entries must each be one token "
+                              f"(ASCII lowercase letters and digits), got {bad}")
         if self.edu_range[0] < 2 or self.edu_range[1] < self.edu_range[0]:
             raise ConfigError(f"bad edu_range {self.edu_range}")
         if self.tokens_per_edu[0] < 1 or self.tokens_per_edu[1] < self.tokens_per_edu[0]:

@@ -71,19 +71,6 @@ class EvaluationReport:
             "confusion": self.confusion,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvaluationReport":
-        return cls(
-            accuracy=d["accuracy"],
-            precision={c: d["precision"][str(c)] for c in CLASSES},
-            recall={c: d["recall"][str(c)] for c in CLASSES},
-            f1={c: d["f1"][str(c)] for c in CLASSES},
-            macro_f1=d["macro_f1"],
-            weighted_f1=d["weighted_f1"],
-            support={c: d["support"][str(c)] for c in CLASSES},
-            confusion=[list(row) for row in d["confusion"]],
-        )
-
 
 CSV_HEADER = ("accuracy,precision_1,precision_2,precision_3,"
               "recall_1,recall_2,recall_3,f1_1,f1_2,f1_3,"

@@ -68,6 +68,11 @@ class TrainConfig:
         if self.model == "ensemble" and self.features.e:
             raise ConfigError("the ensemble never uses EDU embeddings")
 
+    @property
+    def needs_word_vectors(self) -> bool:
+        """ParSeq reads word vectors, and so does the tree encoder with E on."""
+        return self.model != "rst" or self.features.e
+
 
 @dataclass
 class RunRecord:
@@ -95,9 +100,11 @@ class Model:
 
     rst has only ``tree``, parseq only ``seq``, the ensemble both; the head
     reads the concatenation [h_l; h_r; d_parseq] of whichever is set.
+    ``cfg`` is the config that built it: its kind, features and sizes (a
+    model loaded from a checkpoint has default training fields).
     """
 
-    abl: AblationConfig
+    cfg: TrainConfig
     vocab: RelationVocabulary | None
     bundle: nc.ParameterBundle
     tree: tree_model.TreeModelParams | None
@@ -110,18 +117,13 @@ class Model:
         each encoder runs once over the whole batch, then one head."""
         parts: list[nc.Tensor] = []
         if self.tree is not None:
-            h, _ = tree_model.encode_trees([doc.tree for doc in docs], self.tree, wv,
-                                           self.abl, self.vocab)
+            h, _ = tree_model.encode_trees(docs, self.tree, wv, self.cfg.features,
+                                           self.vocab)
             parts.append(h)
         if self.seq is not None:
             parts.append(parseq.encode_parseq(docs, wv, self.seq))
         x = parts[0] if len(parts) == 1 else nc.concat(parts)
         return nc.softmax_head(self.head_w, self.head_b, x)
-
-    @property
-    def needs_word_vectors(self) -> bool:
-        """ParSeq reads word vectors, and so does the tree encoder with E on."""
-        return self.seq is not None or self.abl.e
 
 
 def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
@@ -150,7 +152,7 @@ def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
     head_b = bundle.add(f"{prefix}.b", np.zeros(len(metrics.CLASSES)))
     if tree is not None and cfg.features.e:
         tree.edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden)
-    return Model(cfg.features, vocab, bundle, tree, seq, head_w, head_b)
+    return Model(cfg, vocab, bundle, tree, seq, head_w, head_b)
 
 
 def cross_entropy(dist: nc.Tensor, labels: Sequence[int]) -> nc.Tensor:

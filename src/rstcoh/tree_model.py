@@ -20,14 +20,15 @@ NS keys label embeddings by nuclearity alone, R by the combined
 relation_nuclearity label, E turns the leaf EDU encoder on; with
 everything off the output is a function of tree shape only.
 
-A batch of trees takes at most two recording calls, whatever its size.
+A batch of documents takes at most two recording calls, whatever its size.
 :func:`encode_trees` walks each tree once into a level schedule (a level is
 the set of internal nodes of equal height), runs all the batch's EDUs
 through one packed LSTM pass when E is on, and hands the schedule to
 ``numcore.run_tree``, which applies the cell once per level (dynamic
 batching, Looks et al. 2017; a tree as a flat schedule, as in SPINN,
 Bowman et al. 2016). This module owns the mapping from trees to index
-arrays; numcore sees only the arrays.
+arrays; numcore sees only the arrays. The EDUs' tokens come from
+``Document.edus``: this module never tokenizes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import numcore as nc
-from .corpus import WordVectors, tokenize
-from .edu_encoder import encode_edus
+from .corpus import Document, WordVectors
 from .errors import ConfigError, DataError
 from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
                        RstTree)
@@ -121,7 +121,7 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
 class TreeSchedule(NamedTuple):
     """A batch of trees as the index arrays :func:`numcore.run_tree` reads.
 
-    Rows 0..len(leaves)-1 of the state table are the leaves, left to right
+    Rows 0..leaves-1 of the state table are the leaves, left to right
     and tree after tree; the internal nodes below the roots follow, level
     by level (a node's level is its height; leaves have height 0), with
     ``level_sizes[k]`` nodes of height k+1. Row i of ``children`` holds the
@@ -132,7 +132,7 @@ class TreeSchedule(NamedTuple):
     representation.
     """
 
-    leaves: list[Leaf]
+    leaves: int
     children: np.ndarray  # (N, 2)
     labels: np.ndarray  # (N, 2)
     level_sizes: list[int]
@@ -145,7 +145,7 @@ def tree_schedule(trees: Sequence[RstTree],
 
     ``label_row`` maps a child's label to its row in the label table.
     """
-    leaf_nodes: list[Leaf] = []
+    n_leaves = 0
     level_sizes: list[int] = []
     # (height, left height, left position, right height, right position,
     # left label row, right label row) of each internal node, in walk
@@ -160,8 +160,8 @@ def tree_schedule(trees: Sequence[RstTree],
         while stack:
             node, expanded = stack.pop()
             if isinstance(node, Leaf):
-                done.append((0, len(leaf_nodes)))
-                leaf_nodes.append(node)
+                done.append((0, n_leaves))
+                n_leaves += 1
             elif not expanded:
                 stack.append((node, True))
                 stack.append((node.right, False))
@@ -177,11 +177,11 @@ def tree_schedule(trees: Sequence[RstTree],
                 done.append((height, level_sizes[height - 1]))
                 level_sizes[height - 1] += 1
         root_keys.append(done)
-    base = np.cumsum([0, len(leaf_nodes)] + level_sizes)  # first row of each height
+    base = np.cumsum([0, n_leaves] + level_sizes)  # first row of each height
     a = np.array(nodes, dtype=np.intp).reshape(-1, 7)
     a = a[np.argsort(a[:, 0], kind="stable")]  # by level, by position within one
     keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
-    return TreeSchedule(leaf_nodes, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
+    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
                         level_sizes, base[keys[..., 0]] + keys[..., 1])
 
 
@@ -199,30 +199,27 @@ def _label_row(abl: AblationConfig, vocab: RelationVocabulary | None
     return lambda label: 0
 
 
-def encode_trees(trees: Sequence[RstTree], params: TreeModelParams,
+def encode_trees(docs: Sequence[Document], params: TreeModelParams,
                  wv: WordVectors | None, abl: AblationConfig,
                  vocab: RelationVocabulary | None) -> tuple[nc.Tensor, nc.Tensor]:
-    """h and c of each tree's two root children, (B, 2H) each: row b is
-    [left; right] of tree b, and its h is the document representation.
+    """h and c of each document tree's two root children, (B, 2H) each: row
+    b is [left; right] of document b, and its h is the document
+    representation.
 
-    Leaves are zero states, or with E on the states of one packed LSTM pass
-    over all the trees' EDUs; one :func:`numcore.run_tree` call runs every
-    internal node below the roots.
+    Leaves are zero states, or with E on the final states of one packed LSTM
+    pass over every document's ``edus``, from the zero state; one
+    :func:`numcore.run_tree` call runs every internal node below the roots.
     """
-    sched = tree_schedule(trees, _label_row(abl, vocab))
+    sched = tree_schedule([doc.tree for doc in docs], _label_row(abl, vocab))
     if abl.e:
         assert params.edu is not None
         if wv is None:
             raise ConfigError("EDU embeddings need word vectors")
-        edus = []
-        for leaf in sched.leaves:
-            tokens = tokenize(leaf.text)
-            if not tokens:
-                raise DataError(f"EDU {leaf.text!r} has no tokens")
-            edus.append(tokens)
-        leaf_h, leaf_c = encode_edus(edus, wv, params.edu)
+        edus = [tokens for doc in docs for tokens in doc.edus]
+        x = nc.constant(wv.stack([tok for tokens in edus for tok in tokens]))
+        leaf_h, leaf_c = nc.run_lstms(x, [len(tokens) for tokens in edus], params.edu)
     else:
-        leaf_h = leaf_c = nc.zeros(len(sched.leaves), params.hidden_size)
+        leaf_h = leaf_c = nc.zeros(sched.leaves, params.hidden_size)
     table = params.relation_table if abl.r else params.nuclearity_table
     return nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels, sched.level_sizes,
                        sched.roots, table, params.cell)

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from rstcoh import numcore as nc
-from rstcoh.edu_encoder import encode_edus
 from rstcoh.errors import DataError, ParseError
 from rstcoh.rst_data import Internal, Leaf, NodeLabel, Nuclearity
 
@@ -322,8 +321,9 @@ def run_lstm(inputs, p):
 
 
 def encode_edu(tokens, wv, p):
-    """``encode_edus`` for one EDU: its final (h, c)."""
-    h, c = encode_edus([tokens], wv, p)
+    """The EDU LSTM over one EDU's word vectors, as ``tree_model.encode_trees``
+    runs it: its final (h, c)."""
+    h, c = nc.run_lstms(nc.constant(wv.stack(tokens)), [len(tokens)], p)
     return row(h, 0), row(c, 0)
 
 

@@ -175,7 +175,8 @@ def test_criterion_3_scalar_oracle_equivalence():
             hi, ci, h3, c3, rel(tree.left_label), rel(tree.right_label), w_tree)
         root = Internal(tree, Leaf("cx."), tree.left_label, tree.right_label)
         got_h, got_c = tree_model.encode_trees(
-            [root], params, wv1, AblationConfig(ns=True, r=True, e=True), vocab)
+            [corpus.Document("d", 1, "", [[["ax"]]], root)], params, wv1,
+            AblationConfig(ns=True, r=True, e=True), vocab)
         assert abs(got_h.data[0, 0] - want_h) < TOL
         assert abs(got_c.data[0, 0] - want_c) < TOL
 

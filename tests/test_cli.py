@@ -248,6 +248,15 @@ MALFORMED_INPUTS = (
      None, EXIT_CONFIG),
     ("integer generator.token_pool",
      lambda c: c["generator"].update(token_pool=[1, 2, 3]), None, EXIT_CONFIG),
+    ("capitalized generator.token_pool entry",
+     lambda c: c["generator"].update(token_pool=["Alder", "basil", "cedar"]), None,
+     EXIT_CONFIG),
+    ("generator.token_pool entry of two tokens",
+     lambda c: c["generator"].update(token_pool=["alder", "foo-bar", "cedar"]), None,
+     EXIT_CONFIG),
+    ("generator.token_pool entry with no token",
+     lambda c: c["generator"].update(token_pool=["alder", "...", "cedar"]), None,
+     EXIT_CONFIG),
     ("generator.labels without nuclearity",
      lambda c: c["generator"].update(labels=["a", "b", "c"]), None, EXIT_CONFIG),
     ("integer generator.labels", lambda c: c["generator"].update(labels=[1, 2, 3]),

@@ -132,6 +132,15 @@ class TestLoadCorpus:
         assert [d.id for d in split.train] == ["a"]
         assert [d.id for d in split.test] == ["b"]
 
+    def test_only_newline_ends_a_line(self, tmp_path):
+        # a lone \r is whitespace inside a tree line; CRLF endings load
+        docs_path, trees_path = write_corpus(tmp_path, [], [])
+        docs_path.write_bytes(b'{"id": "a", "label": 1, "text": "X y."}\r\n')
+        trees_path.write_bytes(b'a\t(rel A/N B/S (edu "x")\r(edu "y"))\r\n')
+        split = load_corpus(docs_path, trees_path)
+        assert [d.id for d in split.train] == ["a"]
+        assert split.train[0].edus == [["x"], ["y"]]
+
     def test_explicit_paragraphs_override_segmentation(self, tmp_path):
         docs = [{"id": "a", "label": 1, "text": "Alpha beta.",
                  "paragraphs": [[["alpha"], ["beta"]]]}]
@@ -262,6 +271,7 @@ class TestGenerator:
             sents = [s for para in doc.paragraphs for s in para]
             leaf_tokens = [tokenize(t) for t in rst_data.leaf_texts(doc.tree)]
             assert leaf_tokens == sents
+            assert doc.edus == sents
 
     def test_edu_count_range_respected(self, tiny_split):
         for doc in tiny_split.train:

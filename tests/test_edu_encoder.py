@@ -63,12 +63,6 @@ def test_output_depends_on_every_token():
         assert not np.array_equal(e0.data, e1.data)
 
 
-def test_empty_tokens_rejected():
-    enc, _ = make_encoder(2, 3)
-    with pytest.raises(DataError):
-        oracles.encode_edu([], WordVectors(2, {}), enc)
-
-
 def test_dimension_mismatch_rejected():
     enc, _ = make_encoder(2, 3)
     with pytest.raises(DataError):

@@ -272,3 +272,24 @@ def test_tape_entries_per_training_document(kind, features, entries, tiny_split,
     with nc.record():
         cross_entropy(model.classify([doc], tiny_wv), [doc.label])
         assert len(nc._rec.tape) == entries
+
+
+@pytest.mark.parametrize("kind,features", [("rst", "t,ns,r,e"), ("parseq", "t"),
+                                           ("ensemble", "t,ns,r")])
+def test_training_and_evaluation_never_tokenize(kind, features, tiny_split, tiny_wv,
+                                                tmp_path, monkeypatch):
+    # ingest tokenizes each EDU once; the models read Document.edus
+    corpus.write_documents(tmp_path / "documents.jsonl", tiny_split)
+    corpus.write_trees(tmp_path / "trees.txt", tiny_split)
+    split = corpus.load_corpus(tmp_path / "documents.jsonl", tmp_path / "trees.txt")
+
+    class Refuse:
+        def findall(self, text):
+            raise AssertionError(f"tokenized {text!r} after ingest")
+
+    # every call of corpus.tokenize, however it was imported, runs this pattern
+    monkeypatch.setattr(corpus, "_TOKEN_RE", Refuse())
+    model = random_model(kind, features, split, tiny_wv, seed=4)
+    trainer.run_epoch(model, split.train[:2], tiny_wv, nc.AdamState(model.bundle),
+                      1e-3, np.random.default_rng(0), False, 0)
+    trainer.evaluate_model(model, split.test, tiny_wv)

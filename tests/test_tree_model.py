@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rstcoh import numcore as nc, rst_data, tree_model
-from rstcoh.corpus import Document, GeneratorConfig, WordVectors, synthesize_corpus
+from rstcoh import numcore as nc, tree_model
+from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_corpus,
+                           tokenize)
 from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
                              build_relation_vocab, count_leaves)
@@ -35,9 +36,14 @@ def build(abl, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True
     return model, model.tree
 
 
+def documents(trees):
+    """One document around each tree, for the calls that take documents."""
+    return [Document(f"d{k}", 1, "", [[["x"]]], tree) for k, tree in enumerate(trees)]
+
+
 def classify(model, tree, wv=None):
     """The distribution of a one-document batch, as a (3,) array."""
-    return model.classify([Document("d0", 1, "", [[["x"]]], tree)], wv).data[0]
+    return model.classify(documents([tree]), wv).data[0]
 
 
 def encode_subtree(tree, params, wv, abl, vocab=None):
@@ -45,7 +51,7 @@ def encode_subtree(tree, params, wv, abl, vocab=None):
     of a document root."""
     root = Internal(tree, Leaf("pad."), make_label("Joint", "N"),
                     make_label("Joint", "N"))
-    h, c = encode_trees([root], params, wv, abl, vocab)
+    h, c = encode_trees(documents([root]), params, wv, abl, vocab)
     n = params.hidden_size
     return h.data[0, :n], c.data[0, :n]
 
@@ -184,10 +190,22 @@ class TestEncodeSubtree:
         for batch_trees in [[t] for t in trees] + [trees]:
             sched = tree_schedule(batch_trees, lambda label: 0)
             n_leaves = sum(count_leaves(t) for t in batch_trees)
-            # each leaf once, left to right and tree after tree
-            assert [id(leaf) for leaf in sched.leaves] == \
-                [id(leaf) for t in batch_trees for leaf in rst_data.leaves(t)]
-            assert len(sched.leaves) == n_leaves
+            assert sched.leaves == n_leaves
+            # each leaf once, left to right and tree after tree: following
+            # the schedule down from the roots, leaf row i holds the i-th
+            # entry of the batch's concatenated ``Document.edus``
+            edus = [tokens for doc in documents(batch_trees) for tokens in doc.edus]
+            found = []
+            for tree, roots in zip(batch_trees, sched.roots):
+                stack = [(tree.right, roots[1]), (tree.left, roots[0])]
+                while stack:
+                    node, state_row = stack.pop()
+                    if isinstance(node, Leaf):
+                        found.append((state_row, tokenize(node.text)))
+                    else:
+                        kids = sched.children[state_row - n_leaves]
+                        stack += [(node.right, kids[1]), (node.left, kids[0])]
+            assert found == list(enumerate(edus))
             # each internal node below a root in exactly one level: every
             # row of the state table is the child of exactly one node or root
             inner = sum(count_nodes(t) - count_leaves(t) - 1 for t in batch_trees)
@@ -286,9 +304,9 @@ class TestRunTree:
         trees = [three_edu_tree(), left_chain(5), right_chain(4), two_edu_tree()]
         vocab = build_relation_vocab(trees)
         _, params = build(TNSR, vocab, seed=6)
-        h, c = encode_trees(trees, params, None, TNSR, vocab)
+        h, c = encode_trees(documents(trees), params, None, TNSR, vocab)
         for k, tree in enumerate(trees):
-            h_k, c_k = encode_trees([tree], params, None, TNSR, vocab)
+            h_k, c_k = encode_trees(documents([tree]), params, None, TNSR, vocab)
             np.testing.assert_allclose(h.data[k], h_k.data[0], rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(c.data[k], c_k.data[0], rtol=1e-12, atol=0.0)
 
