@@ -26,7 +26,6 @@ def main() -> int:
     ap.add_argument("--train-docs", type=int, default=300)
     ap.add_argument("--test-docs", type=int, default=150)
     ap.add_argument("--signal", type=float, default=0.9)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     config = {
@@ -39,7 +38,6 @@ def main() -> int:
             "seed": args.seed,
         },
         "n_runs": args.runs,
-        "workers": args.workers,
         "generator": {
             "n_train": args.train_docs,
             "n_test": args.test_docs,

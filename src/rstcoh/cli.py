@@ -45,15 +45,12 @@ DEFAULT_CONFIG = {
     "out_dir": "out",
     "model": "rst",
     "features": "t,ns,r,e",
-    "train": {
-        "learning_rate": 1e-4,
-        "epochs": 2,
-        "hidden_size": 100,
-        "relation_dim": 50,
-        "seed": 0,
-        "shuffle": True,
-    },
+    # Every TrainConfig field but the two set at the top level; the CLI's
+    # default features row differs from the dataclass's.
+    "train": {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)
+              if f.name not in ("model", "features")},
     "n_runs": 1,
+    # Validated but ignored: seeds run serially (see trainer.run_multi_seed).
     "workers": 1,
     "majority_policy": "fixed:3",
     "data_seed": 0,
@@ -114,14 +111,11 @@ def make_train_config(config: dict) -> trainer.TrainConfig:
         value = config[key]
         if type(value) is not int or value < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-    t = config["train"]
     try:
         cfg = trainer.TrainConfig(
-            learning_rate=t["learning_rate"], epochs=t["epochs"],
-            hidden_size=t["hidden_size"], relation_dim=t["relation_dim"],
-            seed=t["seed"], model=config["model"],
+            model=config["model"],
             features=AblationConfig.from_features(config["features"]),
-            shuffle=t["shuffle"])
+            **config["train"])
         cfg.validate()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
@@ -211,8 +205,7 @@ def cmd_train(config: dict) -> int:
     if cfg.needs_word_vectors and wv is None:
         raise ConfigError(f"model {cfg.model!r} with features "
                           f"{cfg.features.features()!r} needs word vectors")
-    result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"],
-                                    workers=config["workers"])
+    result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "run_log.jsonl") as fh:
@@ -259,11 +252,18 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
 
 def cmd_evaluate(config: dict, checkpoint: str) -> int:
     _require_file(checkpoint, "checkpoint")
-    model, _ = load_model_from_checkpoint(checkpoint)
+    model, wv_dim = load_model_from_checkpoint(checkpoint)
     split, wv = resolve_corpus(config)
-    if model.cfg.needs_word_vectors and wv is None:
-        raise ConfigError(f"checkpoint {checkpoint}: its model needs word vectors, "
-                          "and paths.word_vectors is not set")
+    if model.cfg.needs_word_vectors:
+        if wv is None:
+            raise ConfigError(f"checkpoint {checkpoint}: its model needs word vectors, "
+                              "and paths.word_vectors is not set")
+        if wv.dimension != wv_dim:
+            paths = config["paths"]
+            source = (f"paths.word_vectors {paths['word_vectors']}"
+                      if paths.get("documents") else "the generator")
+            raise DataError(f"checkpoint {checkpoint} needs {wv_dim}-d word vectors, "
+                            f"but {source} gives {wv.dimension}-d vectors")
     rep = trainer.evaluate_model(model, split.test, wv)
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,8 +299,7 @@ def cmd_ablate(config: dict) -> int:
         cfg = make_train_config(row_config)
         if cfg.needs_word_vectors and wv is None:
             raise ConfigError(f"ablation row {kind} needs word vectors")
-        result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"],
-                                        workers=config["workers"])
+        result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
         label = kind if kind == "parseq" else f"{kind} [{features}]"
         _print_aggregate(label, result)
         if result.aggregate is not None:

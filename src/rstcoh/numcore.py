@@ -31,21 +31,20 @@ into them, so :meth:`ParameterBundle.zero_grads` is one fill and
 2014). Parameter views must never be rebound, only written through.
 
 Ops run eagerly. Inside ``with record():`` each op whose inputs need a
-gradient appends its outputs and one closure to the current thread's tape,
-a Wengert list (Griewank & Walther, *Evaluating Derivatives*), and
+gradient appends its outputs and one closure to the current tape, a
+Wengert list (Griewank & Walther, *Evaluating Derivatives*), and
 :func:`backward` replays that tape in reverse. The closure takes one
 gradient per output (None for an output nothing used) and captures only the
 op's inputs and arrays, never the outputs, so a recorded graph holds no
 reference cycles and reference counting frees it. Outside a block ops record
-nothing. Each thread has its own tape; parameter bundles are safe to share
-across threads for concurrent forward passes.
+nothing. The tape is one module-level variable, so the module is
+single-threaded: ops and :func:`backward` must run on one thread at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -58,24 +57,19 @@ from .errors import DataError
 Array = np.ndarray
 
 
-class _Recording(threading.local):
-    # The class default is what a thread that never entered record() reads,
-    # without a per-op AttributeError.
-    tape: list | None = None
-
-
-_rec = _Recording()
+_tape: list | None = None  # the open record() block's tape, or None
 
 
 @contextmanager
 def record() -> Iterator[None]:
-    """Record ops on a fresh tape of the current thread for :func:`backward`."""
-    prev = _rec.tape
-    _rec.tape = []
+    """Record ops on a fresh tape for :func:`backward`."""
+    global _tape
+    prev = _tape
+    _tape = []
     try:
         yield
     finally:
-        _rec.tape = prev
+        _tape = prev
 
 
 class Tensor:
@@ -121,7 +115,7 @@ def _record(outs: tuple[Tensor, ...], parents: Iterable[Tensor], bw) -> None:
     ``bw(*grads)`` takes one gradient per output, None where there is none,
     and pushes them to the parents.
     """
-    tape = _rec.tape
+    tape = _tape
     if tape is not None and any(p.requires_grad for p in parents):
         for out in outs:
             out.requires_grad = True
@@ -211,7 +205,7 @@ def backward(loss: Tensor, params: "ParameterBundle") -> None:
     Parameters that do not participate in ``loss`` end up with zero
     gradients.
     """
-    tape = _rec.tape
+    tape = _tape
     if tape is None:
         raise DataError("backward needs the ops recorded inside a record() block")
     if loss.data.shape != ():

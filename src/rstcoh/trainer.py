@@ -9,14 +9,14 @@ documents: training passes one, evaluation chunks of ``EVAL_CHUNK``.
 One run = fresh seeded parameters, per-document Adam steps (batch size 1),
 documents reshuffled each epoch from the run's generator, then one
 evaluation on the test split. Everything is deterministic given
-(seed, config, data); the harness runs seeds base..base+n-1 and aggregates
-metrics with normal-approximation confidence intervals.
+(seed, config, data); the harness runs seeds base..base+n-1 one after
+another in one loop and aggregates metrics with normal-approximation
+confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -238,45 +238,33 @@ class MultiSeedResult:
         return sum(1 for r in self.records if r.diverged)
 
 
-def _run_seed(cfg: TrainConfig, split: CorpusSplit, wv: WordVectors | None,
-              seed: int) -> tuple[RunRecord, Model | None]:
-    run_cfg = replace(cfg, seed=seed)
-    try:
-        model, record = train(run_cfg, split, wv)
-    except TrainingDiverged as exc:
-        return RunRecord(seed, None, [], diverged_on=exc.doc_id), None
-    return record, model
-
-
 def run_multi_seed(cfg: TrainConfig, split: CorpusSplit, wv: WordVectors | None,
                    n_runs: int, workers: int = 1) -> MultiSeedResult:
-    """Independent runs at seeds cfg.seed .. cfg.seed+n_runs-1.
+    """Independent runs at seeds cfg.seed .. cfg.seed+n_runs-1, one after
+    another in ascending order.
 
     Diverged runs are recorded, flagged, and excluded from the aggregate.
-    Results are ordered by seed whether runs execute serially or in a
-    thread pool, so the two modes aggregate identically.
+    ``workers`` is accepted and ignored: seeds always run serially, because
+    under the interpreter lock a thread pool ran them slower than one loop.
+    The keyword stays only while the benchmark harness passes it.
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1, got {n_runs}")
-    seeds = [cfg.seed + i for i in range(n_runs)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda s: _run_seed(cfg, split, wv, s), seeds))
-    else:
-        outcomes = [_run_seed(cfg, split, wv, s) for s in seeds]
-    records = [rec for rec, _ in outcomes]
-    best_model = None
-    best_seed = None
-    best_key = None
-    for rec, model in outcomes:
-        if rec.diverged:
+    records: list[RunRecord] = []
+    best_model = best_seed = None
+    best_accuracy = -1.0
+    for seed in range(cfg.seed, cfg.seed + n_runs):
+        try:
+            model, record = train(replace(cfg, seed=seed), split, wv)
+        except TrainingDiverged as exc:
+            records.append(RunRecord(seed, None, [], diverged_on=exc.doc_id))
             continue
-        key = (-rec.report.accuracy, rec.seed)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_model = model
-            best_seed = rec.seed
+        records.append(record)
+        # Strictly higher only: seeds ascend, so a tie keeps the lower seed.
+        if record.report.accuracy > best_accuracy:
+            best_model, best_seed = model, seed
+            best_accuracy = record.report.accuracy
+        del model  # so that the next run trains beside the best model only
     ok = [rec for rec in records if not rec.diverged]
     aggregate = None
     if ok:

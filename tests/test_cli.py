@@ -311,6 +311,35 @@ def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text
     assert set(json.loads(err[0])) == {"error", "message"}
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["generator", "file"])
+@pytest.mark.parametrize("model,features", [("rst", "t,ns,r,e"), ("parseq", "t")])
+def test_vectors_of_another_dimension_name_both_sources(tmp_path, capsys, model,
+                                                        features, from_file):
+    # The checkpoint was trained on 4-d vectors; these are 6-d.
+    cfg_path, config = write_config(tmp_path, model=model, features=features)
+    config["generator"]["wv_dim"] = 6
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(_trained_checkpoint(model, features))
+    source = "the generator"
+    if from_file:
+        data = tmp_path / "data"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+        source = str(data / "vectors.txt")
+        config.update(generator=None, paths={
+            "documents": str(data / "documents.jsonl"),
+            "trees": str(data / "trees.txt"), "word_vectors": source})
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint",
+                     str(checkpoint)]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])["message"]
+    assert str(checkpoint) in message
+    assert source in message
+
+
 def _byte_ff_in(key, command="train"):
     """Set-up: put a 0xff byte, never valid in UTF-8, at the start of the
     second line of the file ``paths.<key>``."""

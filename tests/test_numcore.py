@@ -174,7 +174,7 @@ class TestFusedCellAgainstComposedOps:
 
         with nc.record():
             h, c = nc.run_lstms(x, lengths, cell)
-            assert len(nc._rec.tape) == 1
+            assert len(nc._tape) == 1
             got_grads = run(oracles.add(oracles.vsum(oracles.mul(h, wh)),
                                         oracles.vsum(oracles.mul(c, wc))))
         with nc.record():
@@ -221,14 +221,14 @@ class TestFusedHeadAndLoss:
             dist = nc.softmax_head(w, b, x)
             loss = nc.nll(dist, [label], floor)
             nc.backward(loss, bundle)
-            entries = len(nc._rec.tape)
+            entries = len(nc._tape)
         results.append((dist.data[0], loss.data, entries,
                         {name: t.grad.copy() for name, t in bundle.items()}))
         with nc.record():
             dist = oracles.composed_softmax_head(w, b, oracles.row(x, 0))
             loss = oracles.composed_nll(dist, label, floor)
             nc.backward(loss, bundle)
-            entries = len(nc._rec.tape)
+            entries = len(nc._tape)
         results.append((dist.data, loss.data, entries,
                         {name: t.grad.copy() for name, t in bundle.items()}))
         return results

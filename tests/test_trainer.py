@@ -207,6 +207,25 @@ class TestRunMultiSeed:
         rep = trainer.evaluate_model(result.best_model, tiny_split.test, tiny_wv)
         assert rep.accuracy == best_acc
 
+    def test_best_model_tie_goes_to_lowest_seed(self, tiny_split, tiny_wv,
+                                                monkeypatch):
+        # Seeds 0-3 score 0.5, 0.75, diverge, 0.75 on four test documents.
+        predicted = {0: [1, 1, 2, 2], 1: [1, 1, 1, 2], 3: [1, 1, 1, 2]}
+        models = {seed: object() for seed in predicted}
+
+        def canned(cfg, split, wv):
+            if cfg.seed not in predicted:
+                raise TrainingDiverged("doc")
+            cm = metrics.ConfusionMatrix.from_pairs([1, 1, 1, 1], predicted[cfg.seed])
+            return models[cfg.seed], RunRecord(cfg.seed, metrics.report(cm), [1.0])
+
+        monkeypatch.setattr(trainer, "train", canned)
+        result = run_multi_seed(small_cfg(), tiny_split, tiny_wv, n_runs=4)
+        assert [r.report.accuracy if r.report else None for r in result.records] \
+            == [0.5, 0.75, None, 0.75]
+        assert result.best_seed == 1
+        assert result.best_model is models[1]
+
     def test_record_serialization(self, tiny_split, tiny_wv):
         result = run_multi_seed(small_cfg(), tiny_split, tiny_wv, n_runs=1)
         d = result.records[0].to_dict()
@@ -271,7 +290,7 @@ def test_tape_entries_per_training_document(kind, features, entries, tiny_split,
     doc = tiny_split.train[0]
     with nc.record():
         cross_entropy(model.classify([doc], tiny_wv), [doc.label])
-        assert len(nc._rec.tape) == entries
+        assert len(nc._tape) == entries
 
 
 @pytest.mark.parametrize("kind,features", [("rst", "t,ns,r,e"), ("parseq", "t"),

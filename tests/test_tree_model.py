@@ -248,7 +248,7 @@ class TestRunTree:
             sched = tree_schedule(trees, label_row)
             h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
                                sched.level_sizes, sched.roots, table, params.cell)
-            assert len(nc._rec.tape) == 1
+            assert len(nc._tape) == 1
             nc.backward(oracles.add(oracles.vsum(oracles.mul(h, nc.constant(wh))),
                                     oracles.vsum(oracles.mul(c, nc.constant(wc)))),
                         bundle)
