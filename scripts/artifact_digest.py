@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Print the sha256 of each training artifact for five model rows at one
-small fixed config: the "same config, same bytes" check across a refactor.
+"""Print the sha256 of each training and evaluation artifact for five model
+rows at one small fixed config: the "same config, same bytes" check across a
+refactor.
 
 Each row trains with ``rstcoh train`` in its own temporary directory, always
-with the relative ``out_dir`` "out", so the config recorded in summary.json
-is the same wherever the script runs. The package is imported from the
+with the relative ``out_dir`` "out", then runs ``rstcoh evaluate`` on the
+checkpoint it wrote with the relative ``--out`` "eval", so the configs
+recorded in summary.json and report.json are the same wherever the script
+runs. The package is imported from the
 ``src/`` of the checkout that holds this script. To compare two revisions,
 run the script in both checkouts and diff the output:
 
@@ -28,7 +31,8 @@ from rstcoh import cli  # noqa: E402
 
 ROWS = (("rst", "t"), ("rst", "t,ns"), ("rst", "t,ns,r,e"), ("parseq", "t"),
         ("ensemble", "t,ns,r"))
-ARTIFACTS = ("run_log.jsonl", "summary.json", "checkpoint.json")
+ARTIFACTS = ("out/run_log.jsonl", "out/summary.json", "out/checkpoint.json",
+             "eval/report.json", "eval/report.csv")
 CONFIG = {
     "out_dir": "out",
     "train": {"learning_rate": 3e-3, "epochs": 2, "hidden_size": 8,
@@ -40,19 +44,26 @@ CONFIG = {
 }
 
 
-def train_row(model: str, features: str) -> dict[str, str]:
-    """sha256 of each artifact of one ``rstcoh train`` run."""
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"rstcoh {' '.join(argv)} exited {code}")
+
+
+def digest_row(model: str, features: str) -> dict[str, str]:
+    """sha256 of each artifact of one ``rstcoh train`` run and of
+    ``rstcoh evaluate`` on its checkpoint."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             Path("config.json").write_text(
                 json.dumps({**CONFIG, "model": model, "features": features}))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["train", "--config", "config.json"])
-            if code != cli.EXIT_OK:
-                raise SystemExit(f"{model} [{features}]: rstcoh train exited {code}")
-            return {name: hashlib.sha256(Path("out", name).read_bytes()).hexdigest()
+            run_cli(["train", "--config", "config.json"])
+            run_cli(["evaluate", "--config", "config.json", "--checkpoint",
+                     "out/checkpoint.json", "--out", "eval"])
+            return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                     for name in ARTIFACTS}
         finally:
             os.chdir(cwd)
@@ -60,8 +71,8 @@ def train_row(model: str, features: str) -> dict[str, str]:
 
 def main() -> int:
     for model, features in ROWS:
-        for name, digest in train_row(model, features).items():
-            print(f"{model:<8} {features:<9} {name:<16} {digest}")
+        for name, digest in digest_row(model, features).items():
+            print(f"{model:<8} {features:<9} {name:<19} {digest}")
     return 0
 
 

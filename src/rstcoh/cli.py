@@ -202,9 +202,6 @@ def _checkpoint_meta(cfg: trainer.TrainConfig, model: trainer.Model,
 def cmd_train(config: dict) -> int:
     cfg = make_train_config(config)
     split, wv = resolve_corpus(config)
-    if cfg.needs_word_vectors and wv is None:
-        raise ConfigError(f"model {cfg.model!r} with features "
-                          f"{cfg.features.features()!r} needs word vectors")
     result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,8 +230,15 @@ def cmd_train(config: dict) -> int:
 
 
 def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
+    """The model a checkpoint holds and the word-vector dimension it was
+    trained with. Meta that does not build a model, a config error in it
+    included, is a data error naming the checkpoint."""
     meta, tensors = nc.load_checkpoint(path)
     try:
+        wv_dim = meta["wv_dim"]
+        if type(wv_dim) is not int or wv_dim < 1:
+            raise DataError(f"checkpoint {path}: meta.wv_dim must be an integer "
+                            f">= 1, got {wv_dim!r}")
         vocab = None
         if meta.get("vocab") is not None:
             vocab = rst_data.RelationVocabulary(meta["vocab"])
@@ -242,12 +246,11 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
             hidden_size=meta["hidden_size"], relation_dim=meta["relation_dim"],
             model=meta["model"],
             features=AblationConfig.from_features(meta["features"]))
-        model = trainer.build_model(cfg, vocab, meta["wv_dim"],
-                                    np.random.default_rng(0))
-    except (KeyError, TypeError, AttributeError) as exc:
+        model = trainer.build_model(cfg, vocab, wv_dim, np.random.default_rng(0))
+    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None
     model.bundle.load_state(tensors)
-    return model, meta["wv_dim"]
+    return model, wv_dim
 
 
 def cmd_evaluate(config: dict, checkpoint: str) -> int:
@@ -297,8 +300,6 @@ def cmd_ablate(config: dict) -> int:
         row_config = dict(config, model=kind,
                           features="t" if kind == "parseq" else features)
         cfg = make_train_config(row_config)
-        if cfg.needs_word_vectors and wv is None:
-            raise ConfigError(f"ablation row {kind} needs word vectors")
         result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
         label = kind if kind == "parseq" else f"{kind} [{features}]"
         _print_aggregate(label, result)

@@ -1,13 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation, one N-ary gated
 cell, a softmax head and loss, and the Adam optimizer.
 
-The five functions that record on the tape are exactly what the models call:
+The four functions that record on the tape are exactly what the models call:
 
-* :func:`concat` joins the encoders' outputs along their last axis;
 * :func:`run_lstms` runs many sequences through the 1-ary cell as one
   packed batch, and :func:`run_tree` runs a batch of discourse trees
   through the 2-ary cell one level at a time;
-* :func:`softmax_head` is the output layer, softmax(x @ w.T + b) per row;
+* :func:`softmax_head` is the output layer, softmax(x @ w.T + b) per row,
+  where x joins the encoders' outputs side by side;
 * :func:`nll` is the loss, the sum over rows of -log(max(p[label], floor)).
 
 The gated cell is the N-ary Tree-LSTM unit of Tai et al. (2015): gates i,
@@ -15,7 +15,7 @@ o, u and one forget gate per child, all read one input vector z. The
 sequential LSTM is its 1-ary case over z = [x; h]; the discourse-tree node
 is its 2-ary case. One row-batched implementation of the gates, with a
 hand-written backward pass over plain arrays (Appleyard et al. 2016), serves
-both. Each call of any of the five is one tape entry, whatever the number
+both. Each call of any of the four is one tape entry, whatever the number
 of rows: one packed pass over all the EDUs (or sentences) of a batch of
 documents, one level-by-level pass over all their trees. The ops take
 whole arrays and index arrays, never per-node tensors; a tree reaches
@@ -132,42 +132,35 @@ def _result(data: Array, parents: tuple[Tensor, ...], bw) -> Tensor:
 # --- ops --------------------------------------------------------------------
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors along their last axis; the leading shapes must agree."""
+def softmax_head(w: Tensor, b: Tensor, parts: Sequence[Tensor]) -> Tensor:
+    """softmax(x @ w.T + b) of each row of x = [parts[0] | parts[1] | ...]
+    as one tape entry: the classifiers' output layer over the encoders'
+    (B, D_k) outputs, (B, K) out. The backward pass splits the gradient of
+    x back into the parts' columns."""
     parts = tuple(parts)
     try:
-        data = np.concatenate([p.data for p in parts], axis=-1)
-    except ValueError as exc:  # 0-d parts or leading shapes that differ
-        raise DataError(f"concat: {exc}") from None
-    sizes = [p.data.shape[-1] for p in parts]
-
-    def bw(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            _accumulate(p, g[..., off:off + n])
-            off += n
-
-    return _result(data, parts, bw)
-
-
-def softmax_head(w: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """softmax(x @ w.T + b) of each row of ``x`` as one tape entry: the
-    classifiers' output layer, (B, D) in and (B, K) out."""
-    if w.data.ndim != 2 or x.data.ndim != 2 or x.data.shape[1:] != w.data.shape[1:] \
+        x = np.concatenate([part.data for part in parts], axis=-1)
+    except ValueError as exc:  # no parts, 0-d parts or row counts that differ
+        raise DataError(f"softmax_head: {exc}") from None
+    if w.data.ndim != 2 or x.ndim != 2 or x.shape[1:] != w.data.shape[1:] \
             or b.data.shape != w.data.shape[:1]:
         raise DataError(
-            f"softmax_head: {x.data.shape} @ {w.data.shape}.T + {b.data.shape}")
-    logits = x.data @ w.data.T + b.data
+            f"softmax_head: {x.shape} @ {w.data.shape}.T + {b.data.shape}")
+    logits = x @ w.data.T + b.data
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
 
     def bw(g):
         g_logits = p * (g - (g * p).sum(axis=1, keepdims=True))
-        _accumulate(w, g_logits.T @ x.data)
+        _accumulate(w, g_logits.T @ x)
         _accumulate(b, g_logits.sum(axis=0))
-        _accumulate(x, g_logits @ w.data)
+        g_x = g_logits @ w.data
+        end = 0
+        for part in parts:
+            start, end = end, end + part.data.shape[1]
+            _accumulate(part, g_x[:, start:end])
 
-    return _result(p, (w, b, x), bw)
+    return _result(p, (w, b, *parts), bw)
 
 
 def nll(dist: Tensor, labels: Sequence[int], floor: float) -> Tensor:

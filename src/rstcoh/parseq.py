@@ -5,7 +5,8 @@ the resulting sentence vectors per paragraph, one over the paragraph
 vectors. The final document vector is the ParSeq model's input to its
 softmax head, and the ensemble's, after the tree encoder's root-children
 states; ``trainer.build_model`` builds both. A batch of documents takes
-three packed passes, one per level.
+three packed passes, one per level. The caller supplies the word vectors:
+``trainer.train`` and ``rstcoh evaluate`` check that they are there.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import numcore as nc
 from .corpus import Document, WordVectors
-from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -36,22 +36,14 @@ def init_parseq(bundle: nc.ParameterBundle, rng: np.random.Generator,
         nc.init_lstm_cell(bundle, "seq.lstm3", rng, hidden_size, hidden_size))
 
 
-def encode_parseq(docs: Sequence[Document], wv: WordVectors | None,
+def encode_parseq(docs: Sequence[Document], wv: WordVectors,
                   p: ParseqParams) -> nc.Tensor:
     """Document vectors, (len(docs), H): the final hidden state at each of
     the three levels, all chains starting from the zero state. Each level is
     one packed pass over the whole batch: all sentences, then all
-    paragraphs, then all documents."""
-    if wv is None:
-        raise ConfigError("ParSeq needs word vectors")
-    for doc in docs:
-        if not doc.paragraphs:
-            raise DataError(f"document {doc.id!r} has no paragraphs")
-        for paragraph in doc.paragraphs:
-            if not paragraph:
-                raise DataError(f"document {doc.id!r} has an empty paragraph")
-            if not all(paragraph):
-                raise DataError(f"document {doc.id!r} has an empty sentence")
+    paragraphs, then all documents. Ingest guarantees that every document
+    has paragraphs and that none of them, and none of their sentences, is
+    empty."""
     paragraphs = [paragraph for doc in docs for paragraph in doc.paragraphs]
     sentences = [sentence for paragraph in paragraphs for sentence in paragraph]
     x = nc.constant(wv.stack([tok for sentence in sentences for tok in sentence]))

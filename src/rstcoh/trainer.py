@@ -4,7 +4,9 @@ multi-seed harness.
 Every model kind is its document encoders (the tree encoder, ParSeq, or
 both for the ensemble) feeding one softmax head; ``build_model`` registers
 them and ``Model.classify`` is the one forward path. It takes a list of
-documents: training passes one, evaluation chunks of ``EVAL_CHUNK``.
+documents: training passes one, evaluation chunks of ``EVAL_CHUNK``. It
+only does the math: ``build_model`` fixes the feature row, and ``train``
+checks once that a model which reads word vectors has them.
 
 One run = fresh seeded parameters, per-document Adam steps (batch size 1),
 documents reshuffled each epoch from the run's generator, then one
@@ -68,10 +70,10 @@ class TrainConfig:
         if self.model == "ensemble" and self.features.e:
             raise ConfigError("the ensemble never uses EDU embeddings")
 
-    @property
-    def needs_word_vectors(self) -> bool:
-        """ParSeq reads word vectors, and so does the tree encoder with E on."""
-        return self.model != "rst" or self.features.e
+    # ParSeq reads word vectors, and so does the tree encoder with E on.
+    needs_word_vectors = property(lambda self: self.model != "rst" or self.features.e)
+    # The tree encoder with R on keys its label table on a vocabulary.
+    needs_vocab = property(lambda self: self.model != "parseq" and self.features.r)
 
 
 @dataclass
@@ -99,7 +101,8 @@ class Model:
     """One or two document encoders feeding one softmax head.
 
     rst has only ``tree``, parseq only ``seq``, the ensemble both; the head
-    reads the concatenation [h_l; h_r; d_parseq] of whichever is set.
+    reads [h_l; h_r; d_parseq] of whichever is set, straight from the
+    encoders.
     ``cfg`` is the config that built it: its kind, features and sizes (a
     model loaded from a checkpoint has default training fields).
     """
@@ -117,13 +120,10 @@ class Model:
         each encoder runs once over the whole batch, then one head."""
         parts: list[nc.Tensor] = []
         if self.tree is not None:
-            h, _ = tree_model.encode_trees(docs, self.tree, wv, self.cfg.features,
-                                           self.vocab)
-            parts.append(h)
+            parts.append(tree_model.encode_trees(docs, self.tree, wv)[0])
         if self.seq is not None:
             parts.append(parseq.encode_parseq(docs, wv, self.seq))
-        x = parts[0] if len(parts) == 1 else nc.concat(parts)
-        return nc.softmax_head(self.head_w, self.head_b, x)
+        return nc.softmax_head(self.head_w, self.head_b, parts)
 
 
 def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
@@ -175,10 +175,6 @@ def evaluate_model(model: Model, docs: list[Document],
     return metrics.report(metrics.ConfusionMatrix.from_pairs(true_labels, predicted))
 
 
-def needs_vocab(cfg: TrainConfig) -> bool:
-    return cfg.model in ("rst", "ensemble") and cfg.features.r
-
-
 def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
               state: nc.AdamState, lr: float, rng: np.random.Generator,
               shuffle: bool, step: int) -> tuple[float, int]:
@@ -202,13 +198,18 @@ def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
 
 def train(cfg: TrainConfig, split: CorpusSplit,
           wv: WordVectors | None) -> tuple[Model, RunRecord]:
-    """Train one model at ``cfg`` and evaluate it on the test split."""
+    """Train one model at ``cfg`` and evaluate it on the test split. This is
+    where a missing ``wv`` is caught for every model that reads word
+    vectors; the encoders take them as given."""
     cfg.validate()
+    if cfg.needs_word_vectors and wv is None:
+        raise ConfigError(f"model {cfg.model!r} with features "
+                          f"{cfg.features.features()!r} needs word vectors")
     if not split.train or not split.test:
         raise ConfigError("training needs non-empty train and test splits")
     rng = np.random.default_rng(cfg.seed)
     vocab = None
-    if needs_vocab(cfg):
+    if cfg.needs_vocab:
         vocab = build_relation_vocab(doc.tree for doc in split.train)
     wv_dim = wv.dimension if wv is not None else 1
     model = build_model(cfg, vocab, wv_dim, rng)

@@ -18,7 +18,10 @@ representation; ``trainer.build_model`` puts the softmax head on top of
 them (rst) or of them and the ParSeq vector (ensemble). Feature switches:
 NS keys label embeddings by nuclearity alone, R by the combined
 relation_nuclearity label, E turns the leaf EDU encoder on; with
-everything off the output is a function of tree shape only.
+everything off the output is a function of tree shape only. The row is
+fixed when the model is built: :func:`init_tree_model` picks the label
+table and the map from a label to its row, and the EDU encoder is there
+or not, so :func:`encode_trees` decides nothing per call.
 
 A batch of documents takes at most two recording calls, whatever its size.
 :func:`encode_trees` walks each tree once into a level schedule (a level is
@@ -85,12 +88,14 @@ class AblationConfig:
 
 @dataclass
 class TreeModelParams:
-    hidden_size: int
-    relation_dim: int
     cell: nc.CellParams  # 2 children, over [h_l; h_r; r_l; r_r]
-    relation_table: nc.Tensor | None  # (vocab size, relation_dim), row 0 = UNK
-    nuclearity_table: nc.Tensor | None  # (2, relation_dim), rows N then S
+    table: nc.Tensor | None  # the feature row's label table; None for t
+    label_row: Callable[[NodeLabel], int]  # a child label's row in ``table``
     edu: nc.CellParams | None = None  # LSTM over the EDU's word vectors
+
+
+def _nuclearity_row(label: NodeLabel) -> int:
+    return 0 if label.nuclearity is Nuclearity.N else 1
 
 
 def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
@@ -98,24 +103,27 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
                     hidden_size: int, relation_dim: int) -> TreeModelParams:
     """Register the tree cell, then the label table the feature row uses.
 
-    The EDU encoder is registered by the caller, after the head, so that
-    the registration order (and with it the RNG draws and the checkpoint
-    layout) stays tree, table, head, EDU LSTM.
+    R keys the table ``relation_table`` (vocabulary size rows, row 0 the
+    UNK row for labels unseen at vocabulary build time) on the combined
+    label, NS keys ``nuclearity_table`` (rows N then S) on nuclearity
+    alone; with both off there is no table and the label slots of the cell
+    input stay zero. The EDU encoder is registered by the caller, after the
+    head, so that the registration order (and with it the RNG draws and the
+    checkpoint layout) stays tree, table, head, EDU LSTM.
     """
     cell = nc.init_cell(bundle, "tree", rng, 2 * hidden_size + 2 * relation_dim,
                         hidden_size, 2)
-    relation_table = None
-    nuclearity_table = None
     if abl.r:
         if vocab is None:
             raise ConfigError("relation embeddings need a vocabulary")
-        relation_table = bundle.add(
-            "relation_table", nc.embedding_init(rng, (vocab.size, relation_dim)))
-    elif abl.ns:
-        nuclearity_table = bundle.add(
-            "nuclearity_table", nc.embedding_init(rng, (2, relation_dim)))
-    return TreeModelParams(hidden_size, relation_dim, cell,
-                           relation_table, nuclearity_table)
+        return TreeModelParams(cell, bundle.add(
+            "relation_table", nc.embedding_init(rng, (vocab.size, relation_dim))),
+            vocab.index_of_label)
+    if abl.ns:
+        return TreeModelParams(cell, bundle.add(
+            "nuclearity_table", nc.embedding_init(rng, (2, relation_dim))),
+            _nuclearity_row)
+    return TreeModelParams(cell, None, lambda label: 0)
 
 
 class TreeSchedule(NamedTuple):
@@ -185,44 +193,26 @@ def tree_schedule(trees: Sequence[RstTree],
                         level_sizes, base[keys[..., 0]] + keys[..., 1])
 
 
-def _label_row(abl: AblationConfig, vocab: RelationVocabulary | None
-               ) -> Callable[[NodeLabel], int]:
-    """A child label's row in the feature row's label table: R keys on the
-    combined label (the UNK row for labels unseen at vocabulary build time),
-    NS alone on nuclearity; with both off there is no table."""
-    if abl.r:
-        if vocab is None:
-            raise ConfigError("relation embeddings need a vocabulary")
-        return vocab.index_of_label
-    if abl.ns:
-        return lambda label: 0 if label.nuclearity is Nuclearity.N else 1
-    return lambda label: 0
-
-
 def encode_trees(docs: Sequence[Document], params: TreeModelParams,
-                 wv: WordVectors | None, abl: AblationConfig,
-                 vocab: RelationVocabulary | None) -> tuple[nc.Tensor, nc.Tensor]:
+                 wv: WordVectors | None) -> tuple[nc.Tensor, nc.Tensor]:
     """h and c of each document tree's two root children, (B, 2H) each: row
     b is [left; right] of document b, and its h is the document
     representation.
 
-    Leaves are zero states, or with E on the final states of one packed LSTM
-    pass over every document's ``edus``, from the zero state; one
-    :func:`numcore.run_tree` call runs every internal node below the roots.
+    Leaves are zero states, or with E on (``params.edu`` set) the final
+    states of one packed LSTM pass over every document's ``edus``, from
+    the zero state; one :func:`numcore.run_tree` call runs every internal
+    node below the roots. ``wv`` is read only with E on.
     """
-    sched = tree_schedule([doc.tree for doc in docs], _label_row(abl, vocab))
-    if abl.e:
-        assert params.edu is not None
-        if wv is None:
-            raise ConfigError("EDU embeddings need word vectors")
+    sched = tree_schedule([doc.tree for doc in docs], params.label_row)
+    if params.edu is not None:
         edus = [tokens for doc in docs for tokens in doc.edus]
         x = nc.constant(wv.stack([tok for tokens in edus for tok in tokens]))
         leaf_h, leaf_c = nc.run_lstms(x, [len(tokens) for tokens in edus], params.edu)
     else:
-        leaf_h = leaf_c = nc.zeros(sched.leaves, params.hidden_size)
-    table = params.relation_table if abl.r else params.nuclearity_table
+        leaf_h = leaf_c = nc.zeros(sched.leaves, params.cell.hidden_size)
     return nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels, sched.level_sizes,
-                       sched.roots, table, params.cell)
+                       sched.roots, params.table, params.cell)
 
 
 def count_parameters(bundle: nc.ParameterBundle) -> dict[str, int]:

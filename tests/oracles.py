@@ -4,10 +4,10 @@ Everything here is written against the gate equations directly in plain
 scalar arithmetic (or, for the finite-difference checker, against the loss
 as a black box), deliberately sharing no code with the package's forward
 paths. The exceptions are the composed references: primitive ops recorded
-on numcore's tape through its ``_record``/``_accumulate`` hooks, and the
-gated cell, softmax head and loss built from them, so that the fused
-entries' forward values and hand-written gradients can be checked against
-the tape's. ``reference_parse_tree`` is the token-by-token tree parser that
+on numcore's tape through its ``_record``/``_accumulate`` hooks (``concat``
+among them, which the package itself no longer needs), and the gated cell,
+softmax head and loss built from them, so that the fused entries' forward
+values and hand-written gradients can be checked against the tape's. ``reference_parse_tree`` is the token-by-token tree parser that
 ``rst_data.parse_tree`` replaced, kept as the reference for its trees, error
 messages and byte offsets.
 """
@@ -147,6 +147,24 @@ def tanh(a):
     return nc._result(val, (a,), lambda g: nc._accumulate(a, g * (1.0 - val * val)))
 
 
+def concat(parts):
+    """Join tensors along their last axis; the leading shapes must agree."""
+    parts = tuple(parts)
+    try:
+        data = np.concatenate([p.data for p in parts], axis=-1)
+    except ValueError as exc:  # 0-d parts or leading shapes that differ
+        raise DataError(f"concat: {exc}") from None
+    sizes = [p.data.shape[-1] for p in parts]
+
+    def bw(g):
+        off = 0
+        for p, n in zip(parts, sizes):
+            nc._accumulate(p, g[..., off:off + n])
+            off += n
+
+    return nc._result(data, parts, bw)
+
+
 def row(m, i):
     if m.data.ndim != 2:
         raise DataError("row expects a 2-d tensor")
@@ -260,7 +278,7 @@ def composed_run_lstm(inputs, gates):
     h = nc.zeros(hidden)
     c = nc.zeros(hidden)
     for x in inputs:
-        h, c = composed_cell_step(nc.concat((x, h)), (c,), gates)
+        h, c = composed_cell_step(concat((x, h)), (c,), gates)
     return h, c
 
 
@@ -309,7 +327,7 @@ def lstm_cell_step(x, h, c, p):
     if h.data.shape != (p.hidden_size,) or c.data.shape != (p.hidden_size,):
         raise DataError(
             f"state shapes {h.data.shape}/{c.data.shape} != ({p.hidden_size},)")
-    return cell_step(nc.concat((x, h)), (c,), p)
+    return cell_step(concat((x, h)), (c,), p)
 
 
 def run_lstm(inputs, p):
@@ -330,7 +348,7 @@ def encode_edu(tokens, wv, p):
 def composed_tree_walk(trees, leaf_h, leaf_c, label_row, table, p):
     """The per-node walk that ``nc.run_tree`` replaces: one :func:`cell_step`
     per internal node below each root, in post-order, its input assembled
-    with :func:`row` and ``nc.concat``. Leaves take the rows of ``leaf_h``/
+    with :func:`row` and :func:`concat`. Leaves take the rows of ``leaf_h``/
     ``leaf_c`` left to right, tree after tree; a label's slot is its
     ``table`` row (``label_row`` picks it) or zeros when ``table`` is None.
     Returns, per tree, [h_l; h_r] and [c_l; c_r] of the root's children:
@@ -355,10 +373,10 @@ def composed_tree_walk(trees, leaf_h, leaf_c, label_row, table, p):
             else:
                 h_r, c_r = results.pop()
                 h_l, c_l = results.pop()
-                z = nc.concat((h_l, h_r, embed(node.left_label), embed(node.right_label)))
+                z = concat((h_l, h_r, embed(node.left_label), embed(node.right_label)))
                 results.append(cell_step(z, (c_l, c_r), p))
         (h_l, c_l), (h_r, c_r) = results
-        out.append((nc.concat((h_l, h_r)), nc.concat((c_l, c_r))))
+        out.append((concat((h_l, h_r)), concat((c_l, c_r))))
     return out
 
 

@@ -175,13 +175,15 @@ def _edit_tensor(text, value):
     return json.dumps(doc)
 
 
-def _file_corpus(label):
+def _file_corpus(label, paragraphs=None):
     """Config edit: train from files on two documents, the test one labelled
-    ``label``."""
+    ``label`` and, unless ``paragraphs`` is None, given those paragraphs."""
     def edit(config):
         data = Path(config["out_dir"]).parent
         docs = [{"id": "a", "label": 1, "text": "Alpha beta.", "split": "train"},
                 {"id": "b", "label": label, "text": "Gamma delta.", "split": "test"}]
+        if paragraphs is not None:
+            docs[1]["paragraphs"] = paragraphs
         (data / "documents.jsonl").write_text(
             "".join(json.dumps(doc) + "\n" for doc in docs))
         (data / "trees.txt").write_text(
@@ -288,6 +290,29 @@ MALFORMED_INPUTS = (
      lambda t: _trained_checkpoint("ensemble", "t,ns,r"), EXIT_CONFIG),
     ("boolean document label", _file_corpus(True), None, EXIT_DATA),
     ("fractional document label", _file_corpus(1.0), None, EXIT_DATA),
+    # ParSeq reads paragraphs and sentences as given: ingest rules out empty ones
+    ("document with no paragraph", _file_corpus(1, []), None, EXIT_DATA),
+    ("document with an empty paragraph", _file_corpus(1, [[]]), None, EXIT_DATA),
+    ("document with an empty sentence", _file_corpus(1, [[[]]]), None, EXIT_DATA),
+    ("parseq training without word vectors",
+     lambda c: (_file_corpus(1)(c), c.update(model="parseq", features="t")), None,
+     EXIT_CONFIG),
+    # meta that does not build a model is a data error, whatever the field
+    ("negative wv_dim in a parseq checkpoint", None,
+     lambda t: _edit_meta(_trained_checkpoint("parseq", "t"), "wv_dim", -100),
+     EXIT_DATA),
+    ("boolean wv_dim in an rst t,ns,r checkpoint", None,
+     lambda t: _edit_meta(_trained_checkpoint("rst", "t,ns,r"), "wv_dim", True),
+     EXIT_DATA),
+    ("fractional wv_dim in an rst t,ns,r checkpoint", None,
+     lambda t: _edit_meta(_trained_checkpoint("rst", "t,ns,r"), "wv_dim", 2.5),
+     EXIT_DATA),
+    ("boolean hidden_size in a checkpoint", None,
+     lambda t: _edit_meta(t, "hidden_size", True), EXIT_DATA),
+    ("zero relation_dim in a checkpoint", None,
+     lambda t: _edit_meta(t, "relation_dim", 0), EXIT_DATA),
+    ("checkpoint features with R but not NS", None,
+     lambda t: _edit_meta(t, "features", "t,r"), EXIT_DATA),
 )
 
 

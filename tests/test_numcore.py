@@ -218,7 +218,7 @@ class TestFusedHeadAndLoss:
     def run_both(bundle, w, b, x, label, floor=1e-12):
         results = []
         with nc.record():
-            dist = nc.softmax_head(w, b, x)
+            dist = nc.softmax_head(w, b, [x])
             loss = nc.nll(dist, [label], floor)
             nc.backward(loss, bundle)
             entries = len(nc._tape)
@@ -257,14 +257,15 @@ class TestFusedHeadAndLoss:
         xs = rng.uniform(-1.5, 1.5, size=(4, 5))
         labels = [2, 0, 1, 2]
         with nc.record():
-            loss = nc.nll(nc.softmax_head(w, b, nc.constant(xs)), labels, 1e-12)
+            loss = nc.nll(nc.softmax_head(w, b, [nc.constant(xs)]), labels, 1e-12)
             nc.backward(loss, bundle)
         got = loss.item(), w.grad.copy(), b.grad.copy()
         want_loss = 0.0
         want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
         for x_k, label in zip(xs, labels):
             with nc.record():
-                loss = nc.nll(nc.softmax_head(w, b, nc.constant([x_k])), [label], 1e-12)
+                loss = nc.nll(nc.softmax_head(w, b, [nc.constant([x_k])]), [label],
+                              1e-12)
                 nc.backward(loss, bundle)
             want_loss += loss.item()
             want_w += w.grad
@@ -272,6 +273,32 @@ class TestFusedHeadAndLoss:
         assert got[0] == pytest.approx(want_loss, rel=KERNEL_RTOL)
         assert_kernel_close(got[1], want_w)
         assert_kernel_close(got[2], want_b)
+
+    def test_parts_give_the_bits_of_one_joined_input(self):
+        # the head over the encoders' outputs as they come equals, bit for
+        # bit, the head over their concat, in one tape entry instead of two
+        rng = np.random.default_rng(9)
+        bundle = nc.ParameterBundle()
+        w = random_tensor(rng, (3, 5), bundle, "w")
+        b = random_tensor(rng, 3, bundle, "b")
+        parts = [random_tensor(rng, (2, 3), bundle, "x0"),
+                 random_tensor(rng, (2, 2), bundle, "x1")]
+        results = []
+        for head in (lambda: nc.softmax_head(w, b, parts),
+                     lambda: nc.softmax_head(w, b, [oracles.concat(parts)])):
+            with nc.record():
+                dist = head()
+                loss = nc.nll(dist, [2, 0], 1e-12)
+                nc.backward(loss, bundle)
+                entries = len(nc._tape)
+            results.append((dist.data, entries,
+                            {name: t.grad.copy() for name, t in bundle.items()}))
+        (dist, entries, grads), (want_dist, want_entries, want_grads) = results
+        assert (entries, want_entries) == (2, 3)
+        assert np.array_equal(dist, want_dist)
+        for name in grads:
+            assert np.any(grads[name] != 0.0), name
+            assert np.array_equal(grads[name], want_grads[name]), name
 
     def test_probability_below_floor_has_zero_gradient(self):
         bundle = nc.ParameterBundle()
@@ -349,14 +376,14 @@ class TestBackward:
         m = bundle.add("m", rng.uniform(-1, 1, size=(4, 3)))
 
         def loss_fn():
-            z = nc.concat((oracles.tanh(oracles.matvec(nc.Tensor(w.data, True),
+            z = oracles.concat((oracles.tanh(oracles.matvec(nc.Tensor(w.data, True),
                                                        nc.Tensor(v.data, True))),
                            oracles.row(nc.Tensor(m.data, True), 2)))
             p = oracles.softmax(z)
             return float(oracles.composed_nll(p, 1, 1e-12).data)
 
         with nc.record():
-            z = nc.concat((oracles.tanh(oracles.matvec(w, v)), oracles.row(m, 2)))
+            z = oracles.concat((oracles.tanh(oracles.matvec(w, v)), oracles.row(m, 2)))
             p = oracles.softmax(z)
             loss = oracles.composed_nll(p, 1, 1e-12)
             nc.backward(loss, bundle)
@@ -534,31 +561,36 @@ class TestOps:
     def test_softmax_normalizes(self, rng):
         for _ in range(10):
             p = nc.softmax_head(nc.constant(np.eye(3)), nc.zeros(3),
-                                nc.constant(rng.uniform(-30, 30, size=(4, 3))))
+                                [nc.constant(rng.uniform(-30, 30, size=(4, 3)))])
             assert np.all(np.abs(p.data.sum(axis=1) - 1.0) <= 1e-12)
             assert (p.data >= 0).all()
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DataError):
-            nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), nc.zeros(1, 2))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(2), [nc.zeros(1, 2)])
         with pytest.raises(DataError):
-            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(1, 3))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), [nc.zeros(1, 3)])
         with pytest.raises(DataError):
-            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), nc.zeros(2))
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), [nc.zeros(2)])
+        with pytest.raises(DataError):
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3),
+                            [nc.zeros(1, 1), nc.zeros(2, 1)])
+        with pytest.raises(DataError):
+            nc.softmax_head(nc.zeros(3, 2), nc.zeros(3), [])
 
     def test_concat_joins_last_axis(self):
         bundle = nc.ParameterBundle()
         a = bundle.add("a", [[1.0, 2.0], [3.0, 4.0]])
         b = bundle.add("b", [[5.0], [6.0]])
         with nc.record():
-            out = nc.concat((a, b))
+            out = oracles.concat((a, b))
             nc.backward(oracles.vsum(oracles.mul(out, nc.constant(
                 [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))), bundle)
         assert np.array_equal(out.data, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
         assert np.array_equal(a.grad, [[1.0, 2.0], [4.0, 5.0]])
         assert np.array_equal(b.grad, [[3.0], [6.0]])
         with pytest.raises(DataError):
-            nc.concat((a, nc.zeros(3, 1)))
+            oracles.concat((a, nc.zeros(3, 1)))
 
     def test_ops_outside_record_build_no_graph(self):
         bundle = nc.ParameterBundle()

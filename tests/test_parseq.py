@@ -5,7 +5,7 @@ import pytest
 
 from rstcoh import numcore as nc
 from rstcoh.corpus import Document, WordVectors
-from rstcoh.errors import ConfigError, DataError
+from rstcoh.errors import ConfigError
 from rstcoh.parseq import encode_parseq
 from rstcoh.rst_data import build_relation_vocab
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
@@ -80,11 +80,6 @@ class TestEncodeParseq:
                                        for c in (p.lstm1, p.lstm2, p.lstm3)])
         got = encode_parseq([doc], wv, p)
         assert abs(got.data[0, 0] - want) < 1e-12
-
-    def test_empty_paragraphs_rejected(self):
-        _, p = build_parseq()
-        with pytest.raises(DataError):
-            encode_parseq([make_doc([])], toy_wv(), p)
 
     def test_paragraph_permutation_changes_vector(self):
         hits = 0
@@ -185,7 +180,7 @@ class TestEnsemble:
         w_tree = oracles.scalar_gates(tc)
 
         def rel(label):
-            return float(model.tree.relation_table.data[vocab.index_of_label(label)][0])
+            return float(model.tree.table.data[vocab.index_of_label(label)][0])
 
         # tree side with zero leaves
         inner = tree.left

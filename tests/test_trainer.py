@@ -163,14 +163,6 @@ class TestRunMultiSeed:
         result = run_multi_seed(small_cfg(seed=5), tiny_split, tiny_wv, n_runs=3)
         assert [r.seed for r in result.records] == [5, 6, 7]
 
-    def test_parallel_equals_serial(self, tiny_split, tiny_wv):
-        cfg = small_cfg(epochs=1)
-        serial = run_multi_seed(cfg, tiny_split, tiny_wv, n_runs=4, workers=1)
-        parallel = run_multi_seed(cfg, tiny_split, tiny_wv, n_runs=4, workers=4)
-        assert serial.aggregate == parallel.aggregate
-        for a, b in zip(serial.records, parallel.records):
-            assert a.to_dict() == b.to_dict()
-
     def test_diverged_runs_flagged_and_excluded(self, tiny_split, tiny_wv,
                                                 monkeypatch):
         real_train = trainer.train
@@ -244,7 +236,7 @@ def chunk_corpus():
 def random_model(kind, features, split, wv, seed):
     cfg = small_cfg(model=kind, features=AblationConfig.from_features(features))
     vocab = None
-    if trainer.needs_vocab(cfg):
+    if cfg.needs_vocab:
         vocab = build_relation_vocab(d.tree for d in split.train)
     rng = np.random.default_rng(seed)
     model = trainer.build_model(cfg, vocab, wv.dimension, rng)
@@ -283,7 +275,7 @@ def test_chunked_evaluation_equals_one_document_classify(kind, features, chunk_c
 @pytest.mark.parametrize("kind,features,entries", [("rst", "t,ns,r,e", 4),
                                                    ("rst", "t", 3),
                                                    ("parseq", "t", 5),
-                                                   ("ensemble", "t,ns,r", 7)])
+                                                   ("ensemble", "t,ns,r", 6)])
 def test_tape_entries_per_training_document(kind, features, entries, tiny_split,
                                             tiny_wv):
     model = random_model(kind, features, tiny_split, tiny_wv, seed=2)

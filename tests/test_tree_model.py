@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rstcoh import numcore as nc, tree_model
+from rstcoh import numcore as nc
 from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_corpus,
                            tokenize)
 from rstcoh.errors import ConfigError, DataError
@@ -46,22 +46,21 @@ def classify(model, tree, wv=None):
     return model.classify(documents([tree]), wv).data[0]
 
 
-def encode_subtree(tree, params, wv, abl, vocab=None):
+def encode_subtree(tree, params, wv):
     """(h, c) of ``tree``'s root, as run_tree computes it for the left child
     of a document root."""
     root = Internal(tree, Leaf("pad."), make_label("Joint", "N"),
                     make_label("Joint", "N"))
-    h, c = encode_trees(documents([root]), params, wv, abl, vocab)
-    n = params.hidden_size
+    h, c = encode_trees(documents([root]), params, wv)
+    n = params.cell.hidden_size
     return h.data[0, :n], c.data[0, :n]
 
 
-def label_vector(label, params, abl, vocab=None):
+def label_vector(label, params):
     """What run_tree puts in a label's slot of the cell input."""
-    table = params.relation_table if abl.r else params.nuclearity_table
-    if table is None:
-        return np.zeros(params.relation_dim)
-    return table.data[tree_model._label_row(abl, vocab)(label)]
+    if params.table is None:
+        return np.zeros((params.cell.cols - 2 * params.cell.hidden_size) // 2)
+    return params.table.data[params.label_row(label)]
 
 
 def left_chain(n, label=("Elaboration", "N")):
@@ -112,22 +111,22 @@ class TestAblationConfig:
 class TestLabelEmbedding:
     def test_t_only_gives_zero_vector(self):
         _, params = build(TONLY)
-        r = label_vector(make_label("Evidence", "S"), params, TONLY)
+        r = label_vector(make_label("Evidence", "S"), params)
         assert np.array_equal(r, np.zeros(3))
 
     def test_ns_only_keys_on_nuclearity(self):
         _, params = build(TNS)
-        a = label_vector(make_label("Evidence", "S"), params, TNS)
-        b = label_vector(make_label("Contrast", "S"), params, TNS)
-        c = label_vector(make_label("Evidence", "N"), params, TNS)
+        a = label_vector(make_label("Evidence", "S"), params)
+        b = label_vector(make_label("Contrast", "S"), params)
+        c = label_vector(make_label("Evidence", "N"), params)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_unseen_label_falls_back_to_unk_row(self):
         vocab = build_relation_vocab([two_edu_tree()])
         _, params = build(TNSR, vocab)
-        unseen = label_vector(make_label("Never", "N"), params, TNSR, vocab)
-        assert np.array_equal(unseen, params.relation_table.data[0])
+        unseen = label_vector(make_label("Never", "N"), params)
+        assert np.array_equal(unseen, params.table.data[0])
 
 
 class TestEncodeSubtree:
@@ -136,7 +135,7 @@ class TestEncodeSubtree:
             model, params = build(abl, randomize=False)
             for t in model.bundle.tensors():
                 t.data[:] = 0.0
-            h, c = encode_subtree(three_edu_tree(), params, None, abl)
+            h, c = encode_subtree(three_edu_tree(), params, None)
             assert np.array_equal(h, np.zeros(4))
             assert np.array_equal(c, np.zeros(4))
 
@@ -145,8 +144,8 @@ class TestEncodeSubtree:
         _, params = build(TNSR, vocab, seed=3)
         a = three_edu_tree(("one one.", "two two.", "three three."))
         b = three_edu_tree(("completely different.", "words here.", "indeed so."))
-        ha, ca = encode_subtree(a, params, None, TNSR, vocab)
-        hb, cb = encode_subtree(b, params, None, TNSR, vocab)
+        ha, ca = encode_subtree(a, params, None)
+        hb, cb = encode_subtree(b, params, None)
         assert np.array_equal(ha, hb)
         assert np.array_equal(ca, cb)
 
@@ -167,7 +166,7 @@ class TestEncodeSubtree:
                 [float(wv.lookup(t)[0]) for t in toks], w_seq)
 
         def rel(label):
-            return float(params.relation_table.data[vocab.index_of_label(label)][0])
+            return float(params.table.data[vocab.index_of_label(label)][0])
 
         h1, c1 = leaf("alpha beta.")
         h2, c2 = leaf("gamma.")
@@ -179,7 +178,7 @@ class TestEncodeSubtree:
         want_h, want_c = oracles.scalar_tree_node(hi, ci, h3, c3,
                                                   rel(tree.left_label),
                                                   rel(tree.right_label), w_tree)
-        got_h, got_c = encode_subtree(tree, params, wv, FULL, vocab)
+        got_h, got_c = encode_subtree(tree, params, wv)
         assert abs(got_h[0] - want_h) < 1e-12
         assert abs(got_c[0] - want_c) < 1e-12
 
@@ -236,8 +235,8 @@ class TestRunTree:
         n_leaves = sum(count_leaves(t) for t in trees)
         leaf_h = bundle.add("leaf_h", rng.uniform(-1, 1, size=(n_leaves, hidden)))
         leaf_c = bundle.add("leaf_c", rng.uniform(-1, 1, size=(n_leaves, hidden)))
-        table = params.relation_table if abl.r else params.nuclearity_table
-        label_row = tree_model._label_row(abl, vocab)
+        table = params.table
+        label_row = params.label_row
         wh = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
         wc = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
 
@@ -304,9 +303,9 @@ class TestRunTree:
         trees = [three_edu_tree(), left_chain(5), right_chain(4), two_edu_tree()]
         vocab = build_relation_vocab(trees)
         _, params = build(TNSR, vocab, seed=6)
-        h, c = encode_trees(documents(trees), params, None, TNSR, vocab)
+        h, c = encode_trees(documents(trees), params, None)
         for k, tree in enumerate(trees):
-            h_k, c_k = encode_trees(documents([tree]), params, None, TNSR, vocab)
+            h_k, c_k = encode_trees(documents([tree]), params, None)
             np.testing.assert_allclose(h.data[k], h_k.data[0], rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(c.data[k], c_k.data[0], rtol=1e-12, atol=0.0)
 
