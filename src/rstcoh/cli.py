@@ -249,7 +249,10 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
         model = trainer.build_model(cfg, vocab, wv_dim, np.random.default_rng(0))
     except (KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None
-    model.bundle.load_state(tensors)
+    try:
+        model.bundle.load_state(tensors)
+    except DataError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
     return model, wv_dim
 
 
@@ -281,11 +284,21 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 def cmd_ablate(config: dict) -> int:
     split, wv = resolve_corpus(config)
+    # Every row's config is built, and checked against the word vectors,
+    # before the first row trains.
+    row_cfgs = [None if kind == "majority" else make_train_config(
+        dict(config, model=kind, features="t" if kind == "parseq" else features))
+        for kind, features in ABLATION_ROWS]
+    needy = [f"{cfg.model} [{cfg.features.features()}]" for cfg in row_cfgs
+             if cfg is not None and cfg.needs_word_vectors]
+    if wv is None and needy:
+        raise ConfigError(f"ablation rows {', '.join(needy)} need word vectors, "
+                          "and paths.word_vectors is not set")
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     any_ok = False
-    for kind, features in ABLATION_ROWS:
+    for (kind, features), cfg in zip(ABLATION_ROWS, row_cfgs):
         if kind == "majority":
             rep = metrics.majority_baseline(
                 config["majority_policy"],
@@ -297,9 +310,6 @@ def cmd_ablate(config: dict) -> int:
             print(f"majority [{config['majority_policy']}]: "
                   f"accuracy={rep.accuracy:.4f} weighted_f1={rep.weighted_f1:.4f}")
             continue
-        row_config = dict(config, model=kind,
-                          features="t" if kind == "parseq" else features)
-        cfg = make_train_config(row_config)
         result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
         label = kind if kind == "parseq" else f"{kind} [{features}]"
         _print_aggregate(label, result)

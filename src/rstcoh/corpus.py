@@ -14,7 +14,9 @@ File formats:
   (paragraph -> sentence -> token lists) overriding segmentation.
 * trees: one record per line, ``<id> <TAB> <serialized tree>`` (see
   :mod:`rstcoh.rst_data` for the tree grammar).
-* word vectors: plain text, ``token v1 ... vD`` per line.
+* word vectors: plain text, ``token v1 ... vD`` per line, read into a
+  :class:`WordVectors`: a token -> row map and one matrix, so that the
+  rows of a batch's tokens are one gather.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,22 +60,34 @@ class Document:
                 for text in rst_data.leaf_texts(self.tree)]
 
 
-@dataclass
 class WordVectors:
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    """Frozen word vectors: a token -> row map and one read-only (V+1, D)
+    matrix, built once from ``vectors`` (token -> D values, in row order).
+    Row 0 is the zero vector that every token the map lacks reads, so the
+    vectors of a list of tokens are one gather of rows."""
 
-    def lookup(self, token: str) -> np.ndarray:
-        """Vector for ``token``; out-of-vocabulary tokens map to zero."""
-        vec = self.vectors.get(token)
-        if vec is None:
-            return np.zeros(self.dimension)
-        return vec
+    def __init__(self, dimension: int, vectors: Mapping[str, Sequence[float]]):
+        matrix = np.zeros((len(vectors) + 1, dimension))
+        if vectors:
+            matrix[1:] = list(vectors.values())
+        matrix.flags.writeable = False
+        self._rows = {token: row for row, token in enumerate(vectors, start=1)}
+        self.matrix = matrix
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def rows(self) -> Mapping[str, int]:
+        """Read-only token -> row of ``matrix``; absent tokens read row 0."""
+        return MappingProxyType(self._rows)
 
     def stack(self, tokens: Sequence[str]) -> np.ndarray:
         """The vectors of ``tokens`` as the rows of one (len(tokens), D) array."""
-        return np.array([self.lookup(tok) for tok in tokens],
-                        dtype=np.float64).reshape(len(tokens), self.dimension)
+        rows = np.fromiter(map(self._rows.get, tokens, itertools.repeat(0)),
+                           np.intp, len(tokens))
+        return self.matrix.take(rows, axis=0)
 
 
 @dataclass
@@ -266,7 +281,7 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
     number of values on the next line. Values must be finite.
     """
     dimension: int | None = None
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, list[float]] = {}
     rows = ((line_no, line.split()) for line_no, line in _numbered_lines(path))
     head = list(itertools.islice(rows, 2))
     if len(head) == 2 and len(head[0][1]) == 2 \
@@ -285,7 +300,7 @@ def load_word_vectors(path, vocab: set[str] | None = None) -> WordVectors:
         if vocab is not None and token not in vocab:
             continue
         try:
-            vec = np.asarray([float(v) for v in values])
+            vec = [float(v) for v in values]
         except ValueError as exc:
             raise DataError(f"line {line_no}: non-numeric value") from exc
         if not np.isfinite(vec).all():
@@ -429,19 +444,6 @@ class GeneratorConfig:
         return self.token_pool
 
 
-def class_label_distribution(cfg: GeneratorConfig, klass: int) -> dict[str, float]:
-    """Exact per-label probabilities the generator samples from for ``klass``."""
-    n = len(cfg.labels)
-    probs = {lab: (1.0 - cfg.signal_strength) / n for lab in cfg.labels}
-    if klass in (2, 3):
-        subset = cfg.feature_subset(klass)
-        for lab in subset:
-            probs[lab] += cfg.signal_strength / len(subset)
-    else:
-        probs = {lab: 1.0 / n for lab in cfg.labels}
-    return probs
-
-
 def _draw(rng: np.random.Generator, items: Sequence[str]) -> str:
     return items[int(rng.integers(0, len(items)))]
 
@@ -522,9 +524,9 @@ def synthesize_corpus(cfg: GeneratorConfig, seed: int) -> CorpusSplit:
 
 def synthesize_word_vectors(cfg: GeneratorConfig, seed: int) -> WordVectors:
     rng = np.random.default_rng(seed)
-    vectors = {tok: rng.uniform(-0.5, 0.5, size=cfg.wv_dim)
-               for tok in sorted(set(cfg.token_pool))}
-    return WordVectors(cfg.wv_dim, vectors)
+    tokens = sorted(set(cfg.token_pool))
+    matrix = rng.uniform(-0.5, 0.5, size=(len(tokens), cfg.wv_dim))
+    return WordVectors(cfg.wv_dim, dict(zip(tokens, matrix)))
 
 
 # --- file writers (deterministic bytes) ---------------------------------------
@@ -547,6 +549,6 @@ def write_trees(path, split: CorpusSplit) -> None:
 
 def write_word_vectors(path, wv: WordVectors) -> None:
     with atomic_write(path) as fh:
-        for token in sorted(wv.vectors):
-            values = " ".join(repr(v) for v in wv.vectors[token].tolist())
+        for token in sorted(wv.rows):
+            values = " ".join(repr(v) for v in wv.matrix[wv.rows[token]].tolist())
             fh.write(f"{token} {values}\n")

@@ -331,7 +331,8 @@ def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
 
 def _sigmoid(x: Array) -> Array:
     # 0.5 * (1 + tanh(x / 2)), written in place; tanh never overflows
-    s = np.tanh(0.5 * x)
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
     return s
@@ -385,11 +386,12 @@ def run_lstms(x: Tensor, lengths: Sequence[int],
 
     Sequences are ranked by length, longest first and stably, so the ones
     still running at step t are a prefix of the ranking, and the rows of x
-    are packed step by step: step t reads one contiguous block. One matrix
-    product projects every row; each step adds the recurrent product of its
-    block. The backward pass is backpropagation through time over the same
-    blocks, and it also gives the gradient of ``x`` when that needs one.
-    One tape entry; a sequence of length 0 ends in the zero state.
+    are packed step by step: step t reads one contiguous block. Each step
+    projects its block of cell inputs [x; h] with one matrix product, as
+    :func:`run_tree` does for a level. The backward pass is
+    backpropagation through time over the same blocks, and it also gives
+    the gradient of ``x`` when that needs one. One tape entry; a sequence
+    of length 0 ends in the zero state.
     """
     n = p.hidden_size
     dim = p.cols - n
@@ -410,23 +412,27 @@ def run_lstms(x: Tensor, lengths: Sequence[int],
     # the row of x that each packed row reads
     perm = ((np.cumsum(lengths) - lengths)[order] + np.arange(steps)[:, None])[running]
     w = p.w.data
-    wx, wh = w[:, :dim], w[:, dim:]
     z = np.empty((total, p.cols))  # each packed row's cell input [x; h]
     z[:, :dim] = x.data[perm]
-    px = z[:, :dim] @ wx.T + p.b.data
     h_out = np.zeros((len(lengths), n))
     c_out = np.zeros((len(lengths), n))
     h = c = np.zeros((len(lengths), n))
+    keep = _tape is not None  # the backward pass reads each step's gate values
     caches = []
+    pre_rows = np.empty((active[0], w.shape[0]))  # reused by every step
     for t in range(steps):
         lo, hi, ending = offsets[t], offsets[t + 1], active[t + 1]
         z[lo:hi, dim:] = h[:hi - lo]
-        h, c, cache = _gates_forward(px[lo:hi] + h[:hi - lo] @ wh.T, (c[:hi - lo],))
+        pre = np.matmul(z[lo:hi], w.T, out=pre_rows[:hi - lo])
+        pre += p.b.data
+        h, c, cache = _gates_forward(pre, (c[:hi - lo],))
         h_out[order[ending:hi - lo]] = h[ending:]
         c_out[order[ending:hi - lo]] = c[ending:]
-        caches.append(cache)
+        if keep:
+            caches.append(cache)
 
     def bw(gh, gc):
+        wx, wh = w[:, :dim], w[:, dim:]
         gh = np.zeros((len(lengths), n)) if gh is None else gh[order]
         gc = np.zeros((len(lengths), n)) if gc is None else gc[order]
         dpx = np.empty((total, w.shape[0]))
@@ -496,6 +502,7 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
     if table is not None:
         z[n_leaves:, 2 * n:] = table.data[labels].reshape(inner, label_cols)
     w = p.w.data
+    keep = _tape is not None  # the backward pass reads each level's gate values
     caches = []
     for k in range(len(level_sizes)):
         lo, hi = ends[k], ends[k + 1]
@@ -504,7 +511,8 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
         z[lo:hi, n:2 * n] = hs[right]
         hs[lo:hi], cs[lo:hi], cache = _gates_forward(z[lo:hi] @ w.T + p.b.data,
                                                      (cs[left], cs[right]))
-        caches.append(cache)
+        if keep:
+            caches.append(cache)
 
     def bw(gh, gc):
         # every row has one parent, on a level above it or the root
@@ -613,7 +621,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, Array]]:
     if not isinstance(doc, dict):
         raise DataError(f"checkpoint {path}: not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise DataError(f"checkpoint {path}: unsupported version {doc.get('version')!r}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: meta is not an object")

@@ -12,6 +12,7 @@ three packed passes, one per level. The caller supplies the word vectors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -44,10 +45,10 @@ def encode_parseq(docs: Sequence[Document], wv: WordVectors,
     paragraphs, then all documents. Ingest guarantees that every document
     has paragraphs and that none of them, and none of their sentences, is
     empty."""
-    paragraphs = [paragraph for doc in docs for paragraph in doc.paragraphs]
-    sentences = [sentence for paragraph in paragraphs for sentence in paragraph]
-    x = nc.constant(wv.stack([tok for sentence in sentences for tok in sentence]))
-    h, _ = nc.run_lstms(x, [len(sentence) for sentence in sentences], p.lstm1)
-    h, _ = nc.run_lstms(h, [len(paragraph) for paragraph in paragraphs], p.lstm2)
+    paragraphs = list(chain.from_iterable(doc.paragraphs for doc in docs))
+    sentences = list(chain.from_iterable(paragraphs))
+    x = nc.constant(wv.stack(list(chain.from_iterable(sentences))))
+    h, _ = nc.run_lstms(x, list(map(len, sentences)), p.lstm1)
+    h, _ = nc.run_lstms(h, list(map(len, paragraphs)), p.lstm2)
     h, _ = nc.run_lstms(h, [len(doc.paragraphs) for doc in docs], p.lstm3)
     return h

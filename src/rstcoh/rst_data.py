@@ -278,8 +278,9 @@ UNK_LABEL = "UNK"
 
 
 class RelationVocabulary:
-    """Frozen ordered map from combined "Relation_N"/"Relation_S" labels to
-    embedding row indices. Index 0 is always the UNK fallback."""
+    """Frozen ordered list of combined "Relation_N"/"Relation_S" labels: a
+    label's position is its embedding row. Row 0 is always the UNK
+    fallback."""
 
     def __init__(self, labels: Iterable[str]):
         labels = list(labels)
@@ -288,7 +289,6 @@ class RelationVocabulary:
         if len(set(labels)) != len(labels):
             raise DataError("duplicate labels in vocabulary")
         self._labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -298,11 +298,15 @@ class RelationVocabulary:
     def size(self) -> int:
         return len(self._labels)
 
-    def index_of(self, combined: str) -> int:
-        return self._index.get(combined, 0)
-
-    def index_of_label(self, label: NodeLabel) -> int:
-        return self.index_of(label.combined())
+    def label_rows(self) -> dict[NodeLabel, int]:
+        """Each label's row, keyed on the :class:`NodeLabel` that combines to
+        it; labels absent from it, and so no NodeLabel, read row 0 (UNK)."""
+        rows = {}
+        for row, combined in enumerate(self._labels):
+            relation, _, nuc = combined.rpartition("_")
+            if row and nuc in _NUCLEARITY:
+                rows[NodeLabel(relation, _NUCLEARITY[nuc])] = row
+        return rows
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RelationVocabulary) and self._labels == other._labels

@@ -20,13 +20,15 @@ NS keys label embeddings by nuclearity alone, R by the combined
 relation_nuclearity label, E turns the leaf EDU encoder on; with
 everything off the output is a function of tree shape only. The row is
 fixed when the model is built: :func:`init_tree_model` picks the label
-table and the map from a label to its row, and the EDU encoder is there
-or not, so :func:`encode_trees` decides nothing per call.
+table and the map from a label to its row (one dict lookup keyed on the
+label for R, on its nuclearity for NS, a constant 0 for t), and the EDU
+encoder is there or not, so :func:`encode_trees` decides nothing per call.
 
 A batch of documents takes at most two recording calls, whatever its size.
 :func:`encode_trees` walks each tree once into a level schedule (a level is
 the set of internal nodes of equal height), runs all the batch's EDUs
-through one packed LSTM pass when E is on, and hands the schedule to
+through one packed LSTM pass when E is on (their word vectors are one
+gather), and hands the schedule to
 ``numcore.run_tree``, which applies the cell once per level (dynamic
 batching, Looks et al. 2017; a tree as a flat schedule, as in SPINN,
 Bowman et al. 2016). This module owns the mapping from trees to index
@@ -37,6 +39,7 @@ arrays; numcore sees only the arrays. The EDUs' tokens come from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,12 +93,9 @@ class AblationConfig:
 class TreeModelParams:
     cell: nc.CellParams  # 2 children, over [h_l; h_r; r_l; r_r]
     table: nc.Tensor | None  # the feature row's label table; None for t
-    label_row: Callable[[NodeLabel], int]  # a child label's row in ``table``
+    # the rows in ``table`` of a list of child labels, as one list
+    label_rows: Callable[[list[NodeLabel]], list[int]]
     edu: nc.CellParams | None = None  # LSTM over the EDU's word vectors
-
-
-def _nuclearity_row(label: NodeLabel) -> int:
-    return 0 if label.nuclearity is Nuclearity.N else 1
 
 
 def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
@@ -116,14 +116,16 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     if abl.r:
         if vocab is None:
             raise ConfigError("relation embeddings need a vocabulary")
+        rows = vocab.label_rows()
         return TreeModelParams(cell, bundle.add(
             "relation_table", nc.embedding_init(rng, (vocab.size, relation_dim))),
-            vocab.index_of_label)
+            lambda labels: [rows.get(label, 0) for label in labels])
     if abl.ns:
+        by_nuclearity = {Nuclearity.N: 0, Nuclearity.S: 1}
         return TreeModelParams(cell, bundle.add(
             "nuclearity_table", nc.embedding_init(rng, (2, relation_dim))),
-            _nuclearity_row)
-    return TreeModelParams(cell, None, lambda label: 0)
+            lambda labels: [by_nuclearity[label.nuclearity] for label in labels])
+    return TreeModelParams(cell, None, lambda labels: [0] * len(labels))
 
 
 class TreeSchedule(NamedTuple):
@@ -148,17 +150,19 @@ class TreeSchedule(NamedTuple):
 
 
 def tree_schedule(trees: Sequence[RstTree],
-                  label_row: Callable[[NodeLabel], int]) -> TreeSchedule:
+                  label_rows: Callable[[list[NodeLabel]], list[int]]) -> TreeSchedule:
     """Level schedule of ``trees``, one iterative post-order walk per tree.
 
-    ``label_row`` maps a child's label to its row in the label table.
+    ``label_rows`` maps all the batch's child labels to their label-table
+    rows in one call, after the walk.
     """
     n_leaves = 0
     level_sizes: list[int] = []
-    # (height, left height, left position, right height, right position,
-    # left label row, right label row) of each internal node, in walk
-    # order; a position counts the nodes of one height
+    # (height, left height, left position, right height, right position)
+    # of each internal node, in walk order, and its children's labels; a
+    # position counts the nodes of one height
     nodes = []
+    labels: list[NodeLabel] = []
     root_keys = []
     for tree in trees:
         if not isinstance(tree, Internal):
@@ -180,16 +184,18 @@ def tree_schedule(trees: Sequence[RstTree],
                 height = max(left[0], right[0]) + 1
                 if height > len(level_sizes):
                     level_sizes.append(0)
-                nodes.append((height, *left, *right, label_row(node.left_label),
-                              label_row(node.right_label)))
+                nodes.append((height, *left, *right))
+                labels += (node.left_label, node.right_label)
                 done.append((height, level_sizes[height - 1]))
                 level_sizes[height - 1] += 1
         root_keys.append(done)
     base = np.cumsum([0, n_leaves] + level_sizes)  # first row of each height
-    a = np.array(nodes, dtype=np.intp).reshape(-1, 7)
-    a = a[np.argsort(a[:, 0], kind="stable")]  # by level, by position within one
+    a = np.array(nodes, dtype=np.intp).reshape(-1, 5)
+    order = np.argsort(a[:, 0], kind="stable")  # by level, by position within one
+    a = a[order]
+    rows = np.array(label_rows(labels), dtype=np.intp).reshape(-1, 2)[order]
     keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
-    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
+    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], rows,
                         level_sizes, base[keys[..., 0]] + keys[..., 1])
 
 
@@ -204,23 +210,12 @@ def encode_trees(docs: Sequence[Document], params: TreeModelParams,
     the zero state; one :func:`numcore.run_tree` call runs every internal
     node below the roots. ``wv`` is read only with E on.
     """
-    sched = tree_schedule([doc.tree for doc in docs], params.label_row)
+    sched = tree_schedule([doc.tree for doc in docs], params.label_rows)
     if params.edu is not None:
-        edus = [tokens for doc in docs for tokens in doc.edus]
-        x = nc.constant(wv.stack([tok for tokens in edus for tok in tokens]))
-        leaf_h, leaf_c = nc.run_lstms(x, [len(tokens) for tokens in edus], params.edu)
+        edus = list(chain.from_iterable(doc.edus for doc in docs))
+        x = nc.constant(wv.stack(list(chain.from_iterable(edus))))
+        leaf_h, leaf_c = nc.run_lstms(x, list(map(len, edus)), params.edu)
     else:
         leaf_h = leaf_c = nc.zeros(sched.leaves, params.cell.hidden_size)
     return nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels, sched.level_sizes,
                        sched.roots, params.table, params.cell)
-
-
-def count_parameters(bundle: nc.ParameterBundle) -> dict[str, int]:
-    """Exact trainable counts from tensor shapes, grouped by name prefix,
-    plus a "total" entry. Word vectors are frozen and never appear."""
-    counts: dict[str, int] = {}
-    for name, t in bundle.items():
-        component = name.split(".", 1)[0]
-        counts[component] = counts.get(component, 0) + t.data.size
-    counts["total"] = sum(t.data.size for t in bundle.tensors())
-    return counts

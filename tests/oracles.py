@@ -9,7 +9,14 @@ among them, which the package itself no longer needs), and the gated cell,
 softmax head and loss built from them, so that the fused entries' forward
 values and hand-written gradients can be checked against the tape's. ``reference_parse_tree`` is the token-by-token tree parser that
 ``rst_data.parse_tree`` replaced, kept as the reference for its trees, error
-messages and byte offsets.
+messages and byte offsets. ``reference_tree_schedule`` is the level
+schedule that maps one label at a time, with ``reference_label_row``'s
+combined-label lookup, and ``reference_stack`` stacks word vectors one
+token at a time: the references for ``tree_model.tree_schedule`` and
+``WordVectors.stack``. ``class_label_distribution`` (the generator's exact
+label distribution) and ``count_parameters`` (parameter counts from tensor
+shapes) are computed from the config and the bundle for the tests that
+check those.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
 from rstcoh.rst_data import Internal, Leaf, NodeLabel, Nuclearity
+from rstcoh.tree_model import TreeSchedule
 
 
 def sig(x: float) -> float:
@@ -378,6 +386,95 @@ def composed_tree_walk(trees, leaf_h, leaf_c, label_row, table, p):
         (h_l, c_l), (h_r, c_r) = results
         out.append((concat((h_l, h_r)), concat((c_l, c_r))))
     return out
+
+
+def reference_label_row(features, vocab):
+    """A child label's row in the feature row's label table, one label at a
+    time: R looks the combined "Relation_N" string up in ``vocab.labels``
+    (absent: row 0, UNK), NS takes 0 for N and 1 for S, t always 0."""
+    if features.r:
+        index = {combined: i for i, combined in enumerate(vocab.labels)}
+        return lambda label: index.get(label.combined(), 0)
+    if features.ns:
+        return lambda label: 0 if label.nuclearity.value == "N" else 1
+    return lambda label: 0
+
+
+def reference_tree_schedule(trees, label_row):
+    """The level schedule of ``trees`` as ``tree_model.tree_schedule`` built
+    it before it mapped labels in one call: one iterative post-order walk
+    per tree, ``label_row`` called once per child label, one 7-tuple per
+    internal node."""
+    n_leaves = 0
+    level_sizes = []
+    # (height, left height, left position, right height, right position,
+    # left label row, right label row) of each internal node, in walk
+    # order; a position counts the nodes of one height
+    nodes = []
+    root_keys = []
+    for tree in trees:
+        if not isinstance(tree, Internal):
+            raise DataError("document tree has a single EDU")
+        done = []  # (height, position) of finished subtrees
+        stack = [(tree.right, False), (tree.left, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if isinstance(node, Leaf):
+                done.append((0, n_leaves))
+                n_leaves += 1
+            elif not expanded:
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            else:
+                right = done.pop()
+                left = done.pop()
+                height = max(left[0], right[0]) + 1
+                if height > len(level_sizes):
+                    level_sizes.append(0)
+                nodes.append((height, *left, *right, label_row(node.left_label),
+                              label_row(node.right_label)))
+                done.append((height, level_sizes[height - 1]))
+                level_sizes[height - 1] += 1
+        root_keys.append(done)
+    base = np.cumsum([0, n_leaves] + level_sizes)  # first row of each height
+    a = np.array(nodes, dtype=np.intp).reshape(-1, 7)
+    a = a[np.argsort(a[:, 0], kind="stable")]  # by level, by position within one
+    keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
+    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
+                        level_sizes, base[keys[..., 0]] + keys[..., 1])
+
+
+def reference_stack(vectors, dimension, tokens):
+    """The word vectors of ``tokens`` from the token -> vector dict
+    ``vectors``, one token at a time, zeros for a token it lacks: a
+    (len(tokens), dimension) array."""
+    return np.array([vectors.get(tok, np.zeros(dimension)) for tok in tokens],
+                    dtype=np.float64).reshape(len(tokens), dimension)
+
+
+def class_label_distribution(cfg, klass):
+    """Exact per-label probabilities the generator samples from for ``klass``."""
+    n = len(cfg.labels)
+    probs = {lab: (1.0 - cfg.signal_strength) / n for lab in cfg.labels}
+    if klass in (2, 3):
+        subset = cfg.feature_subset(klass)
+        for lab in subset:
+            probs[lab] += cfg.signal_strength / len(subset)
+    else:
+        probs = {lab: 1.0 / n for lab in cfg.labels}
+    return probs
+
+
+def count_parameters(bundle):
+    """Exact trainable counts from tensor shapes, grouped by name prefix,
+    plus a "total" entry. Word vectors are frozen and never appear."""
+    counts = {}
+    for name, t in bundle.items():
+        component = name.split(".", 1)[0]
+        counts[component] = counts.get(component, 0) + t.data.size
+    counts["total"] = sum(t.data.size for t in bundle.tensors())
+    return counts
 
 
 # --- tree parsing -------------------------------------------------------------

@@ -162,8 +162,10 @@ def test_criterion_3_scalar_oracle_equivalence():
             toks = corpus.tokenize(text)
             return oracles.scalar_lstm_run([values[t] for t in toks], w_edu)
 
+        label_row = oracles.reference_label_row(model.cfg.features, vocab)
+
         def rel(label):
-            return float(params.table.data[vocab.index_of_label(label)][0])
+            return float(params.table.data[label_row(label)][0])
 
         h1, c1 = leaf_state("ax bx.")
         h2, c2 = leaf_state("cx.")

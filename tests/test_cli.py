@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rstcoh import cli, corpus, metrics, numcore as nc
+from rstcoh import cli, corpus, metrics, numcore as nc, trainer
 from rstcoh.atomic import atomic_write
 from rstcoh.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
@@ -334,6 +334,8 @@ def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert set(json.loads(err[0])) == {"error", "message"}
+    if edit_checkpoint is not None:  # every checkpoint error names the file
+        assert str(checkpoint) in json.loads(err[0])["message"]
 
 
 @pytest.mark.parametrize("from_file", [False, True], ids=["generator", "file"])
@@ -447,6 +449,23 @@ class TestAblate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert set(json.loads(err[0])) == {"error", "message"}
+
+    def test_missing_word_vectors_fail_before_any_row_trains(self, tmp_path, capsys,
+                                                             monkeypatch):
+        cfg_path, config = write_config(tmp_path, n_runs=1)
+        _file_corpus(1)(config)  # documents and trees, no word vectors
+        cfg_path.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(trainer, "run_multi_seed",
+                            lambda *args, **kwargs: calls.append(args))
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        parsed = json.loads(err[0])
+        assert parsed["error"] == "ConfigError"
+        assert "word vectors" in parsed["message"]
+        assert not (Path(config["out_dir"]) / "ablation.csv").exists()
 
     def test_grid_has_nine_rows(self, tmp_path):
         cfg_path, config = write_config(tmp_path, n_runs=1)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from rstcoh import corpus, rst_data
-from rstcoh.corpus import (GeneratorConfig, class_label_distribution, join_paragraphs,
+from rstcoh.corpus import (GeneratorConfig, join_paragraphs,
                            load_corpus, load_word_vectors, segment,
                            synthesize_corpus, synthesize_word_vectors, tokenize)
 from rstcoh.errors import ConfigError, DataError, IngestError, ParseError
@@ -154,14 +154,40 @@ class TestWordVectors:
         path.write_text("the 0.1 0.2\ncat 0.3 0.4\n")
         wv = load_word_vectors(path, vocab={"the"})
         assert wv.dimension == 2
-        assert np.array_equal(wv.lookup("the"), [0.1, 0.2])
-        assert "cat" not in wv.vectors
+        assert np.array_equal(wv.stack(["the"]), [[0.1, 0.2]])
+        assert "cat" not in wv.rows
 
     def test_oov_is_zero_vector(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("the 0.1 0.2\n")
         wv = load_word_vectors(path)
-        assert np.array_equal(wv.lookup("missing"), [0.0, 0.0])
+        assert np.array_equal(wv.stack(["missing"]), [[0.0, 0.0]])
+
+    @given(tokens=st.lists(st.sampled_from(["the", "cat", "sat", "mat", "dog", ""]),
+                           max_size=40))
+    def test_stack_equals_per_token_reference(self, tokens):
+        # "mat", "dog" and "" are out of vocabulary and read zeros
+        vectors = {"the": np.array([0.1, -0.2, 0.3]), "cat": np.array([1.5, 0.0, -4.0]),
+                   "sat": np.array([-0.7, 0.25, 2.0])}
+        wv = corpus.WordVectors(3, vectors)
+        got = wv.stack(tokens)
+        assert got.shape == (len(tokens), 3) and got.dtype == np.float64
+        assert np.array_equal(got, oracles.reference_stack(vectors, 3, tokens))
+
+    def test_stack_of_no_tokens_is_zero_rows(self):
+        wv = corpus.WordVectors(4, {"the": np.ones(4)})
+        assert wv.stack([]).shape == (0, 4)
+        assert corpus.WordVectors(2, {}).stack([]).shape == (0, 2)
+
+    def test_vectors_are_frozen(self):
+        vectors = {"the": np.array([0.1, 0.2])}
+        wv = corpus.WordVectors(2, vectors)
+        vectors["the"][0] = 9.0  # the matrix holds a copy
+        assert np.array_equal(wv.stack(["the"]), [[0.1, 0.2]])
+        with pytest.raises(ValueError):
+            wv.matrix[1, 0] = 1.0
+        with pytest.raises(TypeError):
+            wv.rows["cat"] = 1
 
     def test_inconsistent_dimension_raises(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -181,15 +207,14 @@ class TestWordVectors:
         path.write_bytes(b"the 0.1 0.2 \r\ncat 0.3\t0.4  \r\n")
         wv = load_word_vectors(path)
         assert wv.dimension == 2
-        assert np.array_equal(wv.lookup("the"), [0.1, 0.2])
-        assert np.array_equal(wv.lookup("cat"), [0.3, 0.4])
+        assert np.array_equal(wv.stack(["the", "cat"]), [[0.1, 0.2], [0.3, 0.4]])
 
     def test_word2vec_count_dim_header_skipped(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 2\nthe 0.1 0.2\ncat 0.3 0.4\n")
         wv = load_word_vectors(path)
         assert wv.dimension == 2
-        assert sorted(wv.vectors) == ["cat", "the"]
+        assert sorted(wv.rows) == ["cat", "the"]
 
     def test_first_line_kept_when_its_dim_does_not_match(self, tmp_path):
         # a one-dimensional file whose first token is a number
@@ -197,7 +222,7 @@ class TestWordVectors:
         path.write_text("5 3\nthe 0.5\n")
         wv = load_word_vectors(path)
         assert wv.dimension == 1
-        assert np.array_equal(wv.lookup("5"), [3.0])
+        assert np.array_equal(wv.stack(["5"]), [[3.0]])
 
     def test_file_round_trip_is_exact(self, tmp_path):
         cfg = GeneratorConfig(wv_dim=5)
@@ -206,8 +231,9 @@ class TestWordVectors:
         corpus.write_word_vectors(path, wv)
         back = load_word_vectors(path)
         assert back.dimension == 5
-        for tok, vec in wv.vectors.items():
-            assert np.array_equal(back.vectors[tok], vec)
+        assert sorted(back.rows) == sorted(wv.rows)
+        for tok, row in wv.rows.items():
+            assert np.array_equal(back.matrix[back.rows[tok]], wv.matrix[row])
 
 
 class TestGenerator:
@@ -229,7 +255,7 @@ class TestGenerator:
 
     def test_signal_zero_distributions_identical(self):
         cfg = GeneratorConfig(signal_strength=0.0)
-        dists = [class_label_distribution(cfg, k) for k in (1, 2, 3)]
+        dists = [oracles.class_label_distribution(cfg, k) for k in (1, 2, 3)]
         assert dists[0] == dists[1] == dists[2]
 
     def test_signal_out_of_range_rejected(self):
@@ -290,7 +316,7 @@ class TestGenerator:
         rng = np.random.default_rng(123)
         n = 10_000
         for klass in (1, 2, 3):
-            expected = class_label_distribution(cfg, klass)
+            expected = oracles.class_label_distribution(cfg, klass)
             counts = {lab: 0 for lab in cfg.labels}
             for _ in range(n):
                 counts[corpus._sample_label(rng, cfg, klass).combined()] += 1

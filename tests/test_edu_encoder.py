@@ -53,13 +53,13 @@ def test_three_tokens_match_scalar_oracle():
 
 def test_output_depends_on_every_token():
     enc, _ = make_encoder(2, 3, seed=9)
-    base = WordVectors(2, {"a": np.array([0.5, -0.5]), "b": np.array([1.0, 0.3]),
-                           "c": np.array([-0.2, 0.8])})
-    e0, _ = oracles.encode_edu(["a", "b", "c"], base, enc)
+    vectors = {"a": np.array([0.5, -0.5]), "b": np.array([1.0, 0.3]),
+               "c": np.array([-0.2, 0.8])}
+    e0, _ = oracles.encode_edu(["a", "b", "c"], WordVectors(2, vectors), enc)
     for tok in ("a", "b", "c"):
-        perturbed = WordVectors(2, dict(base.vectors))
-        perturbed.vectors[tok] = base.vectors[tok] + np.array([0.05, -0.02])
-        e1, _ = oracles.encode_edu(["a", "b", "c"], perturbed, enc)
+        # the vectors are frozen once built: perturb the mapping, then build
+        shifted = dict(vectors, **{tok: vectors[tok] + np.array([0.05, -0.02])})
+        e1, _ = oracles.encode_edu(["a", "b", "c"], WordVectors(2, shifted), enc)
         assert not np.array_equal(e0.data, e1.data)
 
 

@@ -62,8 +62,8 @@ class TestEncodeParseq:
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"]]])
         d = encode_parseq([doc], wv, p)
-        s, _ = oracles.run_lstm([nc.constant(wv.lookup("alpha")),
-                                 nc.constant(wv.lookup("beta"))], p.lstm1)
+        s, _ = oracles.run_lstm([nc.constant(row) for row in wv.stack(["alpha", "beta"])],
+                                p.lstm1)
         para, _ = oracles.run_lstm([s], p.lstm2)
         want, _ = oracles.run_lstm([para], p.lstm3)
         assert np.array_equal(d.data[0], want.data)
@@ -179,8 +179,10 @@ class TestEnsemble:
         tc = model.tree.cell
         w_tree = oracles.scalar_gates(tc)
 
+        label_row = oracles.reference_label_row(TNSR, vocab)
+
         def rel(label):
-            return float(model.tree.table.data[vocab.index_of_label(label)][0])
+            return float(model.tree.table.data[label_row(label)][0])
 
         # tree side with zero leaves
         inner = tree.left

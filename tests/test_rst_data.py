@@ -287,8 +287,10 @@ class TestVocabulary:
 
     def test_unseen_label_maps_to_unk(self):
         vocab = build_relation_vocab([two_edu_tree()])
-        assert vocab.index_of("Nonexistent_N") == 0
-        assert vocab.index_of("Evidence_S") == 2
+        rows = vocab.label_rows()
+        assert rows.get(make_label("Nonexistent", "N"), 0) == 0
+        assert rows[make_label("Evidence", "S")] == 2
+        assert rows.get(make_label("Evidence", "N"), 0) == 0
 
     def test_empty_input_raises(self):
         with pytest.raises(DataError):
@@ -308,5 +310,5 @@ class TestVocabulary:
         vocab = build_relation_vocab(doc.tree for doc in tiny_split.train)
         for doc in tiny_split.train:
             for lab in rst_data.child_labels(doc.tree):
-                idx = vocab.index_of_label(lab)
+                idx = vocab.label_rows().get(lab, 0)
                 assert 0 <= idx < vocab.size

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rstcoh import numcore as nc
 from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_corpus,
                            tokenize)
 from rstcoh.errors import ConfigError, DataError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
+from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
                              build_relation_vocab, count_leaves)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
-from rstcoh.tree_model import (AblationConfig, count_parameters, encode_trees,
-                               tree_schedule)
+from rstcoh.tree_model import AblationConfig, encode_trees, tree_schedule
 
 import oracles
 from conftest import count_nodes, make_label, three_edu_tree, two_edu_tree
@@ -22,6 +22,11 @@ FULL = AblationConfig(ns=True, r=True, e=True)
 TNSR = AblationConfig(ns=True, r=True)
 TNS = AblationConfig(ns=True)
 TONLY = AblationConfig()
+
+
+def t_label_rows(labels):
+    """The t row's label map: every label reads row 0."""
+    return [0] * len(labels)
 
 
 def build(abl, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True):
@@ -60,7 +65,7 @@ def label_vector(label, params):
     """What run_tree puts in a label's slot of the cell input."""
     if params.table is None:
         return np.zeros((params.cell.cols - 2 * params.cell.hidden_size) // 2)
-    return params.table.data[params.label_row(label)]
+    return params.table.data[params.label_rows([label])[0]]
 
 
 def left_chain(n, label=("Elaboration", "N")):
@@ -163,10 +168,12 @@ class TestEncodeSubtree:
         def leaf(text):
             toks = [t for t in text.replace(".", "").split()]
             return oracles.scalar_lstm_run(
-                [float(wv.lookup(t)[0]) for t in toks], w_seq)
+                [float(v) for v in wv.stack(toks)[:, 0]], w_seq)
+
+        label_row = oracles.reference_label_row(FULL, vocab)
 
         def rel(label):
-            return float(params.table.data[vocab.index_of_label(label)][0])
+            return float(params.table.data[label_row(label)][0])
 
         h1, c1 = leaf("alpha beta.")
         h2, c2 = leaf("gamma.")
@@ -187,7 +194,7 @@ class TestEncodeSubtree:
                  Internal(three_edu_tree(), right_chain(4),
                           make_label("Joint", "N"), make_label("Joint", "N"))]
         for batch_trees in [[t] for t in trees] + [trees]:
-            sched = tree_schedule(batch_trees, lambda label: 0)
+            sched = tree_schedule(batch_trees, t_label_rows)
             n_leaves = sum(count_leaves(t) for t in batch_trees)
             assert sched.leaves == n_leaves
             # each leaf once, left to right and tree after tree: following
@@ -222,6 +229,61 @@ class TestEncodeSubtree:
             assert sched.roots.shape == (len(batch_trees), 2)
 
 
+RELATIONS = ("Joint", "Cause", "Contrast", "Summary", "Elaboration", "Same-Unit")
+# The vocabulary holds half the relations, and not every nuclearity of
+# those: every other label is one it never saw and must read row 0.
+SEEN = RelationVocabulary(["Joint_N", "Joint_S", "Cause_S", "Contrast_N"])
+
+
+def random_tree(rng, n_leaves, shape):
+    """A tree of ``n_leaves`` leaves: random splits, or a left or right chain;
+    each child label drawn from RELATIONS x {N, S}."""
+    def label():
+        return make_label(RELATIONS[int(rng.integers(len(RELATIONS)))],
+                          "NS"[int(rng.integers(2))])
+
+    def build_range(lo, hi):
+        if hi - lo == 1:
+            return Leaf(f"edu {lo}.")
+        cut = {"left": hi - 1, "right": lo + 1}.get(shape)
+        if cut is None:
+            cut = int(rng.integers(lo + 1, hi))
+        return Internal(build_range(lo, cut), build_range(cut, hi), label(), label())
+
+    return build_range(0, n_leaves)
+
+
+class TestScheduleMatchesReference:
+    """tree_schedule, which maps a batch's labels in one call through the
+    map fixed at model build, against the per-label walk it replaced."""
+
+    @pytest.mark.parametrize("abl", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
+    @given(batch=st.lists(st.tuples(st.integers(2, 12),
+                                    st.sampled_from(["random", "left", "right"]),
+                                    st.integers(0, 2 ** 32 - 1)),
+                          min_size=1, max_size=64))
+    def test_random_batches(self, abl, batch):
+        vocab = SEEN if abl.r else None
+        _, params = build(abl, vocab, randomize=False)
+        trees = [random_tree(np.random.default_rng(seed), n, shape)
+                 for n, shape, seed in batch]
+        got = tree_schedule(trees, params.label_rows)
+        want = oracles.reference_tree_schedule(
+            trees, oracles.reference_label_row(abl, vocab))
+        assert got.leaves == want.leaves
+        assert got.level_sizes == want.level_sizes
+        for name in ("children", "labels", "roots"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_unseen_labels_read_row_0(self):
+        _, params = build(TNSR, SEEN, randomize=False)
+        labels = [make_label("Joint", "S"), make_label("Cause", "N"),
+                  make_label("Summary", "S"), make_label("Contrast", "N"),
+                  NodeLabel("UNK", Nuclearity.N)]
+        assert params.label_rows(labels) == [2, 0, 0, 4, 0]
+
+
 class TestRunTree:
     """nc.run_tree against the per-node walk it replaces, in values and in
     the gradients of the cell, the label table and the leaf states."""
@@ -236,7 +298,6 @@ class TestRunTree:
         leaf_h = bundle.add("leaf_h", rng.uniform(-1, 1, size=(n_leaves, hidden)))
         leaf_c = bundle.add("leaf_c", rng.uniform(-1, 1, size=(n_leaves, hidden)))
         table = params.table
-        label_row = params.label_row
         wh = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
         wc = rng.uniform(-1, 1, size=(len(trees), 2 * hidden))
 
@@ -244,7 +305,7 @@ class TestRunTree:
             return {name: t.grad.copy() for name, t in bundle.items()}
 
         with nc.record():
-            sched = tree_schedule(trees, label_row)
+            sched = tree_schedule(trees, params.label_rows)
             h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
                                sched.level_sizes, sched.roots, table, params.cell)
             assert len(nc._tape) == 1
@@ -253,8 +314,9 @@ class TestRunTree:
                         bundle)
             got = h.data, c.data, grads()
         with nc.record():
-            states = oracles.composed_tree_walk(trees, leaf_h, leaf_c, label_row,
-                                                table, params.cell)
+            states = oracles.composed_tree_walk(
+                trees, leaf_h, leaf_c, oracles.reference_label_row(abl, vocab),
+                table, params.cell)
             loss = None
             for (h_k, c_k), wh_k, wc_k in zip(states, wh, wc):
                 for state, weight in ((h_k, wh_k), (c_k, wc_k)):
@@ -295,7 +357,7 @@ class TestRunTree:
     @pytest.mark.parametrize("chain", [left_chain, right_chain])
     def test_300_edu_chain(self, chain):
         trees = [chain(300)]
-        sched = tree_schedule(trees, lambda label: 0)
+        sched = tree_schedule(trees, t_label_rows)
         assert sched.level_sizes == [1] * 298
         self.assert_match(trees, TNS, seed=5)
 
@@ -311,7 +373,7 @@ class TestRunTree:
 
     def test_single_leaf_tree_rejected(self):
         with pytest.raises(DataError):
-            tree_schedule([two_edu_tree(), Leaf("only")], lambda label: 0)
+            tree_schedule([two_edu_tree(), Leaf("only")], t_label_rows)
 
 
 class TestClassify:
@@ -390,7 +452,7 @@ class TestCounts:
         cfg = TrainConfig(model="rst", features=FULL, hidden_size=100,
                           relation_dim=50)
         model = build_model(cfg, vocab, 300, np.random.default_rng(0))
-        counts = count_parameters(model.bundle)
+        counts = oracles.count_parameters(model.bundle)
         # sequence cell: 4 gates over [x(300); h(100)] -> 100, plus biases
         assert counts["edu"] == 4 * ((300 + 100) * 100 + 100) == 160_400
         # tree cell: 5 gates over [h_l(100); h_r(100); r_l(50); r_r(50)]
