@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Print the sha256 of each training and evaluation artifact for five model
-rows at one small fixed config: the "same config, same bytes" check across a
-refactor.
+rows, and of each file ``rstcoh synth`` writes, at one small fixed config:
+the "same config, same bytes" check across a refactor.
 
 Each row trains with ``rstcoh train`` in its own temporary directory, always
 with the relative ``out_dir`` "out", then runs ``rstcoh evaluate`` on the
 checkpoint it wrote with the relative ``--out`` "eval", so the configs
 recorded in summary.json and report.json are the same wherever the script
-runs. The package is imported from the
+runs. The synth row writes the generator's corpus and word vectors to the
+relative ``--out`` "synth". The package is imported from the
 ``src/`` of the checkout that holds this script. To compare two revisions,
 run the script in both checkouts and diff the output:
 
@@ -33,6 +34,7 @@ ROWS = (("rst", "t"), ("rst", "t,ns"), ("rst", "t,ns,r,e"), ("parseq", "t"),
         ("ensemble", "t,ns,r"))
 ARTIFACTS = ("out/run_log.jsonl", "out/summary.json", "out/checkpoint.json",
              "eval/report.json", "eval/report.csv")
+SYNTH_ARTIFACTS = ("synth/documents.jsonl", "synth/trees.txt", "synth/vectors.txt")
 CONFIG = {
     "out_dir": "out",
     "train": {"learning_rate": 3e-3, "epochs": 2, "hidden_size": 8,
@@ -51,28 +53,40 @@ def run_cli(argv: list[str]) -> None:
         raise SystemExit(f"rstcoh {' '.join(argv)} exited {code}")
 
 
-def digest_row(model: str, features: str) -> dict[str, str]:
-    """sha256 of each artifact of one ``rstcoh train`` run and of
-    ``rstcoh evaluate`` on its checkpoint."""
+def digest_run(config: dict, commands: list[list[str]],
+               artifacts: tuple[str, ...]) -> dict[str, str]:
+    """sha256 of each of ``artifacts`` after running the rstcoh ``commands``
+    in a fresh temporary directory that holds ``config`` as config.json."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("config.json").write_text(
-                json.dumps({**CONFIG, "model": model, "features": features}))
-            run_cli(["train", "--config", "config.json"])
-            run_cli(["evaluate", "--config", "config.json", "--checkpoint",
-                     "out/checkpoint.json", "--out", "eval"])
+            Path("config.json").write_text(json.dumps(config))
+            for argv in commands:
+                run_cli(argv)
             return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                    for name in ARTIFACTS}
+                    for name in artifacts}
         finally:
             os.chdir(cwd)
+
+
+def digest_row(model: str, features: str) -> dict[str, str]:
+    """sha256 of each artifact of one ``rstcoh train`` run and of
+    ``rstcoh evaluate`` on its checkpoint."""
+    return digest_run({**CONFIG, "model": model, "features": features},
+                      [["train", "--config", "config.json"],
+                       ["evaluate", "--config", "config.json", "--checkpoint",
+                        "out/checkpoint.json", "--out", "eval"]], ARTIFACTS)
 
 
 def main() -> int:
     for model, features in ROWS:
         for name, digest in digest_row(model, features).items():
             print(f"{model:<8} {features:<9} {name:<19} {digest}")
+    synth = digest_run(CONFIG, [["synth", "--config", "config.json", "--out", "synth"]],
+                       SYNTH_ARTIFACTS)
+    for name, digest in synth.items():
+        print(f"{'synth':<8} {'':<9} {name:<19} {digest}")
     return 0
 
 

@@ -112,14 +112,12 @@ def make_train_config(config: dict) -> trainer.TrainConfig:
         if type(value) is not int or value < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     try:
-        cfg = trainer.TrainConfig(
+        return trainer.TrainConfig(
             model=config["model"],
             features=AblationConfig.from_features(config["features"]),
             **config["train"])
-        cfg.validate()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
-    return cfg
 
 
 def make_generator_config(config: dict) -> corpus.GeneratorConfig:
@@ -135,12 +133,10 @@ def make_generator_config(config: dict) -> corpus.GeneratorConfig:
     kwargs = {}
     for key, value in gen.items():
         kwargs[key] = tuple(value) if isinstance(value, list) else value
-    cfg = corpus.GeneratorConfig(**kwargs)
     try:
-        cfg.validate()
+        return corpus.GeneratorConfig(**kwargs)
     except (TypeError, IndexError) as exc:
         raise ConfigError(f"bad generator config: {exc}") from exc
-    return cfg
 
 
 def synthesize(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors]:
@@ -231,14 +227,13 @@ def cmd_train(config: dict) -> int:
 
 def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
     """The model a checkpoint holds and the word-vector dimension it was
-    trained with. Meta that does not build a model, a config error in it
-    included, is a data error naming the checkpoint."""
+    trained with. Meta that does not build a model, whatever the package
+    error, is one data error naming the checkpoint."""
     meta, tensors = nc.load_checkpoint(path)
     try:
         wv_dim = meta["wv_dim"]
         if type(wv_dim) is not int or wv_dim < 1:
-            raise DataError(f"checkpoint {path}: meta.wv_dim must be an integer "
-                            f">= 1, got {wv_dim!r}")
+            raise DataError(f"meta.wv_dim must be an integer >= 1, got {wv_dim!r}")
         vocab = None
         if meta.get("vocab") is not None:
             vocab = rst_data.RelationVocabulary(meta["vocab"])
@@ -247,7 +242,7 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
             model=meta["model"],
             features=AblationConfig.from_features(meta["features"]))
         model = trainer.build_model(cfg, vocab, wv_dim, np.random.default_rng(0))
-    except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+    except (KeyError, TypeError, AttributeError, RstcohError) as exc:
         raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None
     try:
         model.bundle.load_state(tensors)

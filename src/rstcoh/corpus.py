@@ -345,7 +345,7 @@ DEFAULT_TOKEN_POOL = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     """Planted-signal corpus: relation labels (and optionally tokens) are
     drawn from class-conditional distributions.
@@ -355,6 +355,9 @@ class GeneratorConfig:
     otherwise; neutral documents (class 2) do the same with
     ``neutral_labels``; incoherent documents (class 1) always draw
     uniformly. ``token_signal`` applies the same scheme to EDU tokens.
+
+    ``edu_range`` and ``tokens_per_edu`` are (lo, hi) pairs, both ends
+    included. The constructor raises :class:`ConfigError` for an illegal value.
     """
 
     n_train: int = 300
@@ -373,13 +376,16 @@ class GeneratorConfig:
     token_signal: float = 0.0
     wv_dim: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ConfigError(
                 f"signal_strength must be in [0, 1], got {self.signal_strength}")
         if not 0.0 <= self.token_signal <= 1.0:
             raise ConfigError(
                 f"token_signal must be in [0, 1], got {self.token_signal}")
+        for name, pair in (("edu_range", self.edu_range), ("tokens_per_edu", self.tokens_per_edu)):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"{name} must be a pair [lo, hi], got {pair!r}")
         ints = (self.n_train, self.n_test, self.max_paragraphs, self.wv_dim,
                 *self.edu_range, *self.tokens_per_edu)
         if any(type(n) is not int for n in ints):
@@ -396,10 +402,11 @@ class GeneratorConfig:
         if len(self.labels) < 3:
             raise ConfigError("need at least 3 combined labels")
         for label in self.labels:
-            relation, _, nuc = str(label).rpartition("_")
-            if not (isinstance(label, str) and nuc in ("N", "S")
-                    and rst_data._LABEL_RE.fullmatch(relation)):
-                raise ConfigError(f"labels must be <relation>_<N|S> strings, got {label!r}")
+            try:
+                rst_data.parse_label(label)
+            except DataError:
+                raise ConfigError(
+                    f"labels must be <relation>_<N|S> strings, got {label!r}") from None
         if not isinstance(self.token_pool, (list, tuple)) or not self.token_pool \
                 or not all(isinstance(tok, str) for tok in self.token_pool):
             raise ConfigError("token_pool must be a non-empty list of strings")
@@ -453,8 +460,7 @@ def _sample_label(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) ->
         combined = _draw(rng, cfg.feature_subset(klass))
     else:
         combined = _draw(rng, cfg.labels)
-    relation, nuc = combined.rsplit("_", 1)
-    return rst_data.NodeLabel(relation, rst_data.Nuclearity(nuc))
+    return rst_data.parse_label(combined)
 
 
 def _sample_token(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) -> str:
@@ -465,8 +471,6 @@ def _sample_token(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) ->
 
 def _random_shape(rng: np.random.Generator, n: int) -> object:
     """Random binary tree shape over leaves 0..n-1; leaves are ints."""
-    if n == 1:
-        return 0
     # recursive splits over index ranges, materialized as nested pairs
     def build(lo: int, hi: int):
         if hi - lo == 1:
@@ -513,7 +517,6 @@ def _synth_document(rng: np.random.Generator, cfg: GeneratorConfig,
 
 def synthesize_corpus(cfg: GeneratorConfig, seed: int) -> CorpusSplit:
     """Deterministic planted-signal corpus; byte-identical for equal seeds."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
     train = [_synth_document(rng, cfg, f"synth-train-{i:04d}")
              for i in range(cfg.n_train)]

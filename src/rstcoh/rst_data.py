@@ -14,29 +14,29 @@ The first label/nuc pair describes the left child, the second the right
 child; the root itself carries no label. Every :class:`ParseError` carries
 the UTF-8 byte offset of the offending token, and a lexical error anywhere
 on a line is reported before any grammar error on it.
+
+A child's :class:`NodeLabel` is its relation and its nuclearity, "N" or "S".
+Vocabularies, checkpoints and generator configs hold it as one string,
+``<relation>_<N|S>``: :meth:`NodeLabel.combined` writes that form and
+:func:`parse_label` is its one reader.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, NoReturn, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Union
 
 from .errors import DataError, ParseError
 
 
-class Nuclearity(enum.Enum):
-    N = "N"
-    S = "S"
-
-
 class NodeLabel(NamedTuple):
     relation: str
-    nuclearity: Nuclearity
+    nuclearity: str  # "N" or "S": parse_tree and parse_label match no other
 
     def combined(self) -> str:
-        return f"{self.relation}_{self.nuclearity.value}"
+        return f"{self.relation}_{self.nuclearity}"
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,16 @@ class Internal:
 RstTree = Union[Leaf, Internal]
 
 _LABEL = r"[A-Za-z][A-Za-z0-9-]*"
-_LABEL_RE = re.compile(_LABEL)
+_COMBINED_RE = re.compile(rf"({_LABEL})_([NS])")
+
+
+def parse_label(text: str) -> NodeLabel:
+    """The label whose :meth:`NodeLabel.combined` form is ``text``; anything
+    else, a non-string included, raises :class:`DataError`."""
+    m = _COMBINED_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise DataError(f"not a <relation>_<N|S> label: {text!r}")
+    return NodeLabel(*m.groups())
 
 
 # --- traversal helpers (iterative: trees from real parsers can be deep) ------
@@ -110,7 +119,6 @@ _UNESCAPE_RE = re.compile(r'\\(["\\])')
 # One token of the error path: punctuation, an atom, or a string whose
 # closing quote is missing when it stops at a bad escape or the end.
 _TOKEN_RE = re.compile(rf'\s*(?:([()/])|({_LABEL})|"{_STRING_BODY}("?))?')
-_NUCLEARITY = {"N": Nuclearity.N, "S": Nuclearity.S}
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -179,7 +187,7 @@ def _raise_at(text: str, pos: int, expected: str) -> NoReturn:
                 take("relation label", "atom")
                 take("'/'", "/")
                 nuc = take("nuclearity")
-                if nuc[0] != "atom" or nuc[1] not in _NUCLEARITY:
+                if nuc[0] != "atom" or nuc[1] not in ("N", "S"):
                     fail(f"bad nuclearity token {nuc[1]!r}", nuc)
         else:
             fail(f"unknown node keyword {keyword[1]!r}", keyword)
@@ -198,8 +206,7 @@ def parse_tree(text: str) -> RstTree:
         pos = m.end()
         leaf, rel1, nuc1, rel2, nuc2 = m.groups()
         if leaf is None:
-            frames.append((NodeLabel(rel1, _NUCLEARITY[nuc1]),
-                           NodeLabel(rel2, _NUCLEARITY[nuc2]), []))
+            frames.append((NodeLabel(rel1, nuc1), NodeLabel(rel2, nuc2), []))
             continue
         node: RstTree = Leaf(_UNESCAPE_RE.sub(r"\1", leaf) if "\\" in leaf else leaf)
         while frames:
@@ -235,8 +242,8 @@ def serialize_tree(tree: RstTree) -> str:
             out.append(f'(edu "{_escape(item.text)}")')
         else:
             ll, rl = item.left_label, item.right_label
-            out.append(f"(rel {ll.relation}/{ll.nuclearity.value} "
-                       f"{rl.relation}/{rl.nuclearity.value} ")
+            out.append(f"(rel {ll.relation}/{ll.nuclearity} "
+                       f"{rl.relation}/{rl.nuclearity} ")
             stack += (")", item.right, " ", item.left)
     return "".join(out)
 
@@ -278,17 +285,20 @@ UNK_LABEL = "UNK"
 
 
 class RelationVocabulary:
-    """Frozen ordered list of combined "Relation_N"/"Relation_S" labels: a
-    label's position is its embedding row. Row 0 is always the UNK
-    fallback."""
+    """Frozen ordered list of combined ``<relation>_<N|S>`` labels: a label's
+    position is its embedding row, and row 0 is always the UNK fallback. The
+    other entries must be distinct labels, or the constructor raises
+    :class:`DataError`; ``rows`` maps the :class:`NodeLabel` of each to its row."""
 
     def __init__(self, labels: Iterable[str]):
         labels = list(labels)
         if not labels or labels[0] != UNK_LABEL:
             labels = [UNK_LABEL] + labels
-        if len(set(labels)) != len(labels):
+        rows = {parse_label(label): row for row, label in enumerate(labels[1:], start=1)}
+        if len(rows) != len(labels) - 1:
             raise DataError("duplicate labels in vocabulary")
         self._labels = tuple(labels)
+        self.rows: Mapping[NodeLabel, int] = MappingProxyType(rows)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -297,16 +307,6 @@ class RelationVocabulary:
     @property
     def size(self) -> int:
         return len(self._labels)
-
-    def label_rows(self) -> dict[NodeLabel, int]:
-        """Each label's row, keyed on the :class:`NodeLabel` that combines to
-        it; labels absent from it, and so no NodeLabel, read row 0 (UNK)."""
-        rows = {}
-        for row, combined in enumerate(self._labels):
-            relation, _, nuc = combined.rpartition("_")
-            if row and nuc in _NUCLEARITY:
-                rows[NodeLabel(relation, _NUCLEARITY[nuc])] = row
-        return rows
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RelationVocabulary) and self._labels == other._labels

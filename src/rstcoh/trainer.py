@@ -41,6 +41,9 @@ EVAL_CHUNK = 64
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings. Building one, by ``dataclasses.replace`` too,
+    raises :class:`ConfigError` for an illegal or inconsistent value."""
+
     learning_rate: float = 1e-4
     epochs: int = 2
     hidden_size: int = 100
@@ -50,7 +53,7 @@ class TrainConfig:
     features: AblationConfig = field(default_factory=AblationConfig)
     shuffle: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, (int, float)) \
                 or not math.isfinite(lr) or lr <= 0:
@@ -66,7 +69,6 @@ class TrainConfig:
             raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        self.features.validate()
         if self.model == "ensemble" and self.features.e:
             raise ConfigError("the ensemble never uses EDU embeddings")
 
@@ -135,7 +137,6 @@ def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
     * parseq: ``seq.lstm1-3.*``, then ``classifier.*``
     * ensemble: ``tree.*``, its label table, ``seq.*``, then ``joint.*``
     """
-    cfg.validate()
     bundle = nc.ParameterBundle()
     hidden = cfg.hidden_size
     tree = seq = None
@@ -201,7 +202,6 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     """Train one model at ``cfg`` and evaluate it on the test split. This is
     where a missing ``wv`` is caught for every model that reads word
     vectors; the encoders take them as given."""
-    cfg.validate()
     if cfg.needs_word_vectors and wv is None:
         raise ConfigError(f"model {cfg.model!r} with features "
                           f"{cfg.features.features()!r} needs word vectors")

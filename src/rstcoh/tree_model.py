@@ -47,20 +47,19 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Document, WordVectors
 from .errors import ConfigError, DataError
-from .rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
-                       RstTree)
+from .rst_data import Internal, Leaf, NodeLabel, RelationVocabulary, RstTree
 
 
 @dataclass(frozen=True)
 class AblationConfig:
     """Feature switches. Only the nested rows t ⊆ t,ns ⊆ t,ns,r ⊆ t,ns,r,e
-    are legal; tree traversal itself is always on."""
+    can be built (others raise ConfigError); traversal is always on."""
 
     ns: bool = False
     r: bool = False
     e: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.r and not self.ns:
             raise ConfigError("relation embeddings require nuclearity (no R without NS)")
         if self.e and not self.r:
@@ -83,7 +82,6 @@ class AblationConfig:
                 or any(p not in ("t", "ns", "r", "e") for p in parts):
             raise ConfigError(f"bad feature spec {spec!r}; expected t[,ns[,r[,e]]]")
         abl = cls(ns="ns" in parts, r="r" in parts, e="e" in parts)
-        abl.validate()
         if abl.features() != ",".join(parts):
             raise ConfigError(f"bad feature spec {spec!r}; expected t[,ns[,r[,e]]]")
         return abl
@@ -116,12 +114,12 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     if abl.r:
         if vocab is None:
             raise ConfigError("relation embeddings need a vocabulary")
-        rows = vocab.label_rows()
+        rows = vocab.rows
         return TreeModelParams(cell, bundle.add(
             "relation_table", nc.embedding_init(rng, (vocab.size, relation_dim))),
             lambda labels: [rows.get(label, 0) for label in labels])
     if abl.ns:
-        by_nuclearity = {Nuclearity.N: 0, Nuclearity.S: 1}
+        by_nuclearity = {"N": 0, "S": 1}
         return TreeModelParams(cell, bundle.add(
             "nuclearity_table", nc.embedding_init(rng, (2, relation_dim))),
             lambda labels: [by_nuclearity[label.nuclearity] for label in labels])

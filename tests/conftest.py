@@ -16,7 +16,7 @@ from rstcoh import corpus, rst_data  # noqa: E402
 
 
 def make_label(rel: str, nuc: str) -> rst_data.NodeLabel:
-    return rst_data.NodeLabel(rel, rst_data.Nuclearity(nuc))
+    return rst_data.NodeLabel(rel, nuc)
 
 
 def count_nodes(tree: rst_data.RstTree) -> int:

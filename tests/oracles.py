@@ -29,7 +29,7 @@ import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
-from rstcoh.rst_data import Internal, Leaf, NodeLabel, Nuclearity
+from rstcoh.rst_data import Internal, Leaf, NodeLabel
 from rstcoh.tree_model import TreeSchedule
 
 
@@ -396,7 +396,7 @@ def reference_label_row(features, vocab):
         index = {combined: i for i, combined in enumerate(vocab.labels)}
         return lambda label: index.get(label.combined(), 0)
     if features.ns:
-        return lambda label: 0 if label.nuclearity.value == "N" else 1
+        return lambda label: 0 if label.nuclearity == "N" else 1
     return lambda label: 0
 
 
@@ -568,7 +568,7 @@ class _Parser:
         nuc = self._next("nuclearity")
         if nuc.kind != "atom" or nuc.value not in ("N", "S"):
             self._fail(f"bad nuclearity token {nuc.value!r}", nuc)
-        return NodeLabel(lab.value, Nuclearity(nuc.value))
+        return NodeLabel(lab.value, nuc.value)
 
     def parse(self):
         root = self._tree()

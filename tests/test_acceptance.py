@@ -15,9 +15,8 @@ from rstcoh import corpus, metrics, numcore as nc, parseq, trainer, tree_model
 from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
     synthesize_word_vectors
 from rstcoh.errors import ParseError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
-                             build_relation_vocab, parse_tree, serialize_tree,
-                             validate_tree)
+from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab,
+                             parse_tree, serialize_tree, validate_tree)
 from rstcoh.tree_model import AblationConfig
 
 import oracles
@@ -205,7 +204,7 @@ def _random_tree(rng, texts_from, depth=0):
     labels = ("Cause", "Contrast", "Elaboration", "Evidence", "Joint")
     def lab():
         return NodeLabel(labels[int(rng.integers(0, len(labels)))],
-                         Nuclearity("N" if rng.random() < 0.5 else "S"))
+                         "N" if rng.random() < 0.5 else "S")
     return Internal(_random_tree(rng, texts_from, depth + 1),
                     _random_tree(rng, texts_from, depth + 1), lab(), lab())
 
@@ -222,7 +221,7 @@ def _relabel_and_retext(tree, texts_from, rng):
     labels = ("Summary", "Temporal", "Background")
     def lab():
         return NodeLabel(labels[int(rng.integers(0, len(labels)))],
-                         Nuclearity("N" if rng.random() < 0.5 else "S"))
+                         "N" if rng.random() < 0.5 else "S")
     if isinstance(tree, Leaf):
         return Leaf(texts_from(rng))
     return Internal(_relabel_and_retext(tree.left, texts_from, rng),
@@ -401,7 +400,7 @@ def test_criterion_8_round_trip_and_grammar_fixtures():
             parse_tree('(edu "a") (edu "b")')
 
         assert [v.code for v in validate_tree(Leaf("solo"))] == ["DegenerateTree"]
-        bad_rel = Internal(Leaf("a"), Leaf("b"), NodeLabel("", Nuclearity.N),
+        bad_rel = Internal(Leaf("a"), Leaf("b"), NodeLabel("", "N"),
                            make_label("Joint", "S"))
         assert [v.code for v in validate_tree(bad_rel)] == ["EmptyRelation"]
         assert validate_tree(parse_tree(

@@ -215,6 +215,10 @@ def _edit_meta(text, key, value=None):
     return json.dumps(doc)
 
 
+def _meta_vocab(text):
+    return json.loads(text)["meta"]["vocab"]
+
+
 # (probe, config edit, checkpoint edit for `evaluate` or None for `train`, exit)
 MALFORMED_INPUTS = (
     ("string learning_rate", lambda c: c["train"].update(learning_rate="1e-3"),
@@ -259,6 +263,10 @@ MALFORMED_INPUTS = (
     ("generator.token_pool entry with no token",
      lambda c: c["generator"].update(token_pool=["alder", "...", "cedar"]), None,
      EXIT_CONFIG),
+    ("generator.edu_range of three values",
+     lambda c: c["generator"].update(edu_range=[3, 5, 9]), None, EXIT_CONFIG),
+    ("generator.tokens_per_edu of three values",
+     lambda c: c["generator"].update(tokens_per_edu=[2, 3, 4]), None, EXIT_CONFIG),
     ("generator.labels without nuclearity",
      lambda c: c["generator"].update(labels=["a", "b", "c"]), None, EXIT_CONFIG),
     ("integer generator.labels", lambda c: c["generator"].update(labels=[1, 2, 3]),
@@ -313,6 +321,14 @@ MALFORMED_INPUTS = (
      lambda t: _edit_meta(t, "relation_dim", 0), EXIT_DATA),
     ("checkpoint features with R but not NS", None,
      lambda t: _edit_meta(t, "features", "t,r"), EXIT_DATA),
+    # each edit keeps the vocabulary's size, so the label table still loads
+    ("checkpoint vocabulary entry that is no label", None,
+     lambda t: _edit_meta(t, "vocab", _meta_vocab(t)[:-1] + ["garbage"]), EXIT_DATA),
+    ("checkpoint vocabulary entry with a bad nuclearity", None,
+     lambda t: _edit_meta(t, "vocab", _meta_vocab(t)[:-1] + ["Foo_X"]), EXIT_DATA),
+    ("checkpoint vocabulary with a repeated entry", None,
+     lambda t: _edit_meta(t, "vocab", _meta_vocab(t)[:-1] + _meta_vocab(t)[1:2]),
+     EXIT_DATA),
 )
 
 

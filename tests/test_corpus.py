@@ -269,7 +269,7 @@ class TestGenerator:
         ("n_test", True), ("tokens_per_edu", (2, 3.0))])
     def test_non_integer_or_non_positive_counts_rejected(self, field, value):
         with pytest.raises(ConfigError):
-            GeneratorConfig(**{field: value}).validate()
+            GeneratorConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value,message", [
         ("coherent_labels", "Cause_N", "must be a non-empty list of strings"),
@@ -281,11 +281,10 @@ class TestGenerator:
         ("neutral_tokens", ["oak", "not-in-pool"], "not a subset of token_pool")])
     def test_bad_label_or_token_subset_rejected(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
-            GeneratorConfig(**{field: value}).validate()
+            GeneratorConfig(**{field: value})
 
     def test_token_subsets_from_the_pool_accepted(self):
         cfg = GeneratorConfig(coherent_tokens=("oak", "elm"), neutral_tokens=["sage"])
-        cfg.validate()
         assert cfg.token_subset(3) == ("oak", "elm")
 
     def test_documents_are_internally_consistent(self, tiny_split):

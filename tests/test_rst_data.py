@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from rstcoh import corpus, rst_data
 from rstcoh.errors import DataError, ParseError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity,
-                             build_relation_vocab, parse_tree, serialize_tree,
-                             validate_tree)
+from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
+                             build_relation_vocab, parse_label, parse_tree,
+                             serialize_tree, validate_tree)
 
 import oracles
 from conftest import make_label, two_edu_tree
@@ -23,8 +23,8 @@ class TestParse:
         assert isinstance(tree, Internal)
         assert tree.left == Leaf("A claim.")
         assert tree.right == Leaf("Its proof.")
-        assert tree.left_label == NodeLabel("Elaboration", Nuclearity.N)
-        assert tree.right_label == NodeLabel("Evidence", Nuclearity.S)
+        assert tree.left_label == NodeLabel("Elaboration", "N")
+        assert tree.right_label == NodeLabel("Evidence", "S")
 
     def test_single_leaf(self):
         tree = parse_tree('(edu "only one unit")')
@@ -101,7 +101,7 @@ class TestSerialize:
 LABEL_ST = st.builds(
     NodeLabel,
     st.from_regex(r"[A-Za-z][A-Za-z0-9-]{0,6}", fullmatch=True),
-    st.sampled_from([Nuclearity.N, Nuclearity.S]))
+    st.sampled_from(["N", "S"]))
 
 TEXT_ST = st.text(min_size=1, max_size=20).filter(lambda s: s.strip())
 
@@ -120,6 +120,10 @@ class TestProperties:
     def test_serialize_parse_fixpoint_on_canonical_strings(self, tree):
         text = serialize_tree(tree)
         assert serialize_tree(parse_tree(text)) == text
+
+    @given(LABEL_ST)
+    def test_parse_label_reads_what_combined_writes(self, label):
+        assert parse_label(label.combined()) == label
 
     @given(st.permutations(range(4)))
     def test_vocab_is_order_invariant(self, order):
@@ -287,7 +291,7 @@ class TestVocabulary:
 
     def test_unseen_label_maps_to_unk(self):
         vocab = build_relation_vocab([two_edu_tree()])
-        rows = vocab.label_rows()
+        rows = vocab.rows
         assert rows.get(make_label("Nonexistent", "N"), 0) == 0
         assert rows[make_label("Evidence", "S")] == 2
         assert rows.get(make_label("Evidence", "N"), 0) == 0
@@ -295,6 +299,17 @@ class TestVocabulary:
     def test_empty_input_raises(self):
         with pytest.raises(DataError):
             build_relation_vocab([])
+
+    @pytest.mark.parametrize("text", ["", "garbage", "Foo_X", "A_B_N", 3])
+    def test_parse_label_rejects_non_labels(self, text):
+        with pytest.raises(DataError):
+            parse_label(text)
+
+    @pytest.mark.parametrize("labels", [["UNK", "garbage"], ["UNK", "Foo_X"],
+                                        ["Cause_N", "Cause_N"]])
+    def test_entries_that_are_not_distinct_labels_rejected(self, labels):
+        with pytest.raises(DataError):
+            RelationVocabulary(labels)
 
     def test_all_31_default_labels_realized_gives_size_32(self):
         cfg = corpus.GeneratorConfig(n_train=200, n_test=0)
@@ -310,5 +325,5 @@ class TestVocabulary:
         vocab = build_relation_vocab(doc.tree for doc in tiny_split.train)
         for doc in tiny_split.train:
             for lab in rst_data.child_labels(doc.tree):
-                idx = vocab.label_rows().get(lab, 0)
+                idx = vocab.rows.get(lab, 0)
                 assert 0 <= idx < vocab.size

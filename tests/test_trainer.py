@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,22 +50,28 @@ class TestCrossEntropy:
 class TestTrainConfig:
     def test_validates_model_kind(self):
         with pytest.raises(ConfigError):
-            small_cfg(model="transformer").validate()
+            small_cfg(model="transformer")
 
     def test_ensemble_with_e_rejected(self):
         with pytest.raises(ConfigError):
             small_cfg(model="ensemble",
-                      features=AblationConfig(ns=True, r=True, e=True)).validate()
+                      features=AblationConfig(ns=True, r=True, e=True))
 
     def test_positive_sizes_required(self):
         with pytest.raises(ConfigError):
-            small_cfg(learning_rate=0.0).validate()
+            small_cfg(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            small_cfg(epochs=0).validate()
+            small_cfg(epochs=0)
         with pytest.raises(ConfigError):
-            small_cfg(epochs=1.5).validate()
+            small_cfg(epochs=1.5)
         with pytest.raises(ConfigError):
-            small_cfg(seed=-1).validate()
+            small_cfg(seed=-1)
+
+    def test_every_constructed_config_is_checked(self):
+        with pytest.raises(ConfigError):
+            TrainConfig(epochs=0)
+        with pytest.raises(ConfigError):
+            replace(small_cfg(), seed=-1)
 
 
 # One weight and one bias per cell, its rows in gate blocks i, f_1..f_K, o, u.

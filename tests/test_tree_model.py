@@ -10,7 +10,7 @@ from rstcoh import numcore as nc
 from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_corpus,
                            tokenize)
 from rstcoh.errors import ConfigError, DataError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, Nuclearity, RelationVocabulary,
+from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
                              build_relation_vocab, count_leaves)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 from rstcoh.tree_model import AblationConfig, encode_trees, tree_schedule
@@ -100,7 +100,7 @@ class TestAblationConfig:
 
     def test_r_without_ns_rejected(self):
         with pytest.raises(ConfigError):
-            AblationConfig(r=True).validate()
+            AblationConfig(r=True)
         with pytest.raises(ConfigError):
             AblationConfig.from_features("t,r")
 
@@ -280,7 +280,7 @@ class TestScheduleMatchesReference:
         _, params = build(TNSR, SEEN, randomize=False)
         labels = [make_label("Joint", "S"), make_label("Cause", "N"),
                   make_label("Summary", "S"), make_label("Contrast", "N"),
-                  NodeLabel("UNK", Nuclearity.N)]
+                  NodeLabel("UNK", "N")]
         assert params.label_rows(labels) == [2, 0, 0, 4, 0]
 
 
