@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Print the sha256 of each training and evaluation artifact for five model
-rows, and of each file ``rstcoh synth`` writes, at one small fixed config:
-the "same config, same bytes" check across a refactor.
+rows, of each file ``rstcoh synth`` writes, and of each file ``rstcoh
+ablate`` writes, at one small fixed config: the "same config, same bytes"
+check across a refactor.
 
 Each row trains with ``rstcoh train`` in its own temporary directory, always
 with the relative ``out_dir`` "out", then runs ``rstcoh evaluate`` on the
 checkpoint it wrote with the relative ``--out`` "eval", so the configs
 recorded in summary.json and report.json are the same wherever the script
 runs. The synth row writes the generator's corpus and word vectors to the
-relative ``--out`` "synth". The package is imported from the
+relative ``--out`` "synth", and the ablate row the nine-row grid to the
+relative ``--out`` "ablate". The package is imported from the
 ``src/`` of the checkout that holds this script. To compare two revisions,
 run the script in both checkouts and diff the output:
 
@@ -34,7 +36,13 @@ ROWS = (("rst", "t"), ("rst", "t,ns"), ("rst", "t,ns,r,e"), ("parseq", "t"),
         ("ensemble", "t,ns,r"))
 ARTIFACTS = ("out/run_log.jsonl", "out/summary.json", "out/checkpoint.json",
              "eval/report.json", "eval/report.csv")
-SYNTH_ARTIFACTS = ("synth/documents.jsonl", "synth/trees.txt", "synth/vectors.txt")
+# (row, the command, the files it writes), after the train/evaluate rows
+COMMAND_ROWS = (
+    ("synth", ["synth", "--config", "config.json", "--out", "synth"],
+     ("synth/documents.jsonl", "synth/trees.txt", "synth/vectors.txt")),
+    ("ablate", ["ablate", "--config", "config.json", "--out", "ablate"],
+     ("ablate/ablation.csv", "ablate/ablation_summary.json")),
+)
 CONFIG = {
     "out_dir": "out",
     "train": {"learning_rate": 3e-3, "epochs": 2, "hidden_size": 8,
@@ -83,10 +91,9 @@ def main() -> int:
     for model, features in ROWS:
         for name, digest in digest_row(model, features).items():
             print(f"{model:<8} {features:<9} {name:<19} {digest}")
-    synth = digest_run(CONFIG, [["synth", "--config", "config.json", "--out", "synth"]],
-                       SYNTH_ARTIFACTS)
-    for name, digest in synth.items():
-        print(f"{'synth':<8} {'':<9} {name:<19} {digest}")
+    for row, argv, artifacts in COMMAND_ROWS:
+        for name, digest in digest_run(CONFIG, [argv], artifacts).items():
+            print(f"{row:<8} {'':<9} {name:<19} {digest}")
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import corpus, metrics, numcore as nc, rst_data, trainer
 from .atomic import atomic_write
 from .errors import ConfigError, DataError, ParseError, RstcohError, TrainingDiverged
-from .tree_model import AblationConfig
+from .tree_model import FEATURE_ROWS
 
 EXIT_OK = 0
 EXIT_CONFIG = ConfigError.exit_code
@@ -106,6 +106,15 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> dict:
     return config
 
 
+def _feature_row(spec):
+    """A feature row as a config, flag or checkpoint may spell it: lowercased,
+    parts stripped, empty parts dropped. Anything that is then no row, a
+    non-string too, is returned as given, for ``TrainConfig``'s error to name."""
+    parts = spec.lower().split(",") if isinstance(spec, str) else []
+    row = ",".join(part.strip() for part in parts if part.strip())
+    return row if row in FEATURE_ROWS else spec
+
+
 def make_train_config(config: dict) -> trainer.TrainConfig:
     for key in ("n_runs", "workers"):
         value = config[key]
@@ -114,7 +123,7 @@ def make_train_config(config: dict) -> trainer.TrainConfig:
     try:
         return trainer.TrainConfig(
             model=config["model"],
-            features=AblationConfig.from_features(config["features"]),
+            features=_feature_row(config["features"]),
             **config["train"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
@@ -166,6 +175,17 @@ def resolve_corpus(config: dict) -> tuple[corpus.CorpusSplit, corpus.WordVectors
     return synthesize(config)
 
 
+def _make_out_dir(config: dict) -> Path:
+    """Make ``out_dir``, before a command's first training, evaluation or
+    write: a path that cannot be a directory fails before any work."""
+    out_dir = Path(config["out_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {out_dir} cannot be made: {exc.strerror}") from None
+    return out_dir
+
+
 def _write_json(path: Path, obj: dict) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -186,7 +206,7 @@ def _checkpoint_meta(cfg: trainer.TrainConfig, model: trainer.Model,
                      wv: corpus.WordVectors | None, seed: int) -> dict:
     return {
         "model": cfg.model,
-        "features": cfg.features.features(),
+        "features": cfg.features,
         "hidden_size": cfg.hidden_size,
         "relation_dim": cfg.relation_dim,
         "wv_dim": wv.dimension if wv is not None else 1,
@@ -198,9 +218,8 @@ def _checkpoint_meta(cfg: trainer.TrainConfig, model: trainer.Model,
 def cmd_train(config: dict) -> int:
     cfg = make_train_config(config)
     split, wv = resolve_corpus(config)
+    out_dir = _make_out_dir(config)
     result = trainer.run_multi_seed(cfg, split, wv, config["n_runs"])
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "run_log.jsonl") as fh:
         for rec in result.records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
@@ -219,7 +238,7 @@ def cmd_train(config: dict) -> int:
     if result.best_model is not None:
         meta = _checkpoint_meta(cfg, result.best_model, wv, result.best_seed)
         nc.save_checkpoint(out_dir / "checkpoint.json", result.best_model.bundle, meta)
-    _print_aggregate(f"{cfg.model} [{cfg.features.features()}]", result)
+    _print_aggregate(f"{cfg.model} [{cfg.features}]", result)
     if result.aggregate is None:
         return EXIT_DIVERGED
     return EXIT_OK
@@ -240,7 +259,7 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
         cfg = trainer.TrainConfig(
             hidden_size=meta["hidden_size"], relation_dim=meta["relation_dim"],
             model=meta["model"],
-            features=AblationConfig.from_features(meta["features"]))
+            features=_feature_row(meta["features"]))
         model = trainer.build_model(cfg, vocab, wv_dim, np.random.default_rng(0))
     except (KeyError, TypeError, AttributeError, RstcohError) as exc:
         raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None
@@ -255,6 +274,7 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
     _require_file(checkpoint, "checkpoint")
     model, wv_dim = load_model_from_checkpoint(checkpoint)
     split, wv = resolve_corpus(config)
+    trainer.require_documents(split, "test")
     if model.cfg.needs_word_vectors:
         if wv is None:
             raise ConfigError(f"checkpoint {checkpoint}: its model needs word vectors, "
@@ -265,9 +285,8 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
                       if paths.get("documents") else "the generator")
             raise DataError(f"checkpoint {checkpoint} needs {wv_dim}-d word vectors, "
                             f"but {source} gives {wv.dimension}-d vectors")
+    out_dir = _make_out_dir(config)
     rep = trainer.evaluate_model(model, split.test, wv)
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", {"config": config, "report": rep.to_dict()})
     with atomic_write(out_dir / "report.csv") as fh:
         fh.write(metrics.CSV_HEADER + "\n")
@@ -279,18 +298,18 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
 
 def cmd_ablate(config: dict) -> int:
     split, wv = resolve_corpus(config)
+    trainer.require_documents(split, "train", "test")
     # Every row's config is built, and checked against the word vectors,
     # before the first row trains.
     row_cfgs = [None if kind == "majority" else make_train_config(
-        dict(config, model=kind, features="t" if kind == "parseq" else features))
+        dict(config, model=kind, features=features))
         for kind, features in ABLATION_ROWS]
-    needy = [f"{cfg.model} [{cfg.features.features()}]" for cfg in row_cfgs
+    needy = [f"{cfg.model} [{cfg.features}]" for cfg in row_cfgs
              if cfg is not None and cfg.needs_word_vectors]
     if wv is None and needy:
         raise ConfigError(f"ablation rows {', '.join(needy)} need word vectors, "
                           "and paths.word_vectors is not set")
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(config)
     rows = []
     any_ok = False
     for (kind, features), cfg in zip(ABLATION_ROWS, row_cfgs):
@@ -334,8 +353,7 @@ def cmd_ablate(config: dict) -> int:
 
 def cmd_synth(config: dict) -> int:
     split, wv = synthesize(config)
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(config)
     corpus.write_documents(out_dir / "documents.jsonl", split)
     corpus.write_trees(out_dir / "trees.txt", split)
     corpus.write_word_vectors(out_dir / "vectors.txt", wv)

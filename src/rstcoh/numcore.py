@@ -249,14 +249,8 @@ class ParameterBundle:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self._entries.values())
 
     def zero_grads(self) -> None:
         self.grad.fill(0.0)
@@ -562,8 +556,11 @@ class AdamState:
         self.v = np.zeros_like(bundle.data)
 
 
-def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+# Adam's moment decay rates and denominator floor, at the usual defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float) -> None:
     """Bias-corrected Adam update of the whole buffer, applied in place.
 
     ``t`` is the 1-based step index of this update.
@@ -575,17 +572,17 @@ def adam_step(params: ParameterBundle, state: AdamState, t: int, lr: float,
                         f"{params.data.size} parameters")
     g = params.grad
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
     # lr * m_hat / (sqrt(v_hat) + eps) on two buffer-sized temporaries;
     # IEEE products commute, so step *= lr rounds as lr * m_hat does
-    step = m / (1.0 - beta1 ** t)
+    step = m / (1.0 - ADAM_BETA1 ** t)
     step *= lr
-    denom = v / (1.0 - beta2 ** t)
+    denom = v / (1.0 - ADAM_BETA2 ** t)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     params.data -= step
 

@@ -19,7 +19,7 @@ confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from . import metrics, numcore as nc, parseq, tree_model
 from .corpus import CorpusSplit, Document, WordVectors
 from .errors import ConfigError, TrainingDiverged
 from .rst_data import RelationVocabulary, build_relation_vocab
-from .tree_model import AblationConfig
 
 MODEL_KINDS = ("rst", "parseq", "ensemble")
 
@@ -42,7 +41,8 @@ EVAL_CHUNK = 64
 @dataclass(frozen=True)
 class TrainConfig:
     """One run's settings. Building one, by ``dataclasses.replace`` too,
-    raises :class:`ConfigError` for an illegal or inconsistent value."""
+    raises :class:`ConfigError` for an illegal or inconsistent value.
+    ``features`` is the feature row, one of ``tree_model.FEATURE_ROWS``."""
 
     learning_rate: float = 1e-4
     epochs: int = 2
@@ -50,7 +50,7 @@ class TrainConfig:
     relation_dim: int = 50
     seed: int = 0
     model: str = "rst"
-    features: AblationConfig = field(default_factory=AblationConfig)
+    features: str = "t"
     shuffle: bool = True
 
     def __post_init__(self) -> None:
@@ -69,13 +69,20 @@ class TrainConfig:
             raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.model == "ensemble" and self.features.e:
+        if self.features not in tree_model.FEATURE_ROWS:
+            raise ConfigError(f"features must be one of {tree_model.FEATURE_ROWS}, "
+                              f"got {self.features!r}")
+        if self.model == "ensemble" and self.uses("e"):
             raise ConfigError("the ensemble never uses EDU embeddings")
 
+    def uses(self, feature: str) -> bool:
+        """Whether the feature row turns ``feature`` ("ns", "r" or "e") on."""
+        return feature in self.features.split(",")
+
     # ParSeq reads word vectors, and so does the tree encoder with E on.
-    needs_word_vectors = property(lambda self: self.model != "rst" or self.features.e)
+    needs_word_vectors = property(lambda self: self.model != "rst" or self.uses("e"))
     # The tree encoder with R on keys its label table on a vocabulary.
-    needs_vocab = property(lambda self: self.model != "parseq" and self.features.r)
+    needs_vocab = property(lambda self: self.model != "parseq" and self.uses("r"))
 
 
 @dataclass
@@ -151,7 +158,7 @@ def build_model(cfg: TrainConfig, vocab: RelationVocabulary | None,
     prefix = "joint" if cfg.model == "ensemble" else "classifier"
     head_w = bundle.add(f"{prefix}.w", nc.glorot(rng, (len(metrics.CLASSES), width)))
     head_b = bundle.add(f"{prefix}.b", np.zeros(len(metrics.CLASSES)))
-    if tree is not None and cfg.features.e:
+    if tree is not None and cfg.uses("e"):
         tree.edu = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden)
     return Model(cfg, vocab, bundle, tree, seq, head_w, head_b)
 
@@ -197,16 +204,22 @@ def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
     return total / len(docs), step
 
 
+def require_documents(split: CorpusSplit, *names: str) -> None:
+    """Raise :class:`ConfigError` naming the first empty split of ``names``."""
+    for name in names:
+        if not getattr(split, name):
+            raise ConfigError(f"the {name} split holds no documents")
+
+
 def train(cfg: TrainConfig, split: CorpusSplit,
           wv: WordVectors | None) -> tuple[Model, RunRecord]:
     """Train one model at ``cfg`` and evaluate it on the test split. This is
     where a missing ``wv`` is caught for every model that reads word
     vectors; the encoders take them as given."""
     if cfg.needs_word_vectors and wv is None:
-        raise ConfigError(f"model {cfg.model!r} with features "
-                          f"{cfg.features.features()!r} needs word vectors")
-    if not split.train or not split.test:
-        raise ConfigError("training needs non-empty train and test splits")
+        raise ConfigError(f"model {cfg.model!r} with features {cfg.features!r} "
+                          "needs word vectors")
+    require_documents(split, "train", "test")
     rng = np.random.default_rng(cfg.seed)
     vocab = None
     if cfg.needs_vocab:

@@ -15,10 +15,11 @@ embeddings of the children's (relation, nuclearity) labels,
 
 The hidden states h_l, h_r of the root's two children are the document
 representation; ``trainer.build_model`` puts the softmax head on top of
-them (rst) or of them and the ParSeq vector (ensemble). Feature switches:
-NS keys label embeddings by nuclearity alone, R by the combined
-relation_nuclearity label, E turns the leaf EDU encoder on; with
-everything off the output is a function of tree shape only. The row is
+them (rst) or of them and the ParSeq vector (ensemble). A feature row is
+one of the four strings in :data:`FEATURE_ROWS`, from ``"t"`` to
+``"t,ns,r,e"``: NS keys label embeddings by nuclearity alone, R by the
+combined relation_nuclearity label, E turns the leaf EDU encoder on; with
+``t`` alone the output is a function of tree shape only. The row is
 fixed when the model is built: :func:`init_tree_model` picks the label
 table and the map from a label to its row (one dict lookup keyed on the
 label for R, on its nuclearity for NS, a constant 0 for t), and the EDU
@@ -50,41 +51,9 @@ from .errors import ConfigError, DataError
 from .rst_data import Internal, Leaf, NodeLabel, RelationVocabulary, RstTree
 
 
-@dataclass(frozen=True)
-class AblationConfig:
-    """Feature switches. Only the nested rows t ⊆ t,ns ⊆ t,ns,r ⊆ t,ns,r,e
-    can be built (others raise ConfigError); traversal is always on."""
-
-    ns: bool = False
-    r: bool = False
-    e: bool = False
-
-    def __post_init__(self) -> None:
-        if self.r and not self.ns:
-            raise ConfigError("relation embeddings require nuclearity (no R without NS)")
-        if self.e and not self.r:
-            raise ConfigError("EDU embeddings require relation embeddings (no E without R)")
-
-    def features(self) -> str:
-        parts = ["t"]
-        if self.ns:
-            parts.append("ns")
-        if self.r:
-            parts.append("r")
-        if self.e:
-            parts.append("e")
-        return ",".join(parts)
-
-    @classmethod
-    def from_features(cls, spec: str) -> "AblationConfig":
-        parts = [p.strip() for p in spec.lower().split(",") if p.strip()]
-        if not parts or parts[0] != "t" or len(set(parts)) != len(parts) \
-                or any(p not in ("t", "ns", "r", "e") for p in parts):
-            raise ConfigError(f"bad feature spec {spec!r}; expected t[,ns[,r[,e]]]")
-        abl = cls(ns="ns" in parts, r="r" in parts, e="e" in parts)
-        if abl.features() != ",".join(parts):
-            raise ConfigError(f"bad feature spec {spec!r}; expected t[,ns[,r[,e]]]")
-        return abl
+# The ablation's feature rows, each the one before with one feature added:
+# every config, flag, checkpoint and table holds a row as one of these.
+FEATURE_ROWS = ("t", "t,ns", "t,ns,r", "t,ns,r,e")
 
 
 @dataclass
@@ -97,9 +66,10 @@ class TreeModelParams:
 
 
 def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
-                    abl: AblationConfig, vocab: RelationVocabulary | None,
+                    features: str, vocab: RelationVocabulary | None,
                     hidden_size: int, relation_dim: int) -> TreeModelParams:
-    """Register the tree cell, then the label table the feature row uses.
+    """Register the tree cell, then the label table the feature row
+    ``features`` (one of :data:`FEATURE_ROWS`) uses.
 
     R keys the table ``relation_table`` (vocabulary size rows, row 0 the
     UNK row for labels unseen at vocabulary build time) on the combined
@@ -111,14 +81,15 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     """
     cell = nc.init_cell(bundle, "tree", rng, 2 * hidden_size + 2 * relation_dim,
                         hidden_size, 2)
-    if abl.r:
+    used = features.split(",")
+    if "r" in used:
         if vocab is None:
             raise ConfigError("relation embeddings need a vocabulary")
         rows = vocab.rows
         return TreeModelParams(cell, bundle.add(
             "relation_table", nc.embedding_init(rng, (vocab.size, relation_dim))),
             lambda labels: [rows.get(label, 0) for label in labels])
-    if abl.ns:
+    if "ns" in used:
         by_nuclearity = {"N": 0, "S": 1}
         return TreeModelParams(cell, bundle.add(
             "nuclearity_table", nc.embedding_init(rng, (2, relation_dim))),

@@ -392,10 +392,11 @@ def reference_label_row(features, vocab):
     """A child label's row in the feature row's label table, one label at a
     time: R looks the combined "Relation_N" string up in ``vocab.labels``
     (absent: row 0, UNK), NS takes 0 for N and 1 for S, t always 0."""
-    if features.r:
+    used = features.split(",")
+    if "r" in used:
         index = {combined: i for i, combined in enumerate(vocab.labels)}
         return lambda label: index.get(label.combined(), 0)
-    if features.ns:
+    if "ns" in used:
         return lambda label: 0 if label.nuclearity == "N" else 1
     return lambda label: 0
 
@@ -473,7 +474,7 @@ def count_parameters(bundle):
     for name, t in bundle.items():
         component = name.split(".", 1)[0]
         counts[component] = counts.get(component, 0) + t.data.size
-    counts["total"] = sum(t.data.size for t in bundle.tensors())
+    counts["total"] = sum(t.data.size for _, t in bundle.items())
     return counts
 
 

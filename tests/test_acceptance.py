@@ -17,7 +17,6 @@ from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
 from rstcoh.errors import ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab,
                              parse_tree, serialize_tree, validate_tree)
-from rstcoh.tree_model import AblationConfig
 
 import oracles
 from conftest import make_label, three_edu_tree
@@ -40,9 +39,9 @@ def criterion(number: int, name: str, budget_s: float):
     print(f"\n[acceptance] criterion {number} ({name}): PASS ({dt:.1f}s)")
 
 
-def _build(kind, abl, vocab, hidden, rel_dim, wv_dim, rng) -> trainer.Model:
+def _build(kind, features, vocab, hidden, rel_dim, wv_dim, rng) -> trainer.Model:
     cfg = trainer.TrainConfig(hidden_size=hidden, relation_dim=rel_dim, model=kind,
-                              features=abl)
+                              features=features)
     return trainer.build_model(cfg, vocab, wv_dim, rng)
 
 
@@ -85,7 +84,7 @@ def _grad_corpus():
 
 def _check_model_gradients(kind: str, features: str, docs, wv):
     cfg = trainer.TrainConfig(hidden_size=8, relation_dim=4, model=kind,
-                              features=AblationConfig.from_features(features))
+                              features=features)
     vocab = build_relation_vocab(d.tree for d in docs)
     model = trainer.build_model(cfg, vocab, wv.dimension,
                                 np.random.default_rng(99))
@@ -125,7 +124,7 @@ def test_criterion_3_scalar_oracle_equivalence():
         # lstm_cell_step
         bundle = nc.ParameterBundle()
         cell = nc.init_lstm_cell(bundle, "c", rng, 1, 1)
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         w_seq = oracles.scalar_gates(cell)
         x, h, c = rng.uniform(-2, 2, size=3)
@@ -147,9 +146,8 @@ def test_criterion_3_scalar_oracle_equivalence():
         # document root
         tree = three_edu_tree(("ax bx.", "cx.", "bx ax."))
         vocab = build_relation_vocab([tree])
-        model = _build("rst", AblationConfig(ns=True, r=True, e=True), vocab, 1, 1, 1,
-                       rng)
-        for t in model.bundle.tensors():
+        model = _build("rst", "t,ns,r,e", vocab, 1, 1, 1, rng)
+        for _, t in model.bundle.items():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         params = model.tree
         tc = params.cell
@@ -181,8 +179,8 @@ def test_criterion_3_scalar_oracle_equivalence():
         assert abs(got_c.data[0, 0] - want_c) < TOL
 
         # encode_parseq on a two-paragraph document
-        model = _build("parseq", AblationConfig(), None, 1, 1, 1, rng)
-        for t in model.bundle.tensors():
+        model = _build("parseq", "t", None, 1, 1, 1, rng)
+        for _, t in model.bundle.items():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
         pp = model.seq
 
@@ -239,10 +237,8 @@ def test_criterion_4_ablation_invariants():
     with criterion(4, "E-off text-invariance and T-only shape-invariance", 120.0):
         rng = np.random.default_rng(44)
         vocab = build_relation_vocab([three_edu_tree()])
-        tnsr = AblationConfig(ns=True, r=True)
-        tonly = AblationConfig()
-        model = _build("rst", tnsr, vocab, 6, 4, 4, rng)
-        model_t = _build("rst", tonly, None, 6, 4, 4, rng)
+        model = _build("rst", "t,ns,r", vocab, 6, 4, 4, rng)
+        model_t = _build("rst", "t", None, 6, 4, 4, rng)
 
         def ensure_internal(make):
             while True:
@@ -278,7 +274,7 @@ def test_criterion_5_overfit_32_documents():
         wv = synthesize_word_vectors(gen, seed=5)
         cfg = trainer.TrainConfig(learning_rate=1e-4, epochs=1, hidden_size=24,
                                   relation_dim=12, seed=0, model="rst",
-                                  features=AblationConfig.from_features("t,ns,r,e"))
+                                  features="t,ns,r,e")
         rng = np.random.default_rng(cfg.seed)
         vocab = build_relation_vocab(d.tree for d in split.train)
         model = trainer.build_model(cfg, vocab, wv.dimension, rng)
@@ -316,7 +312,7 @@ def test_criterion_6_ablation_separation():
             cfg = trainer.TrainConfig(
                 learning_rate=3e-3, epochs=4, hidden_size=16, relation_dim=8,
                 seed=100, model="rst",
-                features=AblationConfig.from_features(features))
+                features=features)
             result = trainer.run_multi_seed(cfg, split, wv, n_runs=10)
             assert result.n_diverged == 0
             return result.aggregate["accuracy"]
@@ -342,11 +338,11 @@ def test_criterion_7_determinism_and_harness(tiny_split, tiny_wv):
                    120.0):
         cfg = trainer.TrainConfig(learning_rate=1e-3, epochs=2, hidden_size=6,
                                   relation_dim=4, seed=3, model="rst",
-                                  features=AblationConfig.from_features("t,ns,r"))
+                                  features="t,ns,r")
         model_a, rec_a = trainer.train(cfg, tiny_split, tiny_wv)
         model_b, rec_b = trainer.train(cfg, tiny_split, tiny_wv)
         assert rec_a.to_dict() == rec_b.to_dict()
-        for name in model_a.bundle.names():
+        for name, _ in model_a.bundle.items():
             assert np.array_equal(model_a.bundle[name].data,
                                   model_b.bundle[name].data)
 

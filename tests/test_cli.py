@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import json
@@ -456,6 +457,84 @@ def test_unreadable_input_ends_in_one_json_line_naming_it(tmp_path, capsys, set_
     parsed = json.loads(err[0])
     assert set(parsed) == {"error", "message"}
     assert named in parsed["message"]
+
+
+def _out_at(relative):
+    """Set-up: ``out_dir`` at ``relative`` under the test directory, where a
+    file named ``taken`` is in the way."""
+    def set_up(config, tmp_path):
+        (tmp_path / "taken").write_text("a file\n")
+        config["out_dir"] = str(tmp_path / relative)
+        return config["out_dir"]
+    return set_up
+
+
+def _no_test_documents(config, tmp_path):
+    _file_corpus(1)(config)
+    path = Path(config["paths"]["documents"])
+    path.write_text(path.read_text().replace('"split": "test"', '"split": "train"'))
+    return "test split"
+
+
+# (probe, command, set-up returning what the error must name)
+WORK_THAT_CANNOT_START = (
+    ("train into a file", "train", _out_at("taken")),
+    ("train under a file", "train", _out_at("taken/out")),
+    ("evaluate into a file", "evaluate", _out_at("taken")),
+    ("ablate into a file", "ablate", _out_at("taken")),
+    ("synth into a file", "synth", _out_at("taken")),
+    ("evaluate with no test documents", "evaluate", _no_test_documents),
+    ("ablate with no test documents", "ablate", _no_test_documents),
+)
+
+
+@pytest.mark.parametrize("command,set_up",
+                         [probe[1:] for probe in WORK_THAT_CANNOT_START],
+                         ids=[probe[0] for probe in WORK_THAT_CANNOT_START])
+def test_work_that_cannot_start_is_one_config_error_before_it(tmp_path, capsys,
+                                                              monkeypatch, command,
+                                                              set_up):
+    cfg_path, config = write_config(tmp_path, features="t,ns", n_runs=1)
+    named = set_up(config, tmp_path)
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg_path)]
+    if command == "evaluate":
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(_trained_checkpoint("rst", "t,ns"))
+        argv += ["--checkpoint", str(checkpoint)]
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} started work it cannot finish")
+
+    monkeypatch.setattr(trainer, "run_multi_seed", never)
+    monkeypatch.setattr(trainer, "evaluate_model", never)
+    assert cli.main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    parsed = json.loads(err[0])
+    assert parsed["error"] == "ConfigError"
+    assert named in parsed["message"]
+
+
+class TestFeatureRow:
+    def test_spec_is_lowercased_and_stripped(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        config = cli.load_config(str(cfg_path), argparse.Namespace(features=" T, NS "))
+        assert cli.make_train_config(config).features == "t,ns"
+
+    @pytest.mark.parametrize("spec,named", [(" T,R", "' T,R'"), (5, "got 5")])
+    def test_bad_spec_is_named_as_written(self, tmp_path, capsys, spec, named):
+        cfg_path, _ = write_config(tmp_path, features=spec)
+        assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert named in json.loads(capsys.readouterr().err)["message"]
+
+    def test_checkpoint_meta_spec_is_lowercased(self, tmp_path):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(_edit_meta(_trained_checkpoint("rst", "t,ns,r"),
+                                         "features", "T,NS,R"))
+        model, _ = cli.load_model_from_checkpoint(checkpoint)
+        assert model.cfg.features == "t,ns,r"
+        assert model.tree.table.data.shape[0] == model.vocab.size
 
 
 class TestAblate:

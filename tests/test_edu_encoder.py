@@ -15,10 +15,10 @@ def make_encoder(wv_dim, hidden, seed=0, zero=False):
     rng = np.random.default_rng(seed)
     enc = nc.init_lstm_cell(bundle, "edu", rng, wv_dim, hidden)
     if zero:
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             t.data[:] = 0.0
     else:
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
     return enc, bundle
 

@@ -9,18 +9,17 @@ from hypothesis import given, strategies as st
 
 from rstcoh import cli, numcore as nc, trainer
 from rstcoh.errors import DataError
-from rstcoh.tree_model import AblationConfig
 
 import oracles
 
-FULL = AblationConfig(ns=True, r=True, e=True)
+FULL = "t,ns,r,e"
 
 
 def zero_cell(input_size, hidden_size, bundle=None):
     bundle = bundle or nc.ParameterBundle()
     cell = nc.init_lstm_cell(bundle, "cell", np.random.default_rng(0),
                              input_size, hidden_size)
-    for t in bundle.tensors():
+    for _, t in bundle.items():
         t.data[:] = 0.0
     return cell, bundle
 
@@ -29,7 +28,7 @@ def random_cell(input_size, hidden_size, seed=0):
     bundle = nc.ParameterBundle()
     rng = np.random.default_rng(seed)
     cell = nc.init_lstm_cell(bundle, "cell", rng, input_size, hidden_size)
-    for t in bundle.tensors():
+    for _, t in bundle.items():
         t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
     return cell, bundle
 
@@ -124,7 +123,7 @@ class TestFusedCellAgainstComposedOps:
         rng = np.random.default_rng(children)
         bundle = nc.ParameterBundle()
         cell = nc.init_cell(bundle, "cell", rng, 7, 5, children)
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
         gates = oracles.gate_leaves(bundle, cell)
         z = random_tensor(rng, 7, bundle, "z")
@@ -155,7 +154,7 @@ class TestFusedCellAgainstComposedOps:
         rng = np.random.default_rng(sum(lengths))
         bundle = nc.ParameterBundle()
         cell = nc.init_lstm_cell(bundle, "cell", rng, 3, 4)
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             t.data[:] = rng.uniform(-0.8, 0.8, size=t.data.shape)
         gates = oracles.gate_leaves(bundle, cell)
         # the sequences' inputs, one row per step, need a gradient or not
@@ -460,7 +459,7 @@ class TestBundleAndCheckpoint:
             b = nc.ParameterBundle()
             b.add("b", [1.0])
             b.add("a", [2.0])
-            return b.names()
+            return [name for name, _ in b.items()]
 
         assert build() == build() == ["b", "a"]
 
@@ -494,7 +493,7 @@ class TestFlatBundle:
     @staticmethod
     def assert_views(bundle):
         offset = 0
-        for t in bundle.tensors():
+        for _, t in bundle.items():
             assert np.shares_memory(t.data, bundle.data)
             assert np.shares_memory(t.grad, bundle.grad)
             end = offset + t.data.size

@@ -9,26 +9,25 @@ from rstcoh.errors import ConfigError
 from rstcoh.parseq import encode_parseq
 from rstcoh.rst_data import build_relation_vocab
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
-from rstcoh.tree_model import AblationConfig
 
 import oracles
 from conftest import three_edu_tree, two_edu_tree
 
-TONLY = AblationConfig()
-TNSR = AblationConfig(ns=True, r=True)
+TONLY = "t"
+TNSR = "t,ns,r"
 
 
 def make_doc(paragraphs, tree=None, label=1, doc_id="d0"):
     return Document(doc_id, label, "", paragraphs, tree or two_edu_tree())
 
 
-def build(kind, abl=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
+def build(kind, features=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
           zero=False):
     rng = np.random.default_rng(seed)
-    cfg = TrainConfig(model=kind, features=abl, hidden_size=hidden,
+    cfg = TrainConfig(model=kind, features=features, hidden_size=hidden,
                       relation_dim=rel_dim)
     model = build_model(cfg, vocab, wv_dim, rng)
-    for t in model.bundle.tensors():
+    for _, t in model.bundle.items():
         t.data[:] = 0.0 if zero else rng.uniform(-0.7, 0.7, size=t.data.shape)
     return model
 
@@ -39,9 +38,9 @@ def build_parseq(wv_dim=2, hidden=3, seed=0, zero=False):
     return model, model.seq
 
 
-def build_ensemble(abl=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
+def build_ensemble(features=TONLY, vocab=None, wv_dim=2, hidden=3, rel_dim=2, seed=0,
                    zero=False):
-    return build("ensemble", abl, vocab, wv_dim, hidden, rel_dim, seed, zero)
+    return build("ensemble", features, vocab, wv_dim, hidden, rel_dim, seed, zero)
 
 
 def toy_wv(dim=2, seed=1):
@@ -132,11 +131,11 @@ class TestEnsemble:
 
     def test_edu_features_rejected(self):
         with pytest.raises(ConfigError):
-            build_ensemble(abl=AblationConfig(ns=True, r=True, e=True),
+            build_ensemble(features="t,ns,r,e",
                            vocab=build_relation_vocab([two_edu_tree()]))
-        model = build_ensemble(abl=TNSR, vocab=build_relation_vocab([two_edu_tree()]))
+        model = build_ensemble(features=TNSR, vocab=build_relation_vocab([two_edu_tree()]))
         assert model.tree.edu is None
-        assert not any(name.startswith("edu.") for name in model.bundle.names())
+        assert not any(name.startswith("edu.") for name, _ in model.bundle.items())
 
     def test_t_only_ignores_tree_labels(self):
         model = build_ensemble(seed=3)
@@ -168,7 +167,7 @@ class TestEnsemble:
 
     def test_toy_ensemble_matches_scalar_oracle(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        model = build_ensemble(abl=TNSR, vocab=vocab, wv_dim=1, hidden=1,
+        model = build_ensemble(features=TNSR, vocab=vocab, wv_dim=1, hidden=1,
                                rel_dim=1, seed=11)
         values = {"alpha": 0.7, "beta": -0.4}
         wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
@@ -204,7 +203,7 @@ class TestEnsemble:
 
     def test_gradients_match_finite_differences(self):
         vocab = build_relation_vocab([three_edu_tree()])
-        model = build_ensemble(abl=TNSR, vocab=vocab, seed=17)
+        model = build_ensemble(features=TNSR, vocab=vocab, seed=17)
         bundle = model.bundle
         wv = toy_wv()
         doc = make_doc([[["alpha", "beta"]], [["gamma"]]], tree=three_edu_tree(),

@@ -9,7 +9,6 @@ import pytest
 from rstcoh import corpus, metrics, numcore as nc, trainer
 from rstcoh.errors import ConfigError, TrainingDiverged
 from rstcoh.rst_data import RelationVocabulary, build_relation_vocab
-from rstcoh.tree_model import AblationConfig
 from rstcoh.trainer import (MODEL_KINDS, RunRecord, TrainConfig, cross_entropy,
                             run_multi_seed, train)
 
@@ -17,7 +16,7 @@ from rstcoh.trainer import (MODEL_KINDS, RunRecord, TrainConfig, cross_entropy,
 def small_cfg(**kwargs):
     defaults = dict(learning_rate=1e-3, epochs=1, hidden_size=6, relation_dim=4,
                     seed=0, model="rst",
-                    features=AblationConfig.from_features("t,ns,r"))
+                    features="t,ns,r")
     defaults.update(kwargs)
     return TrainConfig(**defaults)
 
@@ -55,7 +54,7 @@ class TestTrainConfig:
     def test_ensemble_with_e_rejected(self):
         with pytest.raises(ConfigError):
             small_cfg(model="ensemble",
-                      features=AblationConfig(ns=True, r=True, e=True))
+                      features="t,ns,r,e")
 
     def test_positive_sizes_required(self):
         with pytest.raises(ConfigError):
@@ -96,7 +95,7 @@ PARAMETER_LAYOUT = {
 @pytest.mark.parametrize("kind,features", sorted(PARAMETER_LAYOUT))
 def test_parameter_names_and_shapes(kind, features):
     vocab = RelationVocabulary(["Elaboration_N", "Elaboration_S", "Contrast_N"])
-    cfg = small_cfg(model=kind, features=AblationConfig.from_features(features),
+    cfg = small_cfg(model=kind, features=features,
                     hidden_size=3, relation_dim=2)
     model = trainer.build_model(cfg, vocab, 5, np.random.default_rng(0))
     assert [(name, t.data.shape) for name, t in model.bundle.items()] \
@@ -110,7 +109,7 @@ class TestTrain:
         model_b, rec_b = train(cfg, tiny_split, tiny_wv)
         assert rec_a.epoch_losses == rec_b.epoch_losses
         assert rec_a.report == rec_b.report
-        for name in model_a.bundle.names():
+        for name, _ in model_a.bundle.items():
             assert np.array_equal(model_a.bundle[name].data,
                                   model_b.bundle[name].data)
 
@@ -137,7 +136,7 @@ class TestTrain:
         for kind in MODEL_KINDS:
             features = "t,ns,r" if kind != "parseq" else "t"
             cfg = small_cfg(model=kind,
-                            features=AblationConfig.from_features(features))
+                            features=features)
             _, rec = train(cfg, tiny_split, tiny_wv)
             assert rec.report is not None
             assert all(math.isfinite(v) for v in rec.epoch_losses)
@@ -241,7 +240,7 @@ def chunk_corpus():
 
 
 def random_model(kind, features, split, wv, seed):
-    cfg = small_cfg(model=kind, features=AblationConfig.from_features(features))
+    cfg = small_cfg(model=kind, features=features)
     vocab = None
     if cfg.needs_vocab:
         vocab = build_relation_vocab(d.tree for d in split.train)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +14,15 @@ from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
                              build_relation_vocab, count_leaves)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
-from rstcoh.tree_model import AblationConfig, encode_trees, tree_schedule
+from rstcoh.tree_model import FEATURE_ROWS, encode_trees, tree_schedule
 
 import oracles
 from conftest import count_nodes, make_label, three_edu_tree, two_edu_tree
 
-FULL = AblationConfig(ns=True, r=True, e=True)
-TNSR = AblationConfig(ns=True, r=True)
-TNS = AblationConfig(ns=True)
-TONLY = AblationConfig()
+FULL = "t,ns,r,e"
+TNSR = "t,ns,r"
+TNS = "t,ns"
+TONLY = "t"
 
 
 def t_label_rows(labels):
@@ -29,14 +30,14 @@ def t_label_rows(labels):
     return [0] * len(labels)
 
 
-def build(abl, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True):
+def build(features, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize=True):
     """An rst model; returns it and its tree encoder's parameters."""
     rng = np.random.default_rng(seed)
-    cfg = TrainConfig(model="rst", features=abl, hidden_size=hidden,
+    cfg = TrainConfig(model="rst", features=features, hidden_size=hidden,
                       relation_dim=rel_dim)
     model = build_model(cfg, vocab, wv_dim, rng)
     if randomize:
-        for t in model.bundle.tensors():
+        for _, t in model.bundle.items():
             t.data[:] = rng.uniform(-0.7, 0.7, size=t.data.shape)
     return model, model.tree
 
@@ -93,24 +94,36 @@ def toy_wv(dim=2, seed=1):
 
 
 class TestAblationConfig:
+    """The feature row, which ``TrainConfig`` holds as one of FEATURE_ROWS."""
+
     def test_legal_rows_parse(self):
-        for spec in ("t", "t,ns", "t,ns,r", "t,ns,r,e"):
-            abl = AblationConfig.from_features(spec)
-            assert abl.features() == spec
+        assert FEATURE_ROWS == ("t", "t,ns", "t,ns,r", "t,ns,r,e")
+        for row in FEATURE_ROWS:
+            cfg = TrainConfig(features=row)
+            assert cfg.features == row
+            assert [f for f in ("ns", "r", "e") if cfg.uses(f)] == row.split(",")[1:]
 
     def test_r_without_ns_rejected(self):
         with pytest.raises(ConfigError):
-            AblationConfig(r=True)
+            TrainConfig(features="t,r")
         with pytest.raises(ConfigError):
-            AblationConfig.from_features("t,r")
+            replace(TrainConfig(features="t,ns"), features="t,r")
 
     def test_e_without_r_rejected(self):
         with pytest.raises(ConfigError):
-            AblationConfig.from_features("t,ns,e")
+            TrainConfig(features="t,ns,e")
 
     def test_t_is_mandatory(self):
         with pytest.raises(ConfigError):
-            AblationConfig.from_features("ns,r")
+            TrainConfig(features="ns,r")
+
+    # TrainConfig takes a row as it is spelled in FEATURE_ROWS; only the CLI
+    # lowercases and strips a spec
+    @pytest.mark.parametrize("spec", ["t,r", "t,ns,e", "ns,r", "", "t,ns,r,e,e", 3,
+                                      "T", "t, ns", None, ["t"]])
+    def test_anything_but_a_row_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            TrainConfig(features=spec)
 
 
 class TestLabelEmbedding:
@@ -136,9 +149,9 @@ class TestLabelEmbedding:
 
 class TestEncodeSubtree:
     def test_zero_params_e_off_all_states_zero(self):
-        for abl in (TONLY, TNS):
-            model, params = build(abl, randomize=False)
-            for t in model.bundle.tensors():
+        for features in (TONLY, TNS):
+            model, params = build(features, randomize=False)
+            for _, t in model.bundle.items():
                 t.data[:] = 0.0
             h, c = encode_subtree(three_edu_tree(), params, None)
             assert np.array_equal(h, np.zeros(4))
@@ -257,19 +270,19 @@ class TestScheduleMatchesReference:
     """tree_schedule, which maps a batch's labels in one call through the
     map fixed at model build, against the per-label walk it replaced."""
 
-    @pytest.mark.parametrize("abl", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
+    @pytest.mark.parametrize("features", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
     @given(batch=st.lists(st.tuples(st.integers(2, 12),
                                     st.sampled_from(["random", "left", "right"]),
                                     st.integers(0, 2 ** 32 - 1)),
                           min_size=1, max_size=64))
-    def test_random_batches(self, abl, batch):
-        vocab = SEEN if abl.r else None
-        _, params = build(abl, vocab, randomize=False)
+    def test_random_batches(self, features, batch):
+        vocab = SEEN if "r" in features.split(",") else None
+        _, params = build(features, vocab, randomize=False)
         trees = [random_tree(np.random.default_rng(seed), n, shape)
                  for n, shape, seed in batch]
         got = tree_schedule(trees, params.label_rows)
         want = oracles.reference_tree_schedule(
-            trees, oracles.reference_label_row(abl, vocab))
+            trees, oracles.reference_label_row(features, vocab))
         assert got.leaves == want.leaves
         assert got.level_sizes == want.level_sizes
         for name in ("children", "labels", "roots"):
@@ -289,9 +302,9 @@ class TestRunTree:
     the gradients of the cell, the label table and the leaf states."""
 
     @staticmethod
-    def run_both(trees, abl, seed=0, hidden=3, rel_dim=2):
-        vocab = build_relation_vocab(trees) if abl.r else None
-        model, params = build(abl, vocab, hidden=hidden, rel_dim=rel_dim, seed=seed)
+    def run_both(trees, features, seed=0, hidden=3, rel_dim=2):
+        vocab = build_relation_vocab(trees) if "r" in features.split(",") else None
+        model, params = build(features, vocab, hidden=hidden, rel_dim=rel_dim, seed=seed)
         bundle = model.bundle
         rng = np.random.default_rng(seed + 100)
         n_leaves = sum(count_leaves(t) for t in trees)
@@ -315,7 +328,7 @@ class TestRunTree:
             got = h.data, c.data, grads()
         with nc.record():
             states = oracles.composed_tree_walk(
-                trees, leaf_h, leaf_c, oracles.reference_label_row(abl, vocab),
+                trees, leaf_h, leaf_c, oracles.reference_label_row(features, vocab),
                 table, params.cell)
             loss = None
             for (h_k, c_k), wh_k, wc_k in zip(states, wh, wc):
@@ -327,28 +340,29 @@ class TestRunTree:
                     np.array([c_k.data for _, c_k in states]), grads())
         return got, want, table
 
-    def assert_match(self, trees, abl, **kwargs):
+    def assert_match(self, trees, features, **kwargs):
         (h, c, grads), (want_h, want_c, want_grads), table = \
-            self.run_both(trees, abl, **kwargs)
+            self.run_both(trees, features, **kwargs)
         np.testing.assert_allclose(h, want_h, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(c, want_c, rtol=1e-12, atol=0.0)
         names = ["tree.w", "tree.b", "leaf_h", "leaf_c"]
         if table is not None:
-            names.append("relation_table" if abl.r else "nuclearity_table")
+            names.append("relation_table" if "r" in features.split(",")
+                         else "nuclearity_table")
         for name in names:
             assert np.any(grads[name] != 0.0), name
         for name in grads:
             np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12,
                                        atol=0.0, err_msg=name)
 
-    @pytest.mark.parametrize("abl", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
-    def test_mixed_batch_matches_per_node_walk(self, abl):
+    @pytest.mark.parametrize("features", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
+    def test_mixed_batch_matches_per_node_walk(self, features):
         trees = [three_edu_tree(), two_edu_tree(),
                  Internal(left_chain(4), right_chain(3, ("Contrast", "S")),
                           make_label("Joint", "N"), make_label("Cause", "S")),
                  Internal(right_chain(2), three_edu_tree(),
                           make_label("Summary", "S"), make_label("Joint", "N"))]
-        self.assert_match(trees, abl, seed=3)
+        self.assert_match(trees, features, seed=3)
 
     def test_root_with_a_leaf_child(self):
         # three_edu_tree's right root child is a leaf: its state passes through
@@ -379,7 +393,7 @@ class TestRunTree:
 class TestClassify:
     def test_zero_params_uniform(self):
         model, _ = build(TONLY, randomize=False)
-        for t in model.bundle.tensors():
+        for _, t in model.bundle.items():
             t.data[:] = 0.0
         dist = classify(model, two_edu_tree())
         assert dist == pytest.approx([1 / 3] * 3, abs=1e-15)
@@ -464,4 +478,4 @@ class TestCounts:
     def test_word_vectors_never_counted(self):
         model, _ = build(FULL, build_relation_vocab([two_edu_tree()]),
                          hidden=4, rel_dim=3, wv_dim=7)
-        assert all("wv" not in name for name in model.bundle.names())
+        assert all("wv" not in name for name, _ in model.bundle.items())
