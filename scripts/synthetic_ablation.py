@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -50,7 +51,10 @@ def main() -> int:
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(config, fh)
         cfg_path = fh.name
-    code = cli.main(["ablate", "--config", cfg_path])
+    try:
+        code = cli.main(["ablate", "--config", cfg_path])
+    finally:
+        os.unlink(cfg_path)
     if code == 0:
         print(f"\nwrote {Path(args.out) / 'ablation.csv'}")
     return code

@@ -42,6 +42,10 @@ Paragraphs = list[list[list[str]]]
 
 @dataclass
 class Document:
+    """``shape`` and ``edus`` are computed from ``tree`` on first use, so a
+    document that no model reads (most of a synthesized pool) never holds
+    them; ``tree`` must not be replaced after the first read of either."""
+
     id: str
     label: int
     text: str
@@ -49,15 +53,14 @@ class Document:
     tree: rst_data.RstTree
 
     @functools.cached_property
-    def edus(self) -> list[list[str]]:
-        """The tokens of the tree's leaves, left to right, interned.
+    def shape(self) -> rst_data.TreeShape:
+        """``tree`` in flat form: all that models and vocabularies read of it."""
+        return rst_data.flatten(self.tree)
 
-        Computed on first use, so a document that no model reads (most of
-        a synthesized pool) never holds them; ``tree`` must not be
-        replaced after that.
-        """
-        return [[sys.intern(tok) for tok in tokenize(text)]
-                for text in rst_data.leaf_texts(self.tree)]
+    @functools.cached_property
+    def edus(self) -> list[list[str]]:
+        """The tokens of the tree's leaves, left to right, interned."""
+        return [[sys.intern(tok) for tok in tokenize(text)] for text in self.shape.leaves]
 
 
 class WordVectors:

@@ -531,7 +531,8 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
         _accumulate(p.b, dpre.sum(axis=0))
         if table is not None:
             g_table = np.zeros_like(table.data)
-            np.add.at(g_table, labels, dz[n_leaves:, 2 * n:].reshape(inner, 2, -1))
+            np.add.at(g_table, labels,
+                      dz[n_leaves:, 2 * n:].reshape(inner, 2, table.data.shape[1]))
             _accumulate(table, g_table)
         if leaf_h.requires_grad:
             _accumulate(leaf_h, dh[:n_leaves])

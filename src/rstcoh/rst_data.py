@@ -1,4 +1,5 @@
-"""Binary discourse trees: data model, text format, validation, vocabulary.
+"""Binary discourse trees: data model, text format, validation, flat form,
+vocabulary.
 
 Tree text format (one s-expression per line in tree files)::
 
@@ -19,14 +20,22 @@ A child's :class:`NodeLabel` is its relation and its nuclearity, "N" or "S".
 Vocabularies, checkpoints and generator configs hold it as one string,
 ``<relation>_<N|S>``: :meth:`NodeLabel.combined` writes that form and
 :func:`parse_label` is its one reader.
+
+Only :func:`parse_tree`, :func:`serialize_tree`, :func:`validate_tree`
+(the one place that knows the violation rules and their L/R paths) and
+:func:`flatten` walk a tree. The rest reads the :class:`TreeShape` that
+``corpus.Document.shape`` caches, so each document's tree is walked once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Union
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -67,40 +76,52 @@ def parse_label(text: str) -> NodeLabel:
     return NodeLabel(*m.groups())
 
 
-# --- traversal helpers (iterative: trees from real parsers can be deep) ------
+# --- flat form ----------------------------------------------------------------
 
 
-def iter_nodes(tree: RstTree) -> Iterable[RstTree]:
+class TreeShape(NamedTuple):
+    """A tree in flat form. A node's height is 0 for a leaf, else one more
+    than its taller child's; its position counts the nodes of its height
+    before it in post-order, so the leaves' positions run left to right."""
+
+    leaves: list[str]  # the leaves' texts
+    labels: list[NodeLabel]  # each internal node's two child labels, in post-order
+    # (N, 5) intp: the height, then the left and right child's heights, then
+    # their positions, of each internal node but the root, in post-order
+    nodes: np.ndarray
+    root: tuple[int, int, int, int] | None  # the same of the root's children
+
+
+def flatten(tree: RstTree) -> TreeShape:
+    """``tree`` in flat form, from one iterative post-order walk (trees from
+    real parsers can be deep)."""
+    walk = []  # pre-order with right children first: post-order reversed
     stack = [tree]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, Internal):
-            stack.append(node.right)
-            stack.append(node.left)
+        walk.append(node)
+        if type(node) is Internal:  # not isinstance: this loop is ingest's hot path
+            stack += (node.left, node.right)
+    leaves, labels, nodes, done = [], [], [], []  # done: keys of subtrees awaiting a parent
+    counts = [0] * len(walk)  # the internal nodes of each height so far
+    for node in reversed(walk):
+        if type(node) is Leaf:
+            done.append((0, len(leaves)))
+            leaves.append(node.text)
+            continue
+        right_height, right_position = done.pop()
+        left_height, left_position = done.pop()
+        height = max(left_height, right_height) + 1
+        nodes.append((height, left_height, right_height, left_position, right_position))
+        labels += (node.left_label, node.right_label)
+        done.append((height, counts[height]))
+        counts[height] += 1
+    root = nodes.pop()[1:] if nodes else None
+    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root)
 
 
 def count_leaves(tree: RstTree) -> int:
-    return len(leaves(tree))
-
-
-def leaves(tree: RstTree) -> list[Leaf]:
-    """The tree's leaves, left to right."""
-    return [n for n in iter_nodes(tree) if isinstance(n, Leaf)]
-
-
-def leaf_texts(tree: RstTree) -> list[str]:
-    return [leaf.text for leaf in leaves(tree)]
-
-
-def child_labels(tree: RstTree) -> list[NodeLabel]:
-    """All (relation, nuclearity) labels attached to children of internal nodes."""
-    out = []
-    for node in iter_nodes(tree):
-        if isinstance(node, Internal):
-            out.append(node.left_label)
-            out.append(node.right_label)
-    return out
+    return len(flatten(tree).leaves)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -312,14 +333,11 @@ class RelationVocabulary:
         return isinstance(other, RelationVocabulary) and self._labels == other._labels
 
 
-def build_relation_vocab(trees: Iterable[RstTree]) -> RelationVocabulary:
-    """UNK plus the lexicographically sorted set of combined labels in ``trees``."""
-    combined: set[str] = set()
-    n = 0
-    for tree in trees:
-        n += 1
-        for lab in child_labels(tree):
-            combined.add(lab.combined())
-    if n == 0:
+def build_relation_vocab(shapes: Iterable[TreeShape]) -> RelationVocabulary:
+    """UNK plus the lexicographically sorted set of combined labels of the
+    trees whose flat forms are ``shapes``."""
+    shapes = list(shapes)
+    if not shapes:
         raise DataError("no trees supplied")
-    return RelationVocabulary([UNK_LABEL] + sorted(combined))
+    labels = set(chain.from_iterable(shape.labels for shape in shapes))
+    return RelationVocabulary([UNK_LABEL] + sorted({lab.combined() for lab in labels}))

@@ -223,7 +223,7 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     rng = np.random.default_rng(cfg.seed)
     vocab = None
     if cfg.needs_vocab:
-        vocab = build_relation_vocab(doc.tree for doc in split.train)
+        vocab = build_relation_vocab(doc.shape for doc in split.train)
     wv_dim = wv.dimension if wv is not None else 1
     model = build_model(cfg, vocab, wv_dim, rng)
     state = nc.AdamState(model.bundle)

@@ -26,15 +26,15 @@ label for R, on its nuclearity for NS, a constant 0 for t), and the EDU
 encoder is there or not, so :func:`encode_trees` decides nothing per call.
 
 A batch of documents takes at most two recording calls, whatever its size.
-:func:`encode_trees` walks each tree once into a level schedule (a level is
-the set of internal nodes of equal height), runs all the batch's EDUs
-through one packed LSTM pass when E is on (their word vectors are one
-gather), and hands the schedule to
+:func:`encode_trees` joins the documents' flat trees (``Document.shape``)
+into a level schedule (a level is the set of internal nodes of equal
+height), runs all the batch's EDUs through one packed LSTM pass when E is
+on (their word vectors are one gather), and hands the schedule to
 ``numcore.run_tree``, which applies the cell once per level (dynamic
 batching, Looks et al. 2017; a tree as a flat schedule, as in SPINN,
-Bowman et al. 2016). This module owns the mapping from trees to index
-arrays; numcore sees only the arrays. The EDUs' tokens come from
-``Document.edus``: this module never tokenizes.
+Bowman et al. 2016). This module owns the join of flat trees into index
+arrays and walks no tree; numcore sees only the arrays. The EDUs' tokens
+come from ``Document.edus``: this module never tokenizes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from . import numcore as nc
 from .corpus import Document, WordVectors
 from .errors import ConfigError, DataError
-from .rst_data import Internal, Leaf, NodeLabel, RelationVocabulary, RstTree
+from .rst_data import NodeLabel, RelationVocabulary, TreeShape
 
 
 # The ablation's feature rows, each the one before with one feature added:
@@ -118,54 +118,31 @@ class TreeSchedule(NamedTuple):
     roots: np.ndarray  # (B, 2)
 
 
-def tree_schedule(trees: Sequence[RstTree],
+def tree_schedule(shapes: Sequence[TreeShape],
                   label_rows: Callable[[list[NodeLabel]], list[int]]) -> TreeSchedule:
-    """Level schedule of ``trees``, one iterative post-order walk per tree.
-
-    ``label_rows`` maps all the batch's child labels to their label-table
-    rows in one call, after the walk.
-    """
-    n_leaves = 0
-    level_sizes: list[int] = []
-    # (height, left height, left position, right height, right position)
-    # of each internal node, in walk order, and its children's labels; a
-    # position counts the nodes of one height
-    nodes = []
-    labels: list[NodeLabel] = []
-    root_keys = []
-    for tree in trees:
-        if not isinstance(tree, Internal):
-            raise DataError("document tree has a single EDU")
-        done: list[tuple[int, int]] = []  # (height, position) of finished subtrees
-        stack: list[tuple[RstTree, bool]] = [(tree.right, False), (tree.left, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if isinstance(node, Leaf):
-                done.append((0, n_leaves))
-                n_leaves += 1
-            elif not expanded:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            else:
-                right = done.pop()
-                left = done.pop()
-                height = max(left[0], right[0]) + 1
-                if height > len(level_sizes):
-                    level_sizes.append(0)
-                nodes.append((height, *left, *right))
-                labels += (node.left_label, node.right_label)
-                done.append((height, level_sizes[height - 1]))
-                level_sizes[height - 1] += 1
-        root_keys.append(done)
-    base = np.cumsum([0, n_leaves] + level_sizes)  # first row of each height
-    a = np.array(nodes, dtype=np.intp).reshape(-1, 5)
-    order = np.argsort(a[:, 0], kind="stable")  # by level, by position within one
-    a = a[order]
-    rows = np.array(label_rows(labels), dtype=np.intp).reshape(-1, 2)[order]
-    keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
-    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], rows,
-                        level_sizes, base[keys[..., 0]] + keys[..., 1])
+    """Level schedule of the n trees whose flat forms are ``shapes``, joined
+    with no walk: tree t's node of height h and position p takes row
+    ``start[h * n + t] + p``, after all lower nodes and the height-h nodes
+    of the trees before t. ``label_rows`` maps the child labels in one call."""
+    if any(shape.root is None for shape in shapes):
+        raise DataError("document tree has a single EDU")
+    n = len(shapes)
+    nodes = np.concatenate([shape.nodes for shape in shapes])
+    tree = np.repeat(np.arange(n), [len(shape.nodes) for shape in shapes])
+    keys = np.array([shape.root for shape in shapes], dtype=np.intp)
+    # counts[h * n + t]: tree t's nodes of height h, leaves at h = 0
+    counts = np.bincount(nodes[:, 0] * n + tree, minlength=(keys[:, :2].max() + 1) * n)
+    counts[:n] = [len(shape.leaves) for shape in shapes]
+    start = np.cumsum(counts) - counts
+    totals = counts.reshape(-1, n).sum(axis=1)
+    order = np.argsort(nodes[:, 0], kind="stable")  # by level, by position within one
+    nodes, tree = nodes[order], tree[order]
+    rows = label_rows(list(chain.from_iterable(shape.labels[:-2] for shape in shapes)))
+    return TreeSchedule(int(totals[0]),
+                        start[nodes[:, 1:3] * n + tree[:, None]] + nodes[:, 3:],
+                        np.array(rows, dtype=np.intp).reshape(-1, 2)[order],
+                        totals[1:].tolist(),
+                        start[keys[:, :2] * n + np.arange(n)[:, None]] + keys[:, 2:])
 
 
 def encode_trees(docs: Sequence[Document], params: TreeModelParams,
@@ -179,7 +156,7 @@ def encode_trees(docs: Sequence[Document], params: TreeModelParams,
     the zero state; one :func:`numcore.run_tree` call runs every internal
     node below the roots. ``wv`` is read only with E on.
     """
-    sched = tree_schedule([doc.tree for doc in docs], params.label_rows)
+    sched = tree_schedule([doc.shape for doc in docs], params.label_rows)
     if params.edu is not None:
         edus = list(chain.from_iterable(doc.edus for doc in docs))
         x = nc.constant(wv.stack(list(chain.from_iterable(edus))))

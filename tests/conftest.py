@@ -20,7 +20,8 @@ def make_label(rel: str, nuc: str) -> rst_data.NodeLabel:
 
 
 def count_nodes(tree: rst_data.RstTree) -> int:
-    return sum(1 for _ in rst_data.iter_nodes(tree))
+    # a full binary tree has one internal node fewer than it has leaves
+    return 2 * rst_data.count_leaves(tree) - 1
 
 
 def two_edu_tree(left_text="A claim.", right_text="Its proof.") -> rst_data.Internal:

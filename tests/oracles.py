@@ -13,7 +13,9 @@ messages and byte offsets. ``reference_tree_schedule`` is the level
 schedule that maps one label at a time, with ``reference_label_row``'s
 combined-label lookup, and ``reference_stack`` stacks word vectors one
 token at a time: the references for ``tree_model.tree_schedule`` and
-``WordVectors.stack``. ``class_label_distribution`` (the generator's exact
+``WordVectors.stack``. ``reference_leaves_and_labels`` reads a tree's leaf
+texts and post-order child labels by recursion, the reference for
+``rst_data.flatten``. ``class_label_distribution`` (the generator's exact
 label distribution) and ``count_parameters`` (parameter counts from tensor
 shapes) are computed from the config and the bundle for the tests that
 check those.
@@ -444,6 +446,17 @@ def reference_tree_schedule(trees, label_row):
     keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
     return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
                         level_sizes, base[keys[..., 0]] + keys[..., 1])
+
+
+def reference_leaves_and_labels(tree):
+    """(leaf texts left to right, each internal node's two child labels in
+    post-order) of ``tree``, by recursion."""
+    if isinstance(tree, Leaf):
+        return [tree.text], []
+    left_texts, left_labels = reference_leaves_and_labels(tree.left)
+    right_texts, right_labels = reference_leaves_and_labels(tree.right)
+    return (left_texts + right_texts,
+            left_labels + right_labels + [tree.left_label, tree.right_label])
 
 
 def reference_stack(vectors, dimension, tokens):

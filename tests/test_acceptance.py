@@ -15,7 +15,7 @@ from rstcoh import corpus, metrics, numcore as nc, parseq, trainer, tree_model
 from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
     synthesize_word_vectors
 from rstcoh.errors import ParseError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab,
+from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab, flatten,
                              parse_tree, serialize_tree, validate_tree)
 
 import oracles
@@ -85,7 +85,7 @@ def _grad_corpus():
 def _check_model_gradients(kind: str, features: str, docs, wv):
     cfg = trainer.TrainConfig(hidden_size=8, relation_dim=4, model=kind,
                               features=features)
-    vocab = build_relation_vocab(d.tree for d in docs)
+    vocab = build_relation_vocab(d.shape for d in docs)
     model = trainer.build_model(cfg, vocab, wv.dimension,
                                 np.random.default_rng(99))
     for doc in docs:
@@ -145,7 +145,7 @@ def test_criterion_3_scalar_oracle_equivalence():
         # run_tree on a 3-EDU tree (EDU embeddings on), the left child of a
         # document root
         tree = three_edu_tree(("ax bx.", "cx.", "bx ax."))
-        vocab = build_relation_vocab([tree])
+        vocab = build_relation_vocab([flatten(tree)])
         model = _build("rst", "t,ns,r,e", vocab, 1, 1, 1, rng)
         for _, t in model.bundle.items():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
@@ -236,7 +236,7 @@ def _texts(rng):
 def test_criterion_4_ablation_invariants():
     with criterion(4, "E-off text-invariance and T-only shape-invariance", 120.0):
         rng = np.random.default_rng(44)
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         model = _build("rst", "t,ns,r", vocab, 6, 4, 4, rng)
         model_t = _build("rst", "t", None, 6, 4, 4, rng)
 
@@ -276,7 +276,7 @@ def test_criterion_5_overfit_32_documents():
                                   relation_dim=12, seed=0, model="rst",
                                   features="t,ns,r,e")
         rng = np.random.default_rng(cfg.seed)
-        vocab = build_relation_vocab(d.tree for d in split.train)
+        vocab = build_relation_vocab(d.shape for d in split.train)
         model = trainer.build_model(cfg, vocab, wv.dimension, rng)
         state = nc.AdamState(model.bundle)
         step = 0

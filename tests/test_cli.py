@@ -5,6 +5,7 @@ import csv
 import functools
 import json
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -104,6 +105,21 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg2)]) == EXIT_OK
         summary = json.loads((tmp_path / "out2" / "summary.json").read_text())
         assert summary["aggregate"]["accuracy"]["mean"] >= 0.0
+
+    def test_two_edu_documents_train_with_the_default_features(self, tmp_path, capsys):
+        # every document has 2 or 3 EDUs: a 2-EDU document has no internal
+        # node below its root for the label table to read
+        config = {key: value for key, value in write_config(tmp_path)[1].items()
+                  if key != "features"}
+        config["generator"] = dict(config["generator"], edu_range=[2, 3])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+        trees = (data / "trees.txt").read_text().splitlines()
+        assert any(line.count("(edu ") == 2 for line in trees)
+        assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_ensemble_with_e_is_config_error(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, model="ensemble",
@@ -538,6 +554,20 @@ class TestFeatureRow:
 
 
 class TestAblate:
+    def test_synthetic_ablation_script_leaves_no_temporary_file(self, tmp_path,
+                                                                monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "synthetic_ablation.py"
+        namespace = runpy.run_path(str(script))
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        monkeypatch.setattr("sys.argv", [
+            "synthetic_ablation.py", "--out", str(tmp_path / "out"), "--runs", "1",
+            "--epochs", "1", "--train-docs", "12", "--test-docs", "6"])
+        assert namespace["main"]() == EXIT_OK
+        assert (tmp_path / "out" / "ablation.csv").exists()
+        assert list(temp.iterdir()) == []
+
     def test_integer_majority_policy_ends_in_one_json_line(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, majority_policy=5)
         assert cli.main(["ablate", "--config", str(cfg_path)]) == EXIT_CONFIG

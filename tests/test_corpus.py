@@ -294,8 +294,10 @@ class TestGenerator:
             assert segment(doc.text) == doc.paragraphs
             # leaves are the document's sentences, in order
             sents = [s for para in doc.paragraphs for s in para]
-            leaf_tokens = [tokenize(t) for t in rst_data.leaf_texts(doc.tree)]
+            leaf_tokens = [tokenize(t) for t in doc.shape.leaves]
             assert leaf_tokens == sents
+            assert (doc.shape.leaves, doc.shape.labels) == \
+                oracles.reference_leaves_and_labels(doc.tree)
             assert doc.edus == sents
 
     def test_edu_count_range_respected(self, tiny_split):
@@ -307,7 +309,7 @@ class TestGenerator:
         split = synthesize_corpus(cfg, seed=11)
         acc = oracles.label_histogram_centroid_accuracy(
             split.train, split.test, corpus.DEFAULT_LABELS,
-            lambda d: [lab.combined() for lab in rst_data.child_labels(d.tree)])
+            lambda d: [lab.combined() for lab in d.shape.labels])
         assert acc >= 0.85
 
     def test_label_distribution_chi_squared(self):

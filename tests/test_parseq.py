@@ -7,7 +7,7 @@ from rstcoh import numcore as nc
 from rstcoh.corpus import Document, WordVectors
 from rstcoh.errors import ConfigError
 from rstcoh.parseq import encode_parseq
-from rstcoh.rst_data import build_relation_vocab
+from rstcoh.rst_data import build_relation_vocab, flatten
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 
 import oracles
@@ -132,8 +132,9 @@ class TestEnsemble:
     def test_edu_features_rejected(self):
         with pytest.raises(ConfigError):
             build_ensemble(features="t,ns,r,e",
-                           vocab=build_relation_vocab([two_edu_tree()]))
-        model = build_ensemble(features=TNSR, vocab=build_relation_vocab([two_edu_tree()]))
+                           vocab=build_relation_vocab([flatten(two_edu_tree())]))
+        model = build_ensemble(features=TNSR,
+                               vocab=build_relation_vocab([flatten(two_edu_tree())]))
         assert model.tree.edu is None
         assert not any(name.startswith("edu.") for name, _ in model.bundle.items())
 
@@ -166,7 +167,7 @@ class TestEnsemble:
         assert dist.data[0] == pytest.approx(e / e.sum(), abs=1e-12)
 
     def test_toy_ensemble_matches_scalar_oracle(self):
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         model = build_ensemble(features=TNSR, vocab=vocab, wv_dim=1, hidden=1,
                                rel_dim=1, seed=11)
         values = {"alpha": 0.7, "beta": -0.4}
@@ -202,7 +203,7 @@ class TestEnsemble:
         assert got.data[0] == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self):
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         model = build_ensemble(features=TNSR, vocab=vocab, seed=17)
         bundle = model.bundle
         wv = toy_wv()

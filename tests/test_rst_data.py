@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 from rstcoh import corpus, rst_data
 from rstcoh.errors import DataError, ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
-                             build_relation_vocab, parse_label, parse_tree,
-                             serialize_tree, validate_tree)
+                             build_relation_vocab, count_leaves, flatten, parse_label,
+                             parse_tree, serialize_tree, validate_tree)
 
 import oracles
-from conftest import make_label, two_edu_tree
+from conftest import make_label, three_edu_tree, two_edu_tree
 
 
 TWO_EDU = '(rel Elaboration/N Evidence/S (edu "A claim.") (edu "Its proof."))'
@@ -136,8 +136,8 @@ class TestProperties:
             Internal(Leaf("e"), Leaf("f"), make_label("Contrast", "S"),
                      make_label("Evidence", "S")),
         ]
-        base = build_relation_vocab(trees)
-        shuffled = build_relation_vocab([trees[i] for i in order])
+        base = build_relation_vocab(map(flatten, trees))
+        shuffled = build_relation_vocab([flatten(trees[i]) for i in order])
         assert shuffled == base
 
 
@@ -269,6 +269,49 @@ class TestFuzzAgainstReference:
         assert _outcome(parse_tree, text) == _outcome(oracles.reference_parse_tree, text)
 
 
+class TestFlatten:
+    @given(TREE_ST)
+    def test_leaves_and_labels_match_the_tree_and_its_reparse(self, tree):
+        want = oracles.reference_leaves_and_labels(tree)
+        for t in (tree, parse_tree(serialize_tree(tree))):
+            shape = flatten(t)
+            assert (shape.leaves, shape.labels) == want
+            assert count_leaves(t) == len(want[0])
+
+    def test_synthesized_trees(self, tiny_split):
+        for doc in tiny_split.train + tiny_split.test:
+            shape = flatten(doc.tree)
+            assert (shape.leaves, shape.labels) == \
+                oracles.reference_leaves_and_labels(doc.tree)
+            assert len(shape.nodes) == len(shape.leaves) - 2
+
+    def test_heights_and_positions(self):
+        # the inner node (height 1) joins leaves 0 and 1; the root, its
+        # first node of height 1 and leaf 2
+        shape = flatten(three_edu_tree())
+        assert shape.nodes.dtype == np.intp
+        assert shape.nodes.tolist() == [[1, 0, 0, 0, 1]]
+        assert shape.root == (1, 0, 0, 2)
+        assert shape.labels[-2:] == [make_label("Background", "N"),
+                                     make_label("Evidence", "S")]
+
+    def test_single_leaf(self):
+        shape = flatten(Leaf("x"))
+        assert (shape.leaves, shape.labels, shape.root) == (["x"], [], None)
+        assert shape.nodes.shape == (0, 5)
+        assert count_leaves(Leaf("x")) == 1
+
+    def test_deep_right_chain_does_not_recurse(self):
+        tree: rst_data.RstTree = Leaf("x2999")
+        for k in range(2998, -1, -1):
+            tree = Internal(Leaf(f"x{k}"), tree,
+                            make_label("Joint", "N"), make_label("Joint", "S"))
+        shape = flatten(tree)
+        assert shape.leaves == [f"x{k}" for k in range(3000)]
+        assert shape.nodes[:, 0].tolist() == list(range(1, 2999))
+        assert shape.root == (0, 2998, 0, 0)
+
+
 class TestValidate:
     def test_valid_two_edu(self):
         assert validate_tree(two_edu_tree()) == []
@@ -286,11 +329,11 @@ class TestValidate:
 
 class TestVocabulary:
     def test_build_from_one_tree(self):
-        vocab = build_relation_vocab([two_edu_tree()])
+        vocab = build_relation_vocab([flatten(two_edu_tree())])
         assert vocab.labels == ("UNK", "Elaboration_N", "Evidence_S")
 
     def test_unseen_label_maps_to_unk(self):
-        vocab = build_relation_vocab([two_edu_tree()])
+        vocab = build_relation_vocab([flatten(two_edu_tree())])
         rows = vocab.rows
         assert rows.get(make_label("Nonexistent", "N"), 0) == 0
         assert rows[make_label("Evidence", "S")] == 2
@@ -314,16 +357,15 @@ class TestVocabulary:
     def test_all_31_default_labels_realized_gives_size_32(self):
         cfg = corpus.GeneratorConfig(n_train=200, n_test=0)
         split = corpus.synthesize_corpus(cfg, seed=5)
-        vocab = build_relation_vocab(doc.tree for doc in split.train)
-        realized = {lab.combined() for doc in split.train
-                    for lab in rst_data.child_labels(doc.tree)}
+        vocab = build_relation_vocab(doc.shape for doc in split.train)
+        realized = {lab.combined() for doc in split.train for lab in doc.shape.labels}
         assert realized == set(corpus.DEFAULT_LABELS)
         assert len(corpus.DEFAULT_LABELS) == 31
         assert vocab.size == 32
 
     def test_lookup_total_over_validated_trees(self, tiny_split):
-        vocab = build_relation_vocab(doc.tree for doc in tiny_split.train)
+        vocab = build_relation_vocab(doc.shape for doc in tiny_split.train)
         for doc in tiny_split.train:
-            for lab in rst_data.child_labels(doc.tree):
+            for lab in doc.shape.labels:
                 idx = vocab.rows.get(lab, 0)
                 assert 0 <= idx < vocab.size

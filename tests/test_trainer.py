@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rstcoh import corpus, metrics, numcore as nc, trainer
+from rstcoh import corpus, metrics, numcore as nc, rst_data, trainer
 from rstcoh.errors import ConfigError, TrainingDiverged
 from rstcoh.rst_data import RelationVocabulary, build_relation_vocab
 from rstcoh.trainer import (MODEL_KINDS, RunRecord, TrainConfig, cross_entropy,
                             run_multi_seed, train)
+
+import oracles
+from conftest import two_edu_tree
 
 
 def small_cfg(**kwargs):
@@ -145,7 +148,7 @@ class TestTrain:
         cfg = small_cfg()
         rng = np.random.default_rng(0)
         from rstcoh.rst_data import build_relation_vocab
-        vocab = build_relation_vocab(d.tree for d in tiny_split.train)
+        vocab = build_relation_vocab(d.shape for d in tiny_split.train)
         model = trainer.build_model(cfg, vocab, tiny_wv.dimension, rng)
         model.bundle["classifier.w"].data[:] = np.nan
         state = nc.AdamState(model.bundle)
@@ -243,7 +246,7 @@ def random_model(kind, features, split, wv, seed):
     cfg = small_cfg(model=kind, features=features)
     vocab = None
     if cfg.needs_vocab:
-        vocab = build_relation_vocab(d.tree for d in split.train)
+        vocab = build_relation_vocab(d.shape for d in split.train)
     rng = np.random.default_rng(seed)
     model = trainer.build_model(cfg, vocab, wv.dimension, rng)
     model.bundle.data[:] = rng.uniform(-0.8, 0.8, size=model.bundle.data.shape)
@@ -295,7 +298,8 @@ def test_tape_entries_per_training_document(kind, features, entries, tiny_split,
                                            ("ensemble", "t,ns,r")])
 def test_training_and_evaluation_never_tokenize(kind, features, tiny_split, tiny_wv,
                                                 tmp_path, monkeypatch):
-    # ingest tokenizes each EDU once; the models read Document.edus
+    # ingest tokenizes each EDU and walks each tree once; the models and the
+    # relation vocabulary read Document.edus and Document.shape
     corpus.write_documents(tmp_path / "documents.jsonl", tiny_split)
     corpus.write_trees(tmp_path / "trees.txt", tiny_split)
     split = corpus.load_corpus(tmp_path / "documents.jsonl", tmp_path / "trees.txt")
@@ -304,9 +308,39 @@ def test_training_and_evaluation_never_tokenize(kind, features, tiny_split, tiny
         def findall(self, text):
             raise AssertionError(f"tokenized {text!r} after ingest")
 
+    def refuse_to_walk(tree):
+        raise AssertionError("walked a tree after ingest")
+
     # every call of corpus.tokenize, however it was imported, runs this pattern
     monkeypatch.setattr(corpus, "_TOKEN_RE", Refuse())
+    monkeypatch.setattr(rst_data, "flatten", refuse_to_walk)
     model = random_model(kind, features, split, tiny_wv, seed=4)
     trainer.run_epoch(model, split.train[:2], tiny_wv, nc.AdamState(model.bundle),
                       1e-3, np.random.default_rng(0), False, 0)
     trainer.evaluate_model(model, split.test, tiny_wv)
+
+
+@pytest.mark.parametrize("kind,features", [("rst", "t,ns"), ("rst", "t,ns,r"),
+                                           ("rst", "t,ns,r,e"), ("ensemble", "t,ns"),
+                                           ("ensemble", "t,ns,r")])
+def test_two_edu_document_trains_with_a_label_table(kind, features, tiny_wv):
+    # no internal node lies below the root, so no label reaches the table
+    doc = corpus.Document("two", 3, "Oak elm. Sage fern.",
+                          [[["oak", "elm"], ["sage", "fern"]]],
+                          two_edu_tree("Oak elm.", "Sage fern."))
+    model = random_model(kind, features, corpus.CorpusSplit([doc], []), tiny_wv, seed=5)
+    before = model.bundle.data.copy()
+    trainer.run_epoch(model, [doc], tiny_wv, nc.AdamState(model.bundle), 1e-3,
+                      np.random.default_rng(0), False, 0)
+    assert np.isfinite(model.bundle.data).all()
+    assert not np.array_equal(model.bundle.data, before)
+
+    def loss() -> nc.Tensor:
+        return cross_entropy(model.classify([doc], tiny_wv), [doc.label])
+
+    with nc.record():
+        nc.backward(loss(), model.bundle)
+    analytic = {name: t.grad.copy() for name, t in model.bundle.items()}
+    numeric = oracles.finite_difference_gradients(lambda: float(loss().data),
+                                                  model.bundle)
+    assert not oracles.gradient_mismatches(analytic, numeric)

@@ -12,7 +12,7 @@ from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_co
                            tokenize)
 from rstcoh.errors import ConfigError, DataError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
-                             build_relation_vocab, count_leaves)
+                             build_relation_vocab, count_leaves, flatten)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 from rstcoh.tree_model import FEATURE_ROWS, encode_trees, tree_schedule
 
@@ -141,7 +141,7 @@ class TestLabelEmbedding:
         assert not np.array_equal(a, c)
 
     def test_unseen_label_falls_back_to_unk_row(self):
-        vocab = build_relation_vocab([two_edu_tree()])
+        vocab = build_relation_vocab([flatten(two_edu_tree())])
         _, params = build(TNSR, vocab)
         unseen = label_vector(make_label("Never", "N"), params)
         assert np.array_equal(unseen, params.table.data[0])
@@ -158,7 +158,7 @@ class TestEncodeSubtree:
             assert np.array_equal(c, np.zeros(4))
 
     def test_e_off_is_text_invariant(self):
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         _, params = build(TNSR, vocab, seed=3)
         a = three_edu_tree(("one one.", "two two.", "three three."))
         b = three_edu_tree(("completely different.", "words here.", "indeed so."))
@@ -168,7 +168,7 @@ class TestEncodeSubtree:
         assert np.array_equal(ca, cb)
 
     def test_matches_scalar_oracle_on_three_edu_tree(self):
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         _, params = build(FULL, vocab, hidden=1, rel_dim=1, wv_dim=1, seed=5)
         wv = toy_wv(dim=1, seed=6)
         tree = three_edu_tree(("alpha beta.", "gamma.", "delta epsilon."))
@@ -207,7 +207,7 @@ class TestEncodeSubtree:
                  Internal(three_edu_tree(), right_chain(4),
                           make_label("Joint", "N"), make_label("Joint", "N"))]
         for batch_trees in [[t] for t in trees] + [trees]:
-            sched = tree_schedule(batch_trees, t_label_rows)
+            sched = tree_schedule(list(map(flatten, batch_trees)), t_label_rows)
             n_leaves = sum(count_leaves(t) for t in batch_trees)
             assert sched.leaves == n_leaves
             # each leaf once, left to right and tree after tree: following
@@ -267,8 +267,9 @@ def random_tree(rng, n_leaves, shape):
 
 
 class TestScheduleMatchesReference:
-    """tree_schedule, which maps a batch's labels in one call through the
-    map fixed at model build, against the per-label walk it replaced."""
+    """tree_schedule, which joins the batch's flat forms and maps its labels
+    in one call through the map fixed at model build, against the per-tree
+    walk with per-label lookups that it replaced."""
 
     @pytest.mark.parametrize("features", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
     @given(batch=st.lists(st.tuples(st.integers(2, 12),
@@ -280,7 +281,7 @@ class TestScheduleMatchesReference:
         _, params = build(features, vocab, randomize=False)
         trees = [random_tree(np.random.default_rng(seed), n, shape)
                  for n, shape, seed in batch]
-        got = tree_schedule(trees, params.label_rows)
+        got = tree_schedule(list(map(flatten, trees)), params.label_rows)
         want = oracles.reference_tree_schedule(
             trees, oracles.reference_label_row(features, vocab))
         assert got.leaves == want.leaves
@@ -303,7 +304,8 @@ class TestRunTree:
 
     @staticmethod
     def run_both(trees, features, seed=0, hidden=3, rel_dim=2):
-        vocab = build_relation_vocab(trees) if "r" in features.split(",") else None
+        vocab = (build_relation_vocab(map(flatten, trees)) if "r" in features.split(",")
+                 else None)
         model, params = build(features, vocab, hidden=hidden, rel_dim=rel_dim, seed=seed)
         bundle = model.bundle
         rng = np.random.default_rng(seed + 100)
@@ -318,7 +320,7 @@ class TestRunTree:
             return {name: t.grad.copy() for name, t in bundle.items()}
 
         with nc.record():
-            sched = tree_schedule(trees, params.label_rows)
+            sched = tree_schedule(list(map(flatten, trees)), params.label_rows)
             h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
                                sched.level_sizes, sched.roots, table, params.cell)
             assert len(nc._tape) == 1
@@ -371,13 +373,13 @@ class TestRunTree:
     @pytest.mark.parametrize("chain", [left_chain, right_chain])
     def test_300_edu_chain(self, chain):
         trees = [chain(300)]
-        sched = tree_schedule(trees, t_label_rows)
+        sched = tree_schedule(list(map(flatten, trees)), t_label_rows)
         assert sched.level_sizes == [1] * 298
         self.assert_match(trees, TNS, seed=5)
 
     def test_batched_trees_equal_one_tree_batches(self):
         trees = [three_edu_tree(), left_chain(5), right_chain(4), two_edu_tree()]
-        vocab = build_relation_vocab(trees)
+        vocab = build_relation_vocab(map(flatten, trees))
         _, params = build(TNSR, vocab, seed=6)
         h, c = encode_trees(documents(trees), params, None)
         for k, tree in enumerate(trees):
@@ -386,8 +388,8 @@ class TestRunTree:
             np.testing.assert_allclose(c.data[k], c_k.data[0], rtol=1e-12, atol=0.0)
 
     def test_single_leaf_tree_rejected(self):
-        with pytest.raises(DataError):
-            tree_schedule([two_edu_tree(), Leaf("only")], t_label_rows)
+        with pytest.raises(DataError, match="document tree has a single EDU"):
+            tree_schedule([flatten(two_edu_tree()), flatten(Leaf("only"))], t_label_rows)
 
 
 class TestClassify:
@@ -399,7 +401,7 @@ class TestClassify:
         assert dist == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
-        vocab = build_relation_vocab([three_edu_tree()])
+        vocab = build_relation_vocab([flatten(three_edu_tree())])
         for seed in range(5):
             model, _ = build(TNSR, vocab, seed=seed)
             dist = classify(model, three_edu_tree())
@@ -441,7 +443,7 @@ class TestGradients:
         cfg = GeneratorConfig(n_train=3, n_test=0, edu_range=(3, 4),
                               tokens_per_edu=(2, 3), wv_dim=2)
         split = synthesize_corpus(cfg, seed=21)
-        vocab = build_relation_vocab(d.tree for d in split.train)
+        vocab = build_relation_vocab(d.shape for d in split.train)
         model, _ = build(FULL, vocab, hidden=3, rel_dim=2, wv_dim=2, seed=2)
         bundle = model.bundle
         wv = toy_wv(dim=2, seed=3)
@@ -462,7 +464,7 @@ class TestCounts:
     def test_counts_from_shapes_at_reference_dims(self):
         cfg = GeneratorConfig(n_train=40, n_test=0)
         split = synthesize_corpus(cfg, seed=1)
-        vocab = build_relation_vocab(d.tree for d in split.train)
+        vocab = build_relation_vocab(d.shape for d in split.train)
         cfg = TrainConfig(model="rst", features=FULL, hidden_size=100,
                           relation_dim=50)
         model = build_model(cfg, vocab, 300, np.random.default_rng(0))
@@ -476,6 +478,6 @@ class TestCounts:
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
     def test_word_vectors_never_counted(self):
-        model, _ = build(FULL, build_relation_vocab([two_edu_tree()]),
+        model, _ = build(FULL, build_relation_vocab([flatten(two_edu_tree())]),
                          hidden=4, rel_dim=3, wv_dim=7)
         assert all("wv" not in name for name, _ in model.bundle.items())
