@@ -260,6 +260,18 @@ def load_model_from_checkpoint(path) -> tuple[trainer.Model, int]:
             hidden_size=meta["hidden_size"], relation_dim=meta["relation_dim"],
             model=meta["model"],
             features=_feature_row(meta["features"]))
+        # Each size meta states is held against the stored weight whose
+        # shape it fixes, since the model is built at meta's sizes.
+        n = cfg.hidden_size
+        fixed = {}
+        if cfg.model != "parseq":  # the tree cell, 5 gates over [h_l; h_r; r_l; r_r]
+            fixed["tree.w"] = (5 * n, 2 * n + 2 * cfg.relation_dim)
+        if cfg.model != "rst" or cfg.uses("e"):  # the word LSTM, 4 gates over [x; h]
+            fixed["edu.w" if cfg.model == "rst" else "seq.lstm1.w"] = (4 * n, wv_dim + n)
+        for name, shape in fixed.items():
+            stored = tensors[name].shape if name in tensors else None
+            if stored != shape:
+                raise DataError(f"meta sizes make {name} {shape}, but it is {stored}")
         model = trainer.build_model(cfg, vocab, wv_dim, np.random.default_rng(0))
     except (KeyError, TypeError, AttributeError, RstcohError) as exc:
         raise DataError(f"checkpoint {path}: bad meta: {exc!r}") from None

@@ -39,6 +39,17 @@ op's inputs and arrays, never the outputs, so a recorded graph holds no
 reference cycles and reference counting frees it. Outside a block ops record
 nothing. The tape is one module-level variable, so the module is
 single-threaded: ops and :func:`backward` must run on one thread at a time.
+
+Outside a block, :func:`run_lstms` and :func:`run_tree` carve every
+temporary of a call (cell inputs, pre-activations, gate values, h, c and
+the tree's state tables) from one float64 workspace, a module-level
+variable under the same single-thread contract. It grows to the exact
+need of the largest call so far and is never given back, so successive
+calls, such as evaluation chunks, reuse its pages instead of having fresh
+ones mapped for each (the caching allocator of Paszke et al. 2019). A
+carving is valid until the next kernel call, and no tensor an op returns
+aliases the workspace. Inside a block the kernels allocate, because the
+backward closures keep each step's arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +69,22 @@ Array = np.ndarray
 
 
 _tape: list | None = None  # the open record() block's tape, or None
+_workspace = np.empty(0)  # what tape-free kernel calls carve their temporaries from
+
+
+def _carve(*shapes: tuple[int, int]) -> list[Array]:
+    """Views of the workspace of the given 2-d shapes, laid end to end: the
+    temporaries of one tape-free kernel call. A workspace too small for
+    them is replaced by one of exactly their size; nothing is copied."""
+    global _workspace
+    need = sum(rows * cols for rows, cols in shapes)
+    if _workspace.size < need:
+        _workspace = np.empty(need)
+    views, end = [], 0
+    for rows, cols in shapes:
+        start, end = end, end + rows * cols
+        views.append(_workspace[start:end].reshape(rows, cols))
+    return views
 
 
 @contextmanager
@@ -323,29 +350,39 @@ def init_cell(bundle: ParameterBundle, prefix: str, rng: np.random.Generator,
                       bundle.add(f"{prefix}.b", np.zeros(gates * hidden)), children)
 
 
-def _sigmoid(x: Array) -> Array:
+def _sigmoid(x: Array, out: Array | None = None) -> Array:
     # 0.5 * (1 + tanh(x / 2)), written in place; tanh never overflows
-    s = np.multiply(x, 0.5)
-    np.tanh(s, out=s)
+    s = np.multiply(x, 0.5, out)
+    np.tanh(s, s)
     s += 1.0
     s *= 0.5
     return s
 
 
-def _gates_forward(pre: Array, child_cs: Sequence[Array]) -> tuple[Array, Array, tuple]:
+def _gates_forward(pre: Array, child_cs: Sequence[Array],
+                   out: tuple[Array, Array] | None = None) -> tuple[Array, Array, tuple]:
     """h and c of B rows from their gate pre-activations.
 
     ``pre`` is (B, (K+3)*H) in gate order i, f_1..f_K, o, u; ``child_cs``
     holds K arrays (B, H). The third result is what the backward pass needs.
+    With ``out``, two (B, H) arrays that overlap no input, nothing is
+    allocated and the values are the same: c is written into ``out[0]``,
+    h into ``out[1]``, which holds u and the scratch products on the way,
+    and the gate values overwrite ``pre``, so the third result is no use
+    to a backward pass.
     """
     n = pre.shape[1] // (len(child_cs) + 3)
-    s = _sigmoid(pre[:, :-n])  # i, f_1..f_K, o
-    u = np.tanh(pre[:, -n:])
-    c = s[:, :n] * u
+    c, h = (None, None) if out is None else out
+    u = np.tanh(pre[:, -n:], h)
+    # in place, the sigmoid also runs over u's used-up columns: one
+    # contiguous pass costs less than one over a strided view
+    s = _sigmoid(pre[:, :-n]) if out is None else _sigmoid(pre, pre)  # i, f_1..f_K, o
+    c = np.multiply(s[:, :n], u, c)
     for k, c_k in enumerate(child_cs, start=1):
-        c += s[:, k * n:(k + 1) * n] * c_k
-    tc = np.tanh(c)
-    return s[:, -n:] * tc, c, (s, u, tc, child_cs)
+        c += np.multiply(s[:, k * n:(k + 1) * n], c_k, h)
+    tc = np.tanh(c, h)
+    o = len(child_cs) + 1
+    return np.multiply(s[:, o * n:(o + 1) * n], tc, h), c, (s, u, tc, child_cs)
 
 
 def _gates_backward(cache: tuple, dh: Array, dc: Array) -> tuple[Array, list[Array]]:
@@ -406,24 +443,35 @@ def run_lstms(x: Tensor, lengths: Sequence[int],
     # the row of x that each packed row reads
     perm = ((np.cumsum(lengths) - lengths)[order] + np.arange(steps)[:, None])[running]
     w = p.w.data
-    z = np.empty((total, p.cols))  # each packed row's cell input [x; h]
-    z[:, :dim] = x.data[perm]
+    keep = _tape is not None  # the backward pass reads each step's gate values
+    # z is each packed row's cell input [x; h]; pre_rows is reused by every step
+    if keep:
+        z, pre_rows = np.empty((total, p.cols)), np.empty((active[0], w.shape[0]))
+        h = c = np.zeros((active[0], n))
+    else:  # c alternates between two buffers: a step never writes the c it reads
+        z, pre_rows, h_rows, c_held, c_spare = _carve(
+            (total, p.cols), (active[0], w.shape[0]), *[(active[0], n)] * 3)
+        c_held.fill(0.0)
+        h = c = c_held
+    z[:, :dim] = x.data.take(perm, axis=0)
     h_out = np.zeros((len(lengths), n))
     c_out = np.zeros((len(lengths), n))
-    h = c = np.zeros((len(lengths), n))
-    keep = _tape is not None  # the backward pass reads each step's gate values
     caches = []
-    pre_rows = np.empty((active[0], w.shape[0]))  # reused by every step
     for t in range(steps):
         lo, hi, ending = offsets[t], offsets[t + 1], active[t + 1]
-        z[lo:hi, dim:] = h[:hi - lo]
-        pre = np.matmul(z[lo:hi], w.T, out=pre_rows[:hi - lo])
+        m = hi - lo
+        z[lo:hi, dim:] = h[:m]
+        pre = np.matmul(z[lo:hi], w.T, pre_rows[:m])
         pre += p.b.data
-        h, c, cache = _gates_forward(pre, (c[:hi - lo],))
-        h_out[order[ending:hi - lo]] = h[ending:]
-        c_out[order[ending:hi - lo]] = c[ending:]
+        h, c, cache = _gates_forward(pre, (c[:m],),
+                                     None if keep else (c_spare[:m], h_rows[:m]))
+        if ending < m:  # some sequences end at this step
+            h_out[order[ending:m]] = h[ending:]
+            c_out[order[ending:m]] = c[ending:]
         if keep:
             caches.append(cache)
+        else:
+            c_held, c_spare = c_spare, c_held
 
     def bw(gh, gc):
         wx, wh = w[:, :dim], w[:, dim:]
@@ -466,8 +514,8 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
     tree's two root children. Return h and c as two (B, 2H) tensors, row b
     holding [left; right] of tree b.
 
-    The label embeddings are gathered with one fancy index and each level
-    is one call of the gate kernel. The backward pass replays the levels in
+    The label embeddings are gathered with one ``take`` and each level is
+    one call of the gate kernel. The backward pass replays the levels in
     reverse and scatters the table gradient with ``np.add.at``. One tape
     entry.
     """
@@ -488,28 +536,37 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
     label_cols = p.cols - 2 * n
     if table is not None and 2 * table.data.shape[1] != label_cols:
         raise DataError(f"label table width {table.data.shape[1]} != {label_cols // 2}")
-    hs = np.empty((ends[-1], n))
-    cs = np.empty((ends[-1], n))
-    hs[:n_leaves] = leaf_h.data
-    cs[:n_leaves] = leaf_c.data
-    z = np.zeros((ends[-1], p.cols))  # each internal node's cell input
-    if table is not None:
-        z[n_leaves:, 2 * n:] = table.data[labels].reshape(inner, label_cols)
     w = p.w.data
     keep = _tape is not None  # the backward pass reads each level's gate values
+    # the state tables, each node's cell input and one level's pre-activations
+    rows, level_rows = ends[-1], max(level_sizes, default=0)
+    if keep:  # the backward pass reads the leaf rows of z: they must be zeros
+        hs, cs, z = np.empty((rows, n)), np.empty((rows, n)), np.zeros((rows, p.cols))
+        pre_rows = np.empty((level_rows, w.shape[0]))
+    else:
+        hs, cs, z, pre_rows = _carve((rows, n), (rows, n), (rows, p.cols),
+                                     (level_rows, w.shape[0]))
+    hs[:n_leaves] = leaf_h.data
+    cs[:n_leaves] = leaf_c.data
+    z[n_leaves:, 2 * n:] = 0.0 if table is None else \
+        table.data.take(labels, axis=0).reshape(inner, label_cols)
     caches = []
     for k in range(len(level_sizes)):
         lo, hi = ends[k], ends[k + 1]
         left, right = children[lo - n_leaves:hi - n_leaves].T
-        z[lo:hi, :n] = hs[left]
-        z[lo:hi, n:2 * n] = hs[right]
-        hs[lo:hi], cs[lo:hi], cache = _gates_forward(z[lo:hi] @ w.T + p.b.data,
-                                                     (cs[left], cs[right]))
+        z[lo:hi, :n] = hs.take(left, axis=0)
+        z[lo:hi, n:2 * n] = hs.take(right, axis=0)
+        pre = np.matmul(z[lo:hi], w.T, pre_rows[:hi - lo])
+        pre += p.b.data
+        h, c, cache = _gates_forward(pre, (cs.take(left, axis=0), cs.take(right, axis=0)),
+                                     None if keep else (cs[lo:hi], hs[lo:hi]))
         if keep:
+            hs[lo:hi], cs[lo:hi] = h, c
             caches.append(cache)
 
     def bw(gh, gc):
-        # every row has one parent, on a level above it or the root
+        # every row has one parent, on a level above it or the root, so each
+        # row's gradient is written once, before its own level reads it
         dh = np.zeros_like(hs)
         dc = np.zeros_like(cs)
         if gh is not None:
@@ -523,10 +580,10 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
             left, right = children[lo - n_leaves:hi - n_leaves].T
             dpre[lo:hi], (dc_l, dc_r) = _gates_backward(caches[k], dh[lo:hi], dc[lo:hi])
             dz[lo:hi] = dpre[lo:hi] @ w
-            dh[left] += dz[lo:hi, :n]
-            dh[right] += dz[lo:hi, n:2 * n]
-            dc[left] += dc_l
-            dc[right] += dc_r
+            dh[left] = dz[lo:hi, :n]
+            dh[right] = dz[lo:hi, n:2 * n]
+            dc[left] = dc_l
+            dc[right] = dc_r
         _accumulate(p.w, dpre.T @ z)
         _accumulate(p.b, dpre.sum(axis=0))
         if table is not None:

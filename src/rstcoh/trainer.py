@@ -34,7 +34,9 @@ MODEL_KINDS = ("rst", "parseq", "ensemble")
 PROB_FLOOR = 1e-12
 
 # Documents per forward pass in evaluation. Larger chunks amortise more
-# interpreter overhead per document; 64 keeps the arrays of a chunk small.
+# interpreter overhead per document; the chunk also bounds numcore's
+# workspace, which stays at the size of the largest chunk's kernel call for
+# the life of the process.
 EVAL_CHUNK = 64
 
 

@@ -338,6 +338,15 @@ MALFORMED_INPUTS = (
      lambda t: _edit_meta(t, "relation_dim", 0), EXIT_DATA),
     ("checkpoint features with R but not NS", None,
      lambda t: _edit_meta(t, "features", "t,r"), EXIT_DATA),
+    # sizes far from the stored tensors' must fail before anything is allocated
+    ("checkpoint wv_dim of 10**9", None, lambda t: _edit_meta(t, "wv_dim", 10**9),
+     EXIT_DATA),
+    ("checkpoint wv_dim of 2**62", None, lambda t: _edit_meta(t, "wv_dim", 2**62),
+     EXIT_DATA),
+    ("checkpoint hidden_size of 10**12", None,
+     lambda t: _edit_meta(t, "hidden_size", 10**12), EXIT_DATA),
+    ("checkpoint relation_dim of 10**12", None,
+     lambda t: _edit_meta(t, "relation_dim", 10**12), EXIT_DATA),
     # each edit keeps the vocabulary's size, so the label table still loads
     ("checkpoint vocabulary entry that is no label", None,
      lambda t: _edit_meta(t, "vocab", _meta_vocab(t)[:-1] + ["garbage"]), EXIT_DATA),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -242,8 +243,8 @@ def chunk_corpus():
     return corpus.synthesize_corpus(gen, seed=3), corpus.synthesize_word_vectors(gen, 3)
 
 
-def random_model(kind, features, split, wv, seed):
-    cfg = small_cfg(model=kind, features=features)
+def random_model(kind, features, split, wv, seed, **sizes):
+    cfg = small_cfg(model=kind, features=features, **sizes)
     vocab = None
     if cfg.needs_vocab:
         vocab = build_relation_vocab(d.shape for d in split.train)
@@ -279,6 +280,47 @@ def test_chunked_evaluation_equals_one_document_classify(kind, features, chunk_c
     predicted = (np.argmax(single, axis=1) + 1).tolist()
     want = metrics.ConfusionMatrix.from_pairs([d.label for d in docs], predicted)
     assert rep.to_dict() == metrics.report(want).to_dict()
+
+    # Tape-free kernel calls carve their temporaries from one reused
+    # workspace, so nothing they return may alias it: each chunk gives the
+    # bits of the same chunk classified on a tape, which allocates, and
+    # every array returned stays as it was through the later calls. The
+    # workspace starts empty, so the first full chunk grows it.
+    returned = []
+    for name in ("run_lstms", "run_tree"):
+        def spy_kernel(*args, kernel=getattr(nc, name)):
+            outs = kernel(*args)
+            returned.extend((t.data, t.data.copy()) for t in outs)
+            return outs
+        monkeypatch.setattr(nc, name, spy_kernel)
+    monkeypatch.setattr(nc, "_workspace", np.empty(0))
+    batches = [docs[:1], *(docs[start:start + trainer.EVAL_CHUNK]
+                           for start in range(0, len(docs), trainer.EVAL_CHUNK)),
+               docs[-1:]]
+    for batch in batches:
+        dist = model.classify(batch, wv).data
+        returned.append((dist, dist.copy()))
+        with nc.record():
+            assert np.array_equal(dist, model.classify(batch, wv).data)
+    assert nc._workspace.size > 0
+    assert all(np.array_equal(data, copy) for data, copy in returned)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the minor page faults Linux counts")
+@pytest.mark.parametrize("kind,features", [("rst", "t,ns,r,e"), ("parseq", "t"),
+                                           ("ensemble", "t,ns,r")])
+def test_second_evaluation_pass_maps_almost_no_new_pages(kind, features):
+    import resource
+
+    gen = corpus.GeneratorConfig(n_train=4, n_test=256, edu_range=(4, 16), wv_dim=8)
+    split = corpus.synthesize_corpus(gen, seed=5)
+    wv = corpus.synthesize_word_vectors(gen, 5)
+    model = random_model(kind, features, split, wv, seed=1, hidden_size=16)
+    trainer.evaluate_model(model, split.test, wv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.evaluate_model(model, split.test, wv)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 @pytest.mark.parametrize("kind,features,entries", [("rst", "t,ns,r,e", 4),
