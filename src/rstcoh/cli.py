@@ -323,7 +323,7 @@ def cmd_ablate(config: dict) -> int:
                           "and paths.word_vectors is not set")
     out_dir = _make_out_dir(config)
     rows = []
-    any_ok = False
+    any_ok = False  # whether a trained row has a run that did not diverge
     for (kind, features), cfg in zip(ABLATION_ROWS, row_cfgs):
         if kind == "majority":
             rep = metrics.majority_baseline(
@@ -332,7 +332,6 @@ def cmd_ablate(config: dict) -> int:
             cells = {name: (getattr(rep, name), 0.0)
                      for name in trainer.AGGREGATE_METRICS}
             rows.append(("majority", "", cells, 1, 0))
-            any_ok = True
             print(f"majority [{config['majority_policy']}]: "
                   f"accuracy={rep.accuracy:.4f} weighted_f1={rep.weighted_f1:.4f}")
             continue
@@ -383,20 +382,18 @@ def cmd_validate_trees(trees_path: str) -> int:
     for line_no, _, text in corpus.read_tree_lines(trees_path):
         total += 1
         try:
-            tree = rst_data.parse_tree(text)
+            shape = rst_data.flatten(rst_data.parse_tree(text))
         except ParseError as exc:
             print(f"line {line_no}: ParseError: {exc}")
             bad += 1
             continue
-        violations = rst_data.validate_tree(tree)
-        if violations:
+        if shape.violations:
             codes = ",".join(v.code + ("@" + v.path if v.path else "")
-                             for v in violations)
+                             for v in shape.violations)
             print(f"line {line_no}: INVALID: {codes}")
             bad += 1
         else:
-            print(f"line {line_no}: OK "
-                  f"({rst_data.count_leaves(tree)} EDUs)")
+            print(f"line {line_no}: OK ({len(shape.leaves)} EDUs)")
     print(f"validate-trees: {total - bad}/{total} valid")
     return EXIT_OK if bad == 0 else EXIT_DATA
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import rst_data
 from .atomic import atomic_write
-from .errors import ConfigError, DataError, IngestError, ParseError
+from .errors import ConfigError, DataError, IngestError, ParseError, allocating
 from .metrics import CLASSES
 
 Paragraphs = list[list[list[str]]]
@@ -217,24 +217,15 @@ def read_tree_lines(path) -> Iterator[tuple[int, str, str]]:
         yield line_no, doc_id, text
 
 
-def _load_trees_file(path) -> dict[str, tuple[rst_data.RstTree | None, str]]:
-    """Map id -> (tree, "") on success or (None, reason) on parse failure."""
-    trees: dict[str, tuple[rst_data.RstTree | None, str]] = {}
-    for _, doc_id, text in read_tree_lines(path):
-        try:
-            trees[doc_id] = (rst_data.parse_tree(text), "")
-        except ParseError as exc:
-            trees[doc_id] = (None, f"tree parse error: {exc}")
-    return trees
-
-
 def load_corpus(docs_path, trees_path) -> CorpusSplit:
     """Join a documents file with a trees file by id.
 
+    Every tree line's format is checked up front, but a tree is parsed only
+    when its document is joined, so a tree with no document is never parsed.
     Documents whose tree is missing, unparseable, failing validation, or
     whose EDUs carry no tokens are dropped and logged, never silently.
     """
-    trees = _load_trees_file(trees_path)
+    trees = {doc_id: text for _, doc_id, text in read_tree_lines(trees_path)}
     train: list[Document] = []
     test: list[Document] = []
     excluded: list[Exclusion] = []
@@ -255,20 +246,19 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
                 paragraphs = segment(text)
             except DataError as exc:
                 raise IngestError(str(exc), line_no) from exc
-        entry = trees.get(doc_id)
-        if entry is None:
+        if doc_id not in trees:
             excluded.append(Exclusion(doc_id, "missing tree"))
             continue
-        tree, reason = entry
-        if tree is None:
-            excluded.append(Exclusion(doc_id, reason))
-            continue
-        violations = rst_data.validate_tree(tree)
-        if violations:
-            codes = ",".join(sorted({v.code for v in violations}))
-            excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
+        try:
+            tree = rst_data.parse_tree(trees[doc_id])
+        except ParseError as exc:
+            excluded.append(Exclusion(doc_id, f"tree parse error: {exc}"))
             continue
         doc = Document(doc_id, label, text, paragraphs, tree)
+        if doc.shape.violations:
+            codes = ",".join(sorted({v.code for v in doc.shape.violations}))
+            excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
+            continue
         if not all(doc.edus):
             excluded.append(Exclusion(doc_id, "EDU with no tokens"))
             continue
@@ -531,8 +521,9 @@ def synthesize_corpus(cfg: GeneratorConfig, seed: int) -> CorpusSplit:
 def synthesize_word_vectors(cfg: GeneratorConfig, seed: int) -> WordVectors:
     rng = np.random.default_rng(seed)
     tokens = sorted(set(cfg.token_pool))
-    matrix = rng.uniform(-0.5, 0.5, size=(len(tokens), cfg.wv_dim))
-    return WordVectors(cfg.wv_dim, dict(zip(tokens, matrix)))
+    with allocating(f"{len(tokens)} word vectors at wv_dim {cfg.wv_dim}"):
+        matrix = rng.uniform(-0.5, 0.5, size=(len(tokens), cfg.wv_dim))
+        return WordVectors(cfg.wv_dim, dict(zip(tokens, matrix)))
 
 
 # --- file writers (deterministic bytes) ---------------------------------------

@@ -8,6 +8,9 @@ attribute the caller reads, or a handler that catches it.
 
 from __future__ import annotations
 
+import contextlib
+from typing import Iterator
+
 
 class RstcohError(Exception):
     """Base class for all package errors."""
@@ -40,6 +43,20 @@ class ConfigError(RstcohError):
     """A configuration value is illegal or inconsistent."""
 
     exit_code = 1
+
+
+@contextlib.contextmanager
+def allocating(what: str) -> Iterator[None]:
+    """Turn a failed allocation in the block into a :class:`ConfigError`
+    that names ``what``, the configured sizes being allocated."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        # numpy's ValueErrors for a size that no array can have
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed dimension exceeded")):
+            raise
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from None
 
 
 class TrainingDiverged(RstcohError):

@@ -1,5 +1,5 @@
-"""Binary discourse trees: data model, text format, validation, flat form,
-vocabulary.
+"""Binary discourse trees: data model, text format, flat form and its
+violations, vocabulary.
 
 Tree text format (one s-expression per line in tree files)::
 
@@ -21,9 +21,9 @@ Vocabularies, checkpoints and generator configs hold it as one string,
 ``<relation>_<N|S>``: :meth:`NodeLabel.combined` writes that form and
 :func:`parse_label` is its one reader.
 
-Only :func:`parse_tree`, :func:`serialize_tree`, :func:`validate_tree`
-(the one place that knows the violation rules and their L/R paths) and
-:func:`flatten` walk a tree. The rest reads the :class:`TreeShape` that
+Only :func:`parse_tree`, :func:`serialize_tree` and :func:`flatten` walk a
+tree; :func:`flatten` is also the one place that knows the violation rules
+and their L/R paths. The rest reads the :class:`TreeShape` that
 ``corpus.Document.shape`` caches, so each document's tree is walked once.
 """
 
@@ -79,6 +79,14 @@ def parse_label(text: str) -> NodeLabel:
 # --- flat form ----------------------------------------------------------------
 
 
+class Violation(NamedTuple):
+    code: str  # DegenerateTree | EmptyRelation | EmptyEduText
+    path: str  # "" = root, else a string of L/R steps
+
+
+_EMPTY_EDU = (Violation("EmptyEduText", ""),)
+
+
 class TreeShape(NamedTuple):
     """A tree in flat form. A node's height is 0 for a leaf, else one more
     than its taller child's; its position counts the nodes of its height
@@ -90,6 +98,9 @@ class TreeShape(NamedTuple):
     # their positions, of each internal node but the root, in post-order
     nodes: np.ndarray
     root: tuple[int, int, int, int] | None  # the same of the root's children
+    # Sorted, empty for a usable tree: EmptyEduText at each blank leaf, EmptyRelation
+    # at an internal node per child label with no relation, DegenerateTree at a lone leaf.
+    violations: list[Violation]
 
 
 def flatten(tree: RstTree) -> TreeShape:
@@ -102,22 +113,32 @@ def flatten(tree: RstTree) -> TreeShape:
         walk.append(node)
         if type(node) is Internal:  # not isinstance: this loop is ingest's hot path
             stack += (node.left, node.right)
-    leaves, labels, nodes, done = [], [], [], []  # done: keys of subtrees awaiting a parent
+    # done: (height, position, violations with paths from it) of each
+    # subtree awaiting a parent
+    leaves, labels, nodes, done = [], [], [], []
     counts = [0] * len(walk)  # the internal nodes of each height so far
     for node in reversed(walk):
         if type(node) is Leaf:
-            done.append((0, len(leaves)))
+            done.append((0, len(leaves), () if node.text.strip() else _EMPTY_EDU))
             leaves.append(node.text)
             continue
-        right_height, right_position = done.pop()
-        left_height, left_position = done.pop()
+        right_height, right_position, right_bad = done.pop()
+        left_height, left_position, left_bad = done.pop()
         height = max(left_height, right_height) + 1
         nodes.append((height, left_height, right_height, left_position, right_position))
-        labels += (node.left_label, node.right_label)
-        done.append((height, counts[height]))
+        pair = (node.left_label, node.right_label)
+        labels += pair
+        bad = ()
+        if left_bad or right_bad or not (pair[0].relation and pair[1].relation):
+            bad = (*(Violation("EmptyRelation", "") for lab in pair if not lab.relation),
+                   *(Violation(code, "L" + path) for code, path in left_bad),
+                   *(Violation(code, "R" + path) for code, path in right_bad))
+        done.append((height, counts[height], bad))
         counts[height] += 1
+    bad = done.pop()[2] + ((Violation("DegenerateTree", ""),) if len(leaves) < 2 else ())
     root = nodes.pop()[1:] if nodes else None
-    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root)
+    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root,
+                     sorted(bad))
 
 
 def count_leaves(tree: RstTree) -> int:
@@ -267,37 +288,6 @@ def serialize_tree(tree: RstTree) -> str:
                        f"{rl.relation}/{rl.nuclearity} ")
             stack += (")", item.right, " ", item.left)
     return "".join(out)
-
-
-# --- validation -------------------------------------------------------------
-
-
-class Violation(NamedTuple):
-    code: str  # DegenerateTree | EmptyRelation | EmptyEduText
-    path: str  # "" = root, else a string of L/R steps
-
-
-def validate_tree(tree: RstTree) -> list[Violation]:
-    """Structural checks; an empty result means the tree is usable."""
-    violations: list[Violation] = []
-    leaves = 0
-    stack: list[tuple[RstTree, str]] = [(tree, "")]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Leaf):
-            leaves += 1
-            if not node.text.strip():
-                violations.append(Violation("EmptyEduText", path))
-        else:
-            for lab in (node.left_label, node.right_label):
-                if not lab.relation:
-                    violations.append(Violation("EmptyRelation", path))
-            stack.append((node.right, path + "R"))
-            stack.append((node.left, path + "L"))
-    if leaves < 2:
-        violations.append(Violation("DegenerateTree", ""))
-    violations.sort()
-    return violations
 
 
 # --- relation vocabulary ----------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics, numcore as nc, parseq, tree_model
 from .corpus import CorpusSplit, Document, WordVectors
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, allocating
 from .rst_data import RelationVocabulary, build_relation_vocab
 
 MODEL_KINDS = ("rst", "parseq", "ensemble")
@@ -227,8 +227,10 @@ def train(cfg: TrainConfig, split: CorpusSplit,
     if cfg.needs_vocab:
         vocab = build_relation_vocab(doc.shape for doc in split.train)
     wv_dim = wv.dimension if wv is not None else 1
-    model = build_model(cfg, vocab, wv_dim, rng)
-    state = nc.AdamState(model.bundle)
+    with allocating(f"the parameters at hidden_size {cfg.hidden_size}, "
+                    f"relation_dim {cfg.relation_dim} and wv_dim {wv_dim}"):
+        model = build_model(cfg, vocab, wv_dim, rng)
+        state = nc.AdamState(model.bundle)
     step = 0
     epoch_losses: list[float] = []
     for _ in range(cfg.epochs):

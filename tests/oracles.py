@@ -15,10 +15,12 @@ combined-label lookup, and ``reference_stack`` stacks word vectors one
 token at a time: the references for ``tree_model.tree_schedule`` and
 ``WordVectors.stack``. ``reference_leaves_and_labels`` reads a tree's leaf
 texts and post-order child labels by recursion, the reference for
-``rst_data.flatten``. ``class_label_distribution`` (the generator's exact
-label distribution) and ``count_parameters`` (parameter counts from tensor
-shapes) are computed from the config and the bundle for the tests that
-check those.
+``rst_data.flatten``, and ``reference_validate_tree`` is the separate walk
+that found a tree's violations before ``flatten`` reported them, the
+reference for ``TreeShape.violations``. ``class_label_distribution`` (the
+generator's exact label distribution) and ``count_parameters`` (parameter
+counts from tensor shapes) are computed from the config and the bundle for
+the tests that check those.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
-from rstcoh.rst_data import Internal, Leaf, NodeLabel
+from rstcoh.rst_data import Internal, Leaf, NodeLabel, RstTree, Violation
 from rstcoh.tree_model import TreeSchedule
 
 
@@ -457,6 +459,29 @@ def reference_leaves_and_labels(tree):
     right_texts, right_labels = reference_leaves_and_labels(tree.right)
     return (left_texts + right_texts,
             left_labels + right_labels + [tree.left_label, tree.right_label])
+
+
+def reference_validate_tree(tree: RstTree) -> list[Violation]:
+    """Structural checks; an empty result means the tree is usable."""
+    violations: list[Violation] = []
+    leaves = 0
+    stack: list[tuple[RstTree, str]] = [(tree, "")]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Leaf):
+            leaves += 1
+            if not node.text.strip():
+                violations.append(Violation("EmptyEduText", path))
+        else:
+            for lab in (node.left_label, node.right_label):
+                if not lab.relation:
+                    violations.append(Violation("EmptyRelation", path))
+            stack.append((node.right, path + "R"))
+            stack.append((node.left, path + "L"))
+    if leaves < 2:
+        violations.append(Violation("DegenerateTree", ""))
+    violations.sort()
+    return violations
 
 
 def reference_stack(vectors, dimension, tokens):

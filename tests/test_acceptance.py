@@ -16,7 +16,7 @@ from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
     synthesize_word_vectors
 from rstcoh.errors import ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab, flatten,
-                             parse_tree, serialize_tree, validate_tree)
+                             parse_tree, serialize_tree)
 
 import oracles
 from conftest import make_label, three_edu_tree
@@ -395,9 +395,9 @@ def test_criterion_8_round_trip_and_grammar_fixtures():
         with pytest.raises(ParseError):
             parse_tree('(edu "a") (edu "b")')
 
-        assert [v.code for v in validate_tree(Leaf("solo"))] == ["DegenerateTree"]
+        assert [v.code for v in flatten(Leaf("solo")).violations] == ["DegenerateTree"]
         bad_rel = Internal(Leaf("a"), Leaf("b"), NodeLabel("", "N"),
                            make_label("Joint", "S"))
-        assert [v.code for v in validate_tree(bad_rel)] == ["EmptyRelation"]
-        assert validate_tree(parse_tree(
-            '(rel A/N B/S (edu "x") (edu "y"))')) == []
+        assert [v.code for v in flatten(bad_rel).violations] == ["EmptyRelation"]
+        assert flatten(parse_tree(
+            '(rel A/N B/S (edu "x") (edu "y"))')).violations == []

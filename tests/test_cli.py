@@ -343,6 +343,14 @@ MALFORMED_INPUTS = (
      EXIT_DATA),
     ("checkpoint wv_dim of 2**62", None, lambda t: _edit_meta(t, "wv_dim", 2**62),
      EXIT_DATA),
+    # training sizes that cannot be allocated are named, not a traceback
+    ("train.hidden_size of 10**9", lambda c: c["train"].update(hidden_size=10**9),
+     None, EXIT_CONFIG),
+    ("train.relation_dim of 10**11", lambda c: c["train"].update(relation_dim=10**11),
+     None, EXIT_CONFIG),
+    ("parseq generator.wv_dim of 10**12",
+     lambda c: (c["generator"].update(wv_dim=10**12),
+                c.update(model="parseq", features="t")), None, EXIT_CONFIG),
     ("checkpoint hidden_size of 10**12", None,
      lambda t: _edit_meta(t, "hidden_size", 10**12), EXIT_DATA),
     ("checkpoint relation_dim of 10**12", None,
@@ -600,6 +608,18 @@ class TestAblate:
         assert parsed["error"] == "ConfigError"
         assert "word vectors" in parsed["message"]
         assert not (Path(config["out_dir"]) / "ablation.csv").exists()
+
+    def test_every_trained_row_diverging_exits_3(self, tmp_path, capsys):
+        cfg_path, config = write_config(tmp_path, n_runs=1)
+        config["train"]["learning_rate"] = 1e308
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["ablate", "--config", str(cfg_path)]) == cli.EXIT_DIVERGED
+        assert capsys.readouterr().out.count("diverged=1") == len(cli.ABLATION_ROWS) - 1
+        out = Path(config["out_dir"])
+        with open(out / "ablation.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[2] for r in rows[1:]] == ["nan"] * (len(cli.ABLATION_ROWS) - 1)
+        assert (out / "ablation_summary.json").exists()
 
     def test_grid_has_nine_rows(self, tmp_path):
         cfg_path, config = write_config(tmp_path, n_runs=1)

@@ -76,18 +76,29 @@ class TestLoadCorpus:
         assert split.exclusion_log[0].doc_id == "d9"
         assert split.exclusion_log[0].reason == "missing tree"
 
-    def test_retained_plus_excluded_equals_input(self, tmp_path):
-        docs = [{"id": f"d{i}", "label": 3, "text": "Alpha beta."} for i in range(8)]
+    def test_retained_plus_excluded_equals_input(self, tmp_path, monkeypatch):
+        # one excluded document per reason, in file order, and a tree line
+        # with no document, which is never parsed and adds nothing
+        docs = [{"id": f"d{i}", "label": 3, "text": "Alpha beta."} for i in range(7)]
         trees = [("d0", TREE), ("d1", '(edu "degenerate")'),
                  ("d2", "(rel broken"), ("d3", TREE),
-                 ("d4", '(rel A/N B/S (edu "!!!") (edu "ok words"))')]
+                 ("d4", '(rel A/N B/S (edu "!!!") (edu "ok words"))'),
+                 ("d5", '(rel A/N B/S (rel C/N D/S (edu "a") (edu " ")) (edu "b"))'),
+                 ("orphan", '(rel A/N B/S (edu "a")')]
+        parsed = []
+        parse_tree = rst_data.parse_tree
+        monkeypatch.setattr(rst_data, "parse_tree",
+                            lambda text: parsed.append(text) or parse_tree(text))
         split = load_corpus(*write_corpus(tmp_path, docs, trees))
-        total = len(split.train) + len(split.test) + len(split.exclusion_log)
-        assert total == 8
-        reasons = {e.doc_id: e.reason for e in split.exclusion_log}
-        assert "DegenerateTree" in reasons["d1"]
-        assert "parse error" in reasons["d2"]
-        assert "no tokens" in reasons["d4"]
+        assert [d.id for d in split.train] == ["d0", "d3"]
+        assert [(e.doc_id, e.reason) for e in split.exclusion_log] == [
+            ("d1", "invalid tree: DegenerateTree"),
+            ("d2", "tree parse error: unbalanced parentheses: expected '/', "
+                   "got end of input (byte offset 11)"),
+            ("d4", "EDU with no tokens"),
+            ("d5", "invalid tree: EmptyEduText"),
+            ("d6", "missing tree")]
+        assert parsed == [text for _, text in trees[:-1]]
 
     def test_parse_error_reasons_are_the_reference_messages(self, tmp_path):
         # exclusion reasons are part of summary.json's bytes
@@ -290,7 +301,7 @@ class TestGenerator:
     def test_documents_are_internally_consistent(self, tiny_split):
         for doc in tiny_split.train + tiny_split.test:
             assert doc.label in (1, 2, 3)
-            assert rst_data.validate_tree(doc.tree) == []
+            assert doc.shape.violations == []
             assert segment(doc.text) == doc.paragraphs
             # leaves are the document's sentences, in order
             sents = [s for para in doc.paragraphs for s in para]

@@ -8,7 +8,7 @@ from rstcoh import corpus, rst_data
 from rstcoh.errors import DataError, ParseError
 from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
                              build_relation_vocab, count_leaves, flatten, parse_label,
-                             parse_tree, serialize_tree, validate_tree)
+                             parse_tree, serialize_tree)
 
 import oracles
 from conftest import make_label, three_edu_tree, two_edu_tree
@@ -29,7 +29,7 @@ class TestParse:
     def test_single_leaf(self):
         tree = parse_tree('(edu "only one unit")')
         assert tree == Leaf("only one unit")
-        assert [v.code for v in validate_tree(tree)] == ["DegenerateTree"]
+        assert [v.code for v in flatten(tree).violations] == ["DegenerateTree"]
 
     def test_whitespace_between_tokens_is_insignificant(self):
         spaced = ('( rel   Elaboration / N Evidence/S\n'
@@ -312,19 +312,46 @@ class TestFlatten:
         assert shape.root == (0, 2998, 0, 0)
 
 
+# Trees that may break the rules: blank leaf texts and empty relations.
+RULE_LABEL_ST = st.one_of(LABEL_ST, st.builds(NodeLabel, st.just(""),
+                                              st.sampled_from(["N", "S"])))
+RULE_TREE_ST = st.recursive(
+    st.builds(Leaf, st.one_of(st.sampled_from(["", " ", "\t"]), TEXT_ST)),
+    lambda children: st.builds(Internal, children, children, RULE_LABEL_ST,
+                               RULE_LABEL_ST),
+    max_leaves=12)
+
+
 class TestValidate:
+    @given(RULE_TREE_ST)
+    def test_violations_match_the_reference_walk(self, tree):
+        assert flatten(tree).violations == oracles.reference_validate_tree(tree)
+
+    @pytest.mark.parametrize("text", ["x", "", " ", "\t"])
+    def test_lone_leaf(self, text):
+        assert flatten(Leaf(text)).violations == oracles.reference_validate_tree(Leaf(text))
+
+    def test_paths_are_l_r_steps_from_the_root(self):
+        inner = Internal(Leaf("a"), Leaf("\t"), make_label("", "N"), make_label("", "S"))
+        tree = Internal(Leaf("b"), inner, make_label("Joint", "N"), make_label("", "S"))
+        assert flatten(tree).violations == [
+            rst_data.Violation("EmptyEduText", "RR"),
+            rst_data.Violation("EmptyRelation", ""),
+            rst_data.Violation("EmptyRelation", "R"),
+            rst_data.Violation("EmptyRelation", "R")]
+
     def test_valid_two_edu(self):
-        assert validate_tree(two_edu_tree()) == []
+        assert flatten(two_edu_tree()).violations == []
 
     def test_empty_relation(self):
         tree = Internal(Leaf("a"), Leaf("b"), make_label("", "N"),
                         make_label("Evidence", "S"))
-        assert [v.code for v in validate_tree(tree)] == ["EmptyRelation"]
+        assert [v.code for v in flatten(tree).violations] == ["EmptyRelation"]
 
     def test_empty_edu_text(self):
         tree = Internal(Leaf("a"), Leaf("   "), make_label("Joint", "N"),
                         make_label("Joint", "S"))
-        assert [v.code for v in validate_tree(tree)] == ["EmptyEduText"]
+        assert [v.code for v in flatten(tree).violations] == ["EmptyEduText"]
 
 
 class TestVocabulary:
