@@ -382,7 +382,7 @@ def cmd_validate_trees(trees_path: str) -> int:
     for line_no, _, text in corpus.read_tree_lines(trees_path):
         total += 1
         try:
-            shape = rst_data.flatten(rst_data.parse_tree(text))
+            shape = rst_data.parse_tree(text)
         except ParseError as exc:
             print(f"line {line_no}: ParseError: {exc}")
             bad += 1

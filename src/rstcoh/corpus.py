@@ -4,7 +4,9 @@ This module owns the rule that turns text into tokens (:func:`tokenize`):
 :func:`segment` applies it to a document's sentences and
 :attr:`Document.edus` to its tree's leaves, once per document. Ingest
 drops a document with an EDU that has no tokens, so every model reads
-non-empty token lists.
+non-empty token lists. A document holds its tree as text, read from a
+trees file or written by the generator with :func:`rst_data.edu_text`
+and :func:`rst_data.rel_text`; :attr:`Document.shape` parses it once.
 
 File formats:
 
@@ -42,20 +44,23 @@ Paragraphs = list[list[list[str]]]
 
 @dataclass
 class Document:
-    """``shape`` and ``edus`` are computed from ``tree`` on first use, so a
-    document that no model reads (most of a synthesized pool) never holds
-    them; ``tree`` must not be replaced after the first read of either."""
+    """``tree`` is the document's discourse tree as text, as read from a trees
+    file or as the generator wrote it. ``shape`` and ``edus`` are computed
+    from it on first use, so a document that no model reads (most of a
+    synthesized pool) never holds them; ``tree`` must not be replaced after
+    the first read of either."""
 
     id: str
     label: int
     text: str
     paragraphs: Paragraphs
-    tree: rst_data.RstTree
+    tree: str
 
     @functools.cached_property
     def shape(self) -> rst_data.TreeShape:
-        """``tree`` in flat form: all that models and vocabularies read of it."""
-        return rst_data.flatten(self.tree)
+        """``tree`` in flat form, all that models and vocabularies read of it;
+        raises :class:`ParseError` if ``tree`` does not parse."""
+        return rst_data.parse_tree(self.tree)
 
     @functools.cached_property
     def edus(self) -> list[list[str]]:
@@ -249,14 +254,14 @@ def load_corpus(docs_path, trees_path) -> CorpusSplit:
         if doc_id not in trees:
             excluded.append(Exclusion(doc_id, "missing tree"))
             continue
+        doc = Document(doc_id, label, text, paragraphs, trees[doc_id])
         try:
-            tree = rst_data.parse_tree(trees[doc_id])
+            violations = doc.shape.violations
         except ParseError as exc:
             excluded.append(Exclusion(doc_id, f"tree parse error: {exc}"))
             continue
-        doc = Document(doc_id, label, text, paragraphs, tree)
-        if doc.shape.violations:
-            codes = ",".join(sorted({v.code for v in doc.shape.violations}))
+        if violations:
+            codes = ",".join(sorted({v.code for v in violations}))
             excluded.append(Exclusion(doc_id, f"invalid tree: {codes}"))
             continue
         if not all(doc.edus):
@@ -475,12 +480,14 @@ def _random_shape(rng: np.random.Generator, n: int) -> object:
 
 
 def _attach(shape, sentences: list[str], rng: np.random.Generator,
-            cfg: GeneratorConfig, klass: int) -> rst_data.RstTree:
+            cfg: GeneratorConfig, klass: int) -> str:
+    """The canonical text of the tree of ``shape`` over ``sentences``, its
+    child labels drawn after both subtrees'."""
     if isinstance(shape, int):
-        return rst_data.Leaf(sentences[shape])
+        return rst_data.edu_text(sentences[shape])
     left = _attach(shape[0], sentences, rng, cfg, klass)
     right = _attach(shape[1], sentences, rng, cfg, klass)
-    return rst_data.Internal(left, right,
+    return rst_data.rel_text(left, right,
                              _sample_label(rng, cfg, klass),
                              _sample_label(rng, cfg, klass))
 
@@ -541,7 +548,7 @@ def write_documents(path, split: CorpusSplit) -> None:
 def write_trees(path, split: CorpusSplit) -> None:
     with atomic_write(path) as fh:
         for doc in list(split.train) + list(split.test):
-            fh.write(f"{doc.id}\t{rst_data.serialize_tree(doc.tree)}\n")
+            fh.write(f"{doc.id}\t{doc.tree}\n")
 
 
 def write_word_vectors(path, wv: WordVectors) -> None:

@@ -1,5 +1,5 @@
-"""Binary discourse trees: data model, text format, flat form and its
-violations, vocabulary.
+"""Binary discourse trees: text format, flat form and its violations,
+vocabulary.
 
 Tree text format (one s-expression per line in tree files)::
 
@@ -21,19 +21,19 @@ Vocabularies, checkpoints and generator configs hold it as one string,
 ``<relation>_<N|S>``: :meth:`NodeLabel.combined` writes that form and
 :func:`parse_label` is its one reader.
 
-Only :func:`parse_tree`, :func:`serialize_tree` and :func:`flatten` walk a
-tree; :func:`flatten` is also the one place that knows the violation rules
-and their L/R paths. The rest reads the :class:`TreeShape` that
-``corpus.Document.shape`` caches, so each document's tree is walked once.
+A tree is held as its text, and there is no object tree: :func:`edu_text`
+and :func:`rel_text` write the canonical text, and :func:`parse_tree` is
+the one walk of a tree and the one producer of its :class:`TreeShape`, the
+flat form that models and vocabularies read. It is also the one place that
+knows the violation rules and their L/R paths.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Union
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -47,21 +47,6 @@ class NodeLabel(NamedTuple):
     def combined(self) -> str:
         return f"{self.relation}_{self.nuclearity}"
 
-
-@dataclass(frozen=True)
-class Leaf:
-    text: str
-
-
-@dataclass(frozen=True)
-class Internal:
-    left: "RstTree"
-    right: "RstTree"
-    left_label: NodeLabel
-    right_label: NodeLabel
-
-
-RstTree = Union[Leaf, Internal]
 
 _LABEL = r"[A-Za-z][A-Za-z0-9-]*"
 _COMBINED_RE = re.compile(rf"({_LABEL})_([NS])")
@@ -80,7 +65,7 @@ def parse_label(text: str) -> NodeLabel:
 
 
 class Violation(NamedTuple):
-    code: str  # DegenerateTree | EmptyRelation | EmptyEduText
+    code: str  # DegenerateTree | EmptyEduText
     path: str  # "" = root, else a string of L/R steps
 
 
@@ -98,51 +83,28 @@ class TreeShape(NamedTuple):
     # their positions, of each internal node but the root, in post-order
     nodes: np.ndarray
     root: tuple[int, int, int, int] | None  # the same of the root's children
-    # Sorted, empty for a usable tree: EmptyEduText at each blank leaf, EmptyRelation
-    # at an internal node per child label with no relation, DegenerateTree at a lone leaf.
+    # Sorted, empty for a usable tree: EmptyEduText at each blank leaf,
+    # DegenerateTree at a lone leaf.
     violations: list[Violation]
 
 
-def flatten(tree: RstTree) -> TreeShape:
-    """``tree`` in flat form, from one iterative post-order walk (trees from
-    real parsers can be deep)."""
-    walk = []  # pre-order with right children first: post-order reversed
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        walk.append(node)
-        if type(node) is Internal:  # not isinstance: this loop is ingest's hot path
-            stack += (node.left, node.right)
-    # done: (height, position, violations with paths from it) of each
-    # subtree awaiting a parent
-    leaves, labels, nodes, done = [], [], [], []
-    counts = [0] * len(walk)  # the internal nodes of each height so far
-    for node in reversed(walk):
-        if type(node) is Leaf:
-            done.append((0, len(leaves), () if node.text.strip() else _EMPTY_EDU))
-            leaves.append(node.text)
-            continue
-        right_height, right_position, right_bad = done.pop()
-        left_height, left_position, left_bad = done.pop()
-        height = max(left_height, right_height) + 1
-        nodes.append((height, left_height, right_height, left_position, right_position))
-        pair = (node.left_label, node.right_label)
-        labels += pair
-        bad = ()
-        if left_bad or right_bad or not (pair[0].relation and pair[1].relation):
-            bad = (*(Violation("EmptyRelation", "") for lab in pair if not lab.relation),
-                   *(Violation(code, "L" + path) for code, path in left_bad),
-                   *(Violation(code, "R" + path) for code, path in right_bad))
-        done.append((height, counts[height], bad))
-        counts[height] += 1
-    bad = done.pop()[2] + ((Violation("DegenerateTree", ""),) if len(leaves) < 2 else ())
-    root = nodes.pop()[1:] if nodes else None
-    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root,
-                     sorted(bad))
+# --- text ----------------------------------------------------------------------
 
 
-def count_leaves(tree: RstTree) -> int:
-    return len(flatten(tree).leaves)
+def edu_text(text: str) -> str:
+    """The canonical text of a leaf whose EDU text is ``text``."""
+    return '(edu "' + text.replace("\\", "\\\\").replace('"', '\\"') + '")'
+
+
+def rel_text(left: str, right: str, left_label: NodeLabel, right_label: NodeLabel) -> str:
+    """The canonical text of an internal node over the subtrees whose
+    canonical texts are ``left`` and ``right``."""
+    return (f"(rel {left_label.relation}/{left_label.nuclearity} "
+            f"{right_label.relation}/{right_label.nuclearity} {left} {right})")
+
+
+def count_leaves(text: str) -> int:
+    return len(parse_tree(text).leaves)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -236,10 +198,17 @@ def _raise_at(text: str, pos: int, expected: str) -> NoReturn:
     raise AssertionError(f"well-formed node at offset {pos} did not match")
 
 
-def parse_tree(text: str) -> RstTree:
-    """Parse one serialized tree; raises :class:`ParseError` with byte offset."""
-    # Each frame is an open internal node: its two labels and its children.
-    frames: list[tuple[NodeLabel, NodeLabel, list[RstTree]]] = []
+def parse_tree(text: str) -> TreeShape:
+    """The flat form of one serialized tree, from one pass over its text that
+    closes each node as its ``)`` is read (post-order; iterative, for the
+    deep trees of real parsers). Raises :class:`ParseError` with byte offset."""
+    # (left label, right label, len(done) when it opened) of each open internal
+    # node; (height, position, violations with paths from it) of each subtree
+    # awaiting a parent
+    frames: list[tuple[NodeLabel, NodeLabel, int]] = []
+    done: list[tuple[int, int, tuple[Violation, ...]]] = []
+    leaves, labels, nodes = [], [], []
+    counts = [0]  # the internal nodes of each height so far
     pos = 0
     while True:
         m = _NODE_RE.match(text, pos)
@@ -248,46 +217,39 @@ def parse_tree(text: str) -> RstTree:
         pos = m.end()
         leaf, rel1, nuc1, rel2, nuc2 = m.groups()
         if leaf is None:
-            frames.append((NodeLabel(rel1, nuc1), NodeLabel(rel2, nuc2), []))
+            frames.append((NodeLabel(rel1, nuc1), NodeLabel(rel2, nuc2), len(done)))
             continue
-        node: RstTree = Leaf(_UNESCAPE_RE.sub(r"\1", leaf) if "\\" in leaf else leaf)
-        while frames:
-            children = frames[-1][2]
-            children.append(node)
-            if len(children) < 2:
-                break
+        if "\\" in leaf:
+            leaf = _UNESCAPE_RE.sub(r"\1", leaf)
+        done.append((0, len(leaves), () if leaf.strip() else _EMPTY_EDU))
+        leaves.append(leaf)
+        while frames and len(done) - frames[-1][2] == 2:
             m = _CLOSE_RE.match(text, pos)
             if m is None:
                 _raise_at(text, pos, ")")
             pos = m.end()
             left_label, right_label, _ = frames.pop()
-            node = Internal(children[0], children[1], left_label, right_label)
-        else:
-            if text[pos:].strip():
-                _raise_at(text, pos, "end")
-            return node
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def serialize_tree(tree: RstTree) -> str:
-    """Canonical single-space serialization; inverse of :func:`parse_tree`."""
-    out: list[str] = []
-    stack: list[RstTree | str] = [tree]  # nodes still to write, and the text between
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Leaf):
-            out.append(f'(edu "{_escape(item.text)}")')
-        else:
-            ll, rl = item.left_label, item.right_label
-            out.append(f"(rel {ll.relation}/{ll.nuclearity} "
-                       f"{rl.relation}/{rl.nuclearity} ")
-            stack += (")", item.right, " ", item.left)
-    return "".join(out)
+            right_height, right_position, right_bad = done.pop()
+            left_height, left_position, left_bad = done.pop()
+            height = max(left_height, right_height) + 1
+            nodes.append((height, left_height, right_height, left_position, right_position))
+            labels += (left_label, right_label)
+            bad = ()
+            if left_bad or right_bad:
+                bad = (*(Violation(code, "L" + path) for code, path in left_bad),
+                       *(Violation(code, "R" + path) for code, path in right_bad))
+            if height == len(counts):
+                counts.append(0)
+            done.append((height, counts[height], bad))
+            counts[height] += 1
+        if not frames:
+            break
+    if text[pos:].strip():
+        _raise_at(text, pos, "end")
+    bad = done[0][2] + ((Violation("DegenerateTree", ""),) if len(leaves) < 2 else ())
+    root = nodes.pop()[1:] if nodes else None
+    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root,
+                     sorted(bad))
 
 
 # --- relation vocabulary ----------------------------------------------------

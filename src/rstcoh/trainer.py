@@ -233,11 +233,14 @@ def train(cfg: TrainConfig, split: CorpusSplit,
         state = nc.AdamState(model.bundle)
     step = 0
     epoch_losses: list[float] = []
-    for _ in range(cfg.epochs):
-        mean_loss, step = run_epoch(model, split.train, wv, state,
-                                    cfg.learning_rate, rng, cfg.shuffle, step)
-        epoch_losses.append(mean_loss)
-    rep = evaluate_model(model, split.test, wv)
+    # A diverging run overflows on its way to a non-finite loss, which
+    # run_epoch reports; numpy's warnings on the way would only add stderr lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            mean_loss, step = run_epoch(model, split.train, wv, state,
+                                        cfg.learning_rate, rng, cfg.shuffle, step)
+            epoch_losses.append(mean_loss)
+        rep = evaluate_model(model, split.test, wv)
     return model, RunRecord(cfg.seed, rep, epoch_losses)
 
 

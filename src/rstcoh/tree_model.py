@@ -26,15 +26,17 @@ label for R, on its nuclearity for NS, a constant 0 for t), and the EDU
 encoder is there or not, so :func:`encode_trees` decides nothing per call.
 
 A batch of documents takes at most two recording calls, whatever its size.
-:func:`encode_trees` joins the documents' flat trees (``Document.shape``)
-into a level schedule (a level is the set of internal nodes of equal
-height), runs all the batch's EDUs through one packed LSTM pass when E is
-on (their word vectors are one gather), and hands the schedule to
-``numcore.run_tree``, which applies the cell once per level (dynamic
-batching, Looks et al. 2017; a tree as a flat schedule, as in SPINN,
-Bowman et al. 2016). This module owns the join of flat trees into index
-arrays and walks no tree; numcore sees only the arrays. The EDUs' tokens
-come from ``Document.edus``: this module never tokenizes.
+:func:`encode_trees` joins the documents' flat trees (``Document.shape``,
+which ``rst_data.parse_tree`` makes from the tree text ``Document.tree``
+in the one walk of a tree) into a level schedule (a level is the set of
+internal nodes of equal height), runs all the batch's EDUs through one
+packed LSTM pass when E is on (their word vectors are one gather), and
+hands the schedule to ``numcore.run_tree``, which applies the cell once
+per level (dynamic batching, Looks et al. 2017; a tree as a flat
+schedule, as in SPINN, Bowman et al. 2016). This module owns the join of
+flat trees into index arrays and walks no tree; numcore sees only the
+arrays. The EDUs' tokens come from ``Document.edus``: this module never
+tokenizes.
 """
 
 from __future__ import annotations

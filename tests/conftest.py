@@ -14,29 +14,45 @@ settings.load_profile("default")
 
 from rstcoh import corpus, rst_data  # noqa: E402
 
+import oracles  # noqa: E402
+from oracles import Internal, Leaf  # noqa: E402
+
 
 def make_label(rel: str, nuc: str) -> rst_data.NodeLabel:
     return rst_data.NodeLabel(rel, nuc)
 
 
-def count_nodes(tree: rst_data.RstTree) -> int:
+def count_nodes(text: str) -> int:
     # a full binary tree has one internal node fewer than it has leaves
-    return 2 * rst_data.count_leaves(tree) - 1
+    return 2 * rst_data.count_leaves(text) - 1
 
 
-def two_edu_tree(left_text="A claim.", right_text="Its proof.") -> rst_data.Internal:
-    return rst_data.Internal(
-        rst_data.Leaf(left_text), rst_data.Leaf(right_text),
-        make_label("Elaboration", "N"), make_label("Evidence", "S"))
+def text_of(tree: oracles.RstTree) -> str:
+    """The text the package holds for the hand-built object tree ``tree``."""
+    return oracles.reference_serialize_tree(tree)
 
 
-def three_edu_tree(texts=("Alpha beta.", "Gamma delta.", "Epsilon zeta.")):
-    inner = rst_data.Internal(
-        rst_data.Leaf(texts[0]), rst_data.Leaf(texts[1]),
-        make_label("Contrast", "N"), make_label("Elaboration", "S"))
-    return rst_data.Internal(
-        inner, rst_data.Leaf(texts[2]),
-        make_label("Background", "N"), make_label("Evidence", "S"))
+def shape_of(tree: oracles.RstTree) -> rst_data.TreeShape:
+    """The package's flat form of the hand-built object tree ``tree``."""
+    return rst_data.parse_tree(text_of(tree))
+
+
+def comparable(shape: rst_data.TreeShape) -> rst_data.TreeShape:
+    """``shape`` with its node array as nested lists, so that ``==`` compares
+    two flat forms whole."""
+    return shape._replace(nodes=shape.nodes.tolist())
+
+
+def two_edu_tree(left_text="A claim.", right_text="Its proof.") -> str:
+    return text_of(Internal(Leaf(left_text), Leaf(right_text),
+                            make_label("Elaboration", "N"), make_label("Evidence", "S")))
+
+
+def three_edu_tree(texts=("Alpha beta.", "Gamma delta.", "Epsilon zeta.")) -> str:
+    inner = Internal(Leaf(texts[0]), Leaf(texts[1]),
+                     make_label("Contrast", "N"), make_label("Elaboration", "S"))
+    return text_of(Internal(inner, Leaf(texts[2]),
+                            make_label("Background", "N"), make_label("Evidence", "S")))
 
 
 @pytest.fixture

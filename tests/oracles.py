@@ -8,16 +8,21 @@ on numcore's tape through its ``_record``/``_accumulate`` hooks (``concat``
 among them, which the package itself no longer needs), and the gated cell,
 softmax head and loss built from them, so that the fused entries' forward
 values and hand-written gradients can be checked against the tape's. ``reference_parse_tree`` is the token-by-token tree parser that
-``rst_data.parse_tree`` replaced, kept as the reference for its trees, error
+``rst_data.parse_tree`` replaced, kept as the reference for its error
 messages and byte offsets. ``reference_tree_schedule`` is the level
 schedule that maps one label at a time, with ``reference_label_row``'s
 combined-label lookup, and ``reference_stack`` stacks word vectors one
 token at a time: the references for ``tree_model.tree_schedule`` and
-``WordVectors.stack``. ``reference_leaves_and_labels`` reads a tree's leaf
-texts and post-order child labels by recursion, the reference for
-``rst_data.flatten``, and ``reference_validate_tree`` is the separate walk
-that found a tree's violations before ``flatten`` reported them, the
-reference for ``TreeShape.violations``. ``class_label_distribution`` (the
+``WordVectors.stack``. The package holds a tree only as its text; the
+tests hand-build trees as ``Leaf``/``Internal`` objects, the object model
+the package dropped, and ``reference_serialize_tree`` writes their text.
+``reference_flatten`` is the post-order walk of an object tree that built
+its ``TreeShape`` before ``rst_data.parse_tree`` did, kept unchanged as
+the reference for the flat form; ``reference_leaves_and_labels`` reads a
+tree's leaf texts and post-order child labels by recursion, and
+``reference_validate_tree`` is the separate walk that found a tree's
+violations before the flat form reported them, the reference for
+``TreeShape.violations``. ``class_label_distribution`` (the
 generator's exact label distribution) and ``count_parameters`` (parameter
 counts from tensor shapes) are computed from the config and the bundle for
 the tests that check those.
@@ -27,13 +32,14 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
-from rstcoh.rst_data import Internal, Leaf, NodeLabel, RstTree, Violation
+from rstcoh.rst_data import NodeLabel, TreeShape, Violation
 from rstcoh.tree_model import TreeSchedule
 
 
@@ -516,6 +522,88 @@ def count_parameters(bundle):
     return counts
 
 
+# --- object trees -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Leaf:
+    text: str
+
+
+@dataclass(frozen=True)
+class Internal:
+    left: "RstTree"
+    right: "RstTree"
+    left_label: NodeLabel
+    right_label: NodeLabel
+
+
+RstTree = Union[Leaf, Internal]
+
+_EMPTY_EDU = (Violation("EmptyEduText", ""),)
+
+
+def reference_flatten(tree: RstTree) -> TreeShape:
+    """``tree`` in flat form, from one iterative post-order walk (trees from
+    real parsers can be deep)."""
+    walk = []  # pre-order with right children first: post-order reversed
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        walk.append(node)
+        if type(node) is Internal:
+            stack += (node.left, node.right)
+    # done: (height, position, violations with paths from it) of each
+    # subtree awaiting a parent
+    leaves, labels, nodes, done = [], [], [], []
+    counts = [0] * len(walk)  # the internal nodes of each height so far
+    for node in reversed(walk):
+        if type(node) is Leaf:
+            done.append((0, len(leaves), () if node.text.strip() else _EMPTY_EDU))
+            leaves.append(node.text)
+            continue
+        right_height, right_position, right_bad = done.pop()
+        left_height, left_position, left_bad = done.pop()
+        height = max(left_height, right_height) + 1
+        nodes.append((height, left_height, right_height, left_position, right_position))
+        pair = (node.left_label, node.right_label)
+        labels += pair
+        bad = ()
+        if left_bad or right_bad or not (pair[0].relation and pair[1].relation):
+            bad = (*(Violation("EmptyRelation", "") for lab in pair if not lab.relation),
+                   *(Violation(code, "L" + path) for code, path in left_bad),
+                   *(Violation(code, "R" + path) for code, path in right_bad))
+        done.append((height, counts[height], bad))
+        counts[height] += 1
+    bad = done.pop()[2] + ((Violation("DegenerateTree", ""),) if len(leaves) < 2 else ())
+    root = nodes.pop()[1:] if nodes else None
+    return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root,
+                     sorted(bad))
+
+
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def reference_serialize_tree(tree: RstTree) -> str:
+    """Canonical single-space serialization; inverse of
+    :func:`reference_parse_tree`."""
+    out: list[str] = []
+    stack: list[RstTree | str] = [tree]  # nodes still to write, and the text between
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(f'(edu "{_escape(item.text)}")')
+        else:
+            ll, rl = item.left_label, item.right_label
+            out.append(f"(rel {ll.relation}/{ll.nuclearity} "
+                       f"{rl.relation}/{rl.nuclearity} ")
+            stack += (")", item.right, " ", item.left)
+    return "".join(out)
+
+
 # --- tree parsing -------------------------------------------------------------
 
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
@@ -649,8 +737,9 @@ class _Parser:
 def reference_parse_tree(text):
     """The token-by-token parser that ``rst_data.parse_tree`` replaces: the
     whole line is tokenized first (so a lexical error anywhere wins), then a
-    recursive-descent pass over the tokens builds the tree. The reference
-    for its trees, error messages and byte offsets."""
+    recursive-descent pass over the tokens builds the object tree. The
+    reference for its error messages and byte offsets, and, through
+    :func:`reference_flatten`, for its flat forms."""
     return _Parser(text).parse()
 
 

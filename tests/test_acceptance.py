@@ -15,11 +15,11 @@ from rstcoh import corpus, metrics, numcore as nc, parseq, trainer, tree_model
 from rstcoh.corpus import GeneratorConfig, WordVectors, synthesize_corpus, \
     synthesize_word_vectors
 from rstcoh.errors import ParseError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, build_relation_vocab, flatten,
-                             parse_tree, serialize_tree)
+from rstcoh.rst_data import NodeLabel, build_relation_vocab, parse_tree
 
 import oracles
-from conftest import make_label, three_edu_tree
+from conftest import comparable, text_of, three_edu_tree
+from oracles import Internal, Leaf
 
 
 @contextmanager
@@ -47,7 +47,7 @@ def _build(kind, features, vocab, hidden, rel_dim, wv_dim, rng) -> trainer.Model
 
 def _as_document(tree) -> corpus.Document:
     """A document that only its tree tells apart: what an rst model reads."""
-    return corpus.Document("d", 1, "", [[["x"]]], tree)
+    return corpus.Document("d", 1, "", [[["x"]]], text_of(tree))
 
 
 # --- criterion 1: majority-row reproduction ----------------------------------
@@ -144,8 +144,9 @@ def test_criterion_3_scalar_oracle_equivalence():
 
         # run_tree on a 3-EDU tree (EDU embeddings on), the left child of a
         # document root
-        tree = three_edu_tree(("ax bx.", "cx.", "bx ax."))
-        vocab = build_relation_vocab([flatten(tree)])
+        tree_text = three_edu_tree(("ax bx.", "cx.", "bx ax."))
+        tree = oracles.reference_parse_tree(tree_text)
+        vocab = build_relation_vocab([parse_tree(tree_text)])
         model = _build("rst", "t,ns,r,e", vocab, 1, 1, 1, rng)
         for _, t in model.bundle.items():
             t.data[:] = rng.uniform(-1, 1, size=t.data.shape)
@@ -174,7 +175,7 @@ def test_criterion_3_scalar_oracle_equivalence():
             hi, ci, h3, c3, rel(tree.left_label), rel(tree.right_label), w_tree)
         root = Internal(tree, Leaf("cx."), tree.left_label, tree.right_label)
         got_h, got_c = tree_model.encode_trees(
-            [corpus.Document("d", 1, "", [[["ax"]]], root)], params, wv1)
+            [corpus.Document("d", 1, "", [[["ax"]]], text_of(root))], params, wv1)
         assert abs(got_h.data[0, 0] - want_h) < TOL
         assert abs(got_c.data[0, 0] - want_c) < TOL
 
@@ -185,7 +186,7 @@ def test_criterion_3_scalar_oracle_equivalence():
         pp = model.seq
 
         paragraphs = [[["ax", "bx"], ["cx"]], [["bx"]]]
-        doc = corpus.Document("d", 1, "", paragraphs, tree)
+        doc = corpus.Document("d", 1, "", paragraphs, tree_text)
         got = parseq.encode_parseq([doc], wv1, pp)
         want = oracles.scalar_parseq(paragraphs, values,
                                      *[oracles.scalar_gates(c)
@@ -236,7 +237,7 @@ def _texts(rng):
 def test_criterion_4_ablation_invariants():
     with criterion(4, "E-off text-invariance and T-only shape-invariance", 120.0):
         rng = np.random.default_rng(44)
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         model = _build("rst", "t,ns,r", vocab, 6, 4, 4, rng)
         model_t = _build("rst", "t", None, 6, 4, 4, rng)
 
@@ -373,7 +374,8 @@ def test_criterion_8_round_trip_and_grammar_fixtures():
 
         for k in range(1000):
             tree = _random_tree(rng, odd_texts)
-            assert parse_tree(serialize_tree(tree)) == tree, f"tree {k}"
+            assert comparable(parse_tree(text_of(tree))) == \
+                comparable(oracles.reference_flatten(tree)), f"tree {k}"
 
         with pytest.raises(ParseError) as exc:
             parse_tree('(rel Foo/X Bar/S (edu "a") (edu "b"))')
@@ -395,9 +397,7 @@ def test_criterion_8_round_trip_and_grammar_fixtures():
         with pytest.raises(ParseError):
             parse_tree('(edu "a") (edu "b")')
 
-        assert [v.code for v in flatten(Leaf("solo")).violations] == ["DegenerateTree"]
-        bad_rel = Internal(Leaf("a"), Leaf("b"), NodeLabel("", "N"),
-                           make_label("Joint", "S"))
-        assert [v.code for v in flatten(bad_rel).violations] == ["EmptyRelation"]
-        assert flatten(parse_tree(
-            '(rel A/N B/S (edu "x") (edu "y"))')).violations == []
+        assert [v.code for v in parse_tree('(edu "solo")').violations] == ["DegenerateTree"]
+        with pytest.raises(ParseError):  # the grammar has no empty relation
+            parse_tree('(rel /N Joint/S (edu "a") (edu "b"))')
+        assert parse_tree('(rel A/N B/S (edu "x") (edu "y"))').violations == []

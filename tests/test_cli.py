@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import runpy
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rstcoh import cli, corpus, metrics, numcore as nc, trainer
 from rstcoh.atomic import atomic_write
@@ -119,6 +123,15 @@ class TestTrain:
         trees = (data / "trees.txt").read_text().splitlines()
         assert any(line.count("(edu ") == 2 for line in trees)
         assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_diverging_run_writes_no_warning(self, tmp_path, capsys):
+        cfg_path, config = write_config(tmp_path, n_runs=1)
+        config["train"]["learning_rate"] = 1e308
+        cfg_path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DIVERGED
         assert capsys.readouterr().err == ""
 
     def test_ensemble_with_e_is_config_error(self, tmp_path, capsys):
@@ -683,6 +696,56 @@ class TestValidateTrees:
         assert "ParseError" in out
         assert "DegenerateTree" in out
         assert "1/3 valid" in out
+
+
+# bytes the fuzz inserts, deletes and replaces: the tree grammar's
+# punctuation, the line format's tab and newline, other whitespace, a
+# nuclearity letter, a NUL, a byte that is never UTF-8 and a UTF-8 lead byte
+MUTATION_BYTES = (b"(", b")", b"/", b'"', b"\\", b" ", b"\t", b"\n", b"\r", b"N", b"\x00",
+                  b"\xff", b"\xc3")
+BYTE_EDIT_ST = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                         st.integers(min_value=0), st.sampled_from(MUTATION_BYTES))
+
+
+@pytest.fixture(scope="module")
+def six_documents(tmp_path_factory):
+    """A generated 6-document corpus in files, a train config reading them,
+    and the trees file's bytes."""
+    data = tmp_path_factory.mktemp("six_documents")
+    gen = corpus.GeneratorConfig(n_train=4, n_test=2, edu_range=(2, 4),
+                                 tokens_per_edu=(1, 3), wv_dim=2)
+    split = corpus.synthesize_corpus(gen, seed=5)
+    corpus.write_documents(data / "documents.jsonl", split)
+    corpus.write_trees(data / "trees.txt", split)
+    corpus.write_word_vectors(data / "vectors.txt", corpus.synthesize_word_vectors(gen, 5))
+    config = {"out_dir": str(data / "out"), "model": "rst", "features": "t,ns,r,e",
+              "train": {"epochs": 1, "hidden_size": 2, "relation_dim": 2, "seed": 0},
+              "n_runs": 1, "generator": None,
+              "paths": {"documents": str(data / "documents.jsonl"),
+                        "trees": str(data / "trees.txt"),
+                        "word_vectors": str(data / "vectors.txt")}}
+    (data / "config.json").write_text(json.dumps(config))
+    return data, (data / "trees.txt").read_bytes()
+
+
+@given(edits=st.lists(BYTE_EDIT_ST, min_size=1, max_size=4))
+def test_mutated_trees_file_ends_in_an_exit_code_and_at_most_one_json_line(
+        six_documents, edits):
+    data, raw = six_documents
+    for op, at, byte in edits:
+        i = at % (len(raw) + 1)
+        raw = raw[:i] + (b"" if op == "delete" else byte) + raw[i + (op != "insert"):]
+    (data / "trees.txt").write_bytes(raw)
+    for argv, codes in ((["validate-trees", "--trees", str(data / "trees.txt")], {0, 2}),
+                        (["train", "--config", str(data / "config.json")], {0, 1, 2, 3})):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in codes, argv[0]
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1, argv[0]
+        if lines:
+            assert set(json.loads(lines[0])) == {"error", "message"}, argv[0]
 
 
 class TestAtomicWrites:

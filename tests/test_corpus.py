@@ -252,8 +252,7 @@ class TestGenerator:
         cfg = GeneratorConfig(n_train=20, n_test=10)
 
         def dump(split):
-            return [(d.id, d.label, d.text, rst_data.serialize_tree(d.tree),
-                     d.paragraphs)
+            return [(d.id, d.label, d.text, d.tree, d.paragraphs)
                     for d in split.train + split.test]
 
         assert dump(synthesize_corpus(cfg, 42)) == dump(synthesize_corpus(cfg, 42))
@@ -308,8 +307,15 @@ class TestGenerator:
             leaf_tokens = [tokenize(t) for t in doc.shape.leaves]
             assert leaf_tokens == sents
             assert (doc.shape.leaves, doc.shape.labels) == \
-                oracles.reference_leaves_and_labels(doc.tree)
+                oracles.reference_leaves_and_labels(oracles.reference_parse_tree(doc.tree))
             assert doc.edus == sents
+
+    def test_generator_writes_canonical_text(self):
+        cfg = GeneratorConfig(n_train=60, n_test=20, edu_range=(2, 12))
+        split = synthesize_corpus(cfg, seed=3)
+        for doc in split.train + split.test:
+            assert doc.tree == oracles.reference_serialize_tree(
+                oracles.reference_parse_tree(doc.tree))
 
     def test_edu_count_range_respected(self, tiny_split):
         for doc in tiny_split.train:

@@ -7,11 +7,11 @@ from rstcoh import numcore as nc
 from rstcoh.corpus import Document, WordVectors
 from rstcoh.errors import ConfigError
 from rstcoh.parseq import encode_parseq
-from rstcoh.rst_data import build_relation_vocab, flatten
+from rstcoh.rst_data import build_relation_vocab, parse_tree
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 
 import oracles
-from conftest import three_edu_tree, two_edu_tree
+from conftest import text_of, three_edu_tree, two_edu_tree
 
 TONLY = "t"
 TNSR = "t,ns,r"
@@ -132,9 +132,9 @@ class TestEnsemble:
     def test_edu_features_rejected(self):
         with pytest.raises(ConfigError):
             build_ensemble(features="t,ns,r,e",
-                           vocab=build_relation_vocab([flatten(two_edu_tree())]))
+                           vocab=build_relation_vocab([parse_tree(two_edu_tree())]))
         model = build_ensemble(features=TNSR,
-                               vocab=build_relation_vocab([flatten(two_edu_tree())]))
+                               vocab=build_relation_vocab([parse_tree(two_edu_tree())]))
         assert model.tree.edu is None
         assert not any(name.startswith("edu.") for name, _ in model.bundle.items())
 
@@ -143,10 +143,10 @@ class TestEnsemble:
         wv = toy_wv()
         paragraphs = [[["alpha", "beta"]]]
         a = make_doc(paragraphs, tree=three_edu_tree())
-        relabeled = three_edu_tree()
+        relabeled = oracles.reference_parse_tree(three_edu_tree())
         relabeled = type(relabeled)(relabeled.left, relabeled.right,
                                     relabeled.right_label, relabeled.left_label)
-        b = make_doc(paragraphs, tree=relabeled)
+        b = make_doc(paragraphs, tree=text_of(relabeled))
         da = model.classify([a], wv)
         db = model.classify([b], wv)
         assert np.array_equal(da.data, db.data)
@@ -167,14 +167,14 @@ class TestEnsemble:
         assert dist.data[0] == pytest.approx(e / e.sum(), abs=1e-12)
 
     def test_toy_ensemble_matches_scalar_oracle(self):
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         model = build_ensemble(features=TNSR, vocab=vocab, wv_dim=1, hidden=1,
                                rel_dim=1, seed=11)
         values = {"alpha": 0.7, "beta": -0.4}
         wv = WordVectors(1, {k: np.array([v]) for k, v in values.items()})
         paragraphs = [[["alpha", "beta"]], [["beta"]]]
-        tree = three_edu_tree()
-        doc = make_doc(paragraphs, tree=tree)
+        tree = oracles.reference_parse_tree(three_edu_tree())
+        doc = make_doc(paragraphs, tree=text_of(tree))
 
         tc = model.tree.cell
         w_tree = oracles.scalar_gates(tc)
@@ -203,7 +203,7 @@ class TestEnsemble:
         assert got.data[0] == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self):
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         model = build_ensemble(features=TNSR, vocab=vocab, seed=17)
         bundle = model.bundle
         wv = toy_wv()

@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from rstcoh import corpus, rst_data
 from rstcoh.errors import DataError, ParseError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
-                             build_relation_vocab, count_leaves, flatten, parse_label,
-                             parse_tree, serialize_tree)
+from rstcoh.rst_data import (NodeLabel, RelationVocabulary, build_relation_vocab,
+                             count_leaves, edu_text, parse_label, parse_tree, rel_text)
 
 import oracles
-from conftest import make_label, three_edu_tree, two_edu_tree
+from conftest import comparable, make_label, shape_of, text_of, three_edu_tree, two_edu_tree
+from oracles import Internal, Leaf
 
 
 TWO_EDU = '(rel Elaboration/N Evidence/S (edu "A claim.") (edu "Its proof."))'
@@ -19,26 +19,26 @@ TWO_EDU = '(rel Elaboration/N Evidence/S (edu "A claim.") (edu "Its proof."))'
 
 class TestParse:
     def test_two_edu_example(self):
-        tree = parse_tree(TWO_EDU)
-        assert isinstance(tree, Internal)
-        assert tree.left == Leaf("A claim.")
-        assert tree.right == Leaf("Its proof.")
-        assert tree.left_label == NodeLabel("Elaboration", "N")
-        assert tree.right_label == NodeLabel("Evidence", "S")
+        shape = parse_tree(TWO_EDU)
+        assert shape.leaves == ["A claim.", "Its proof."]
+        assert shape.labels == [NodeLabel("Elaboration", "N"), NodeLabel("Evidence", "S")]
+        assert shape.nodes.shape == (0, 5)
+        assert shape.root == (0, 0, 0, 1)
+        assert shape.violations == []
 
     def test_single_leaf(self):
-        tree = parse_tree('(edu "only one unit")')
-        assert tree == Leaf("only one unit")
-        assert [v.code for v in flatten(tree).violations] == ["DegenerateTree"]
+        shape = parse_tree('(edu "only one unit")')
+        assert shape.leaves == ["only one unit"]
+        assert [v.code for v in shape.violations] == ["DegenerateTree"]
 
     def test_whitespace_between_tokens_is_insignificant(self):
         spaced = ('( rel   Elaboration / N Evidence/S\n'
                   '   (edu "A claim.")   (edu "Its proof.") )')
-        assert parse_tree(spaced) == parse_tree(TWO_EDU)
+        assert comparable(parse_tree(spaced)) == comparable(parse_tree(TWO_EDU))
 
     def test_escaped_quote_and_backslash(self):
-        tree = parse_tree(r'(edu "say \"hi\" and \\ more")')
-        assert tree == Leaf('say "hi" and \\ more')
+        shape = parse_tree(r'(edu "say \"hi\" and \\ more")')
+        assert shape.leaves == ['say "hi" and \\ more']
 
     def test_bad_nuclearity_offset_points_at_token(self):
         text = '(rel Foo/X Bar/S (edu "a") (edu "b"))'
@@ -75,27 +75,38 @@ class TestParse:
         assert exc.value.offset == text.encode("utf-8").index(b"foo")
 
 
+def written(tree) -> str:
+    """The text of the object tree ``tree`` from the package's writers,
+    composed as the generator composes them."""
+    if isinstance(tree, Leaf):
+        return edu_text(tree.text)
+    return rel_text(written(tree.left), written(tree.right), tree.left_label,
+                    tree.right_label)
+
+
 class TestSerialize:
     def test_round_trip_two_edu(self):
-        tree = parse_tree(TWO_EDU)
-        assert parse_tree(serialize_tree(tree)) == tree
-        assert serialize_tree(tree) == TWO_EDU
+        text = rel_text(edu_text("A claim."), edu_text("Its proof."),
+                        make_label("Elaboration", "N"), make_label("Evidence", "S"))
+        assert text == TWO_EDU
+        assert parse_tree(text).leaves == ["A claim.", "Its proof."]
 
     def test_quote_escaped_and_recovered(self):
         tree = Internal(Leaf('with "quote"'), Leaf("plain"),
                         make_label("Joint", "N"), make_label("Joint", "S"))
-        out = serialize_tree(tree)
+        out = written(tree)
         assert '\\"' in out
-        assert parse_tree(out) == tree
+        assert parse_tree(out).leaves == ['with "quote"', "plain"]
 
     def test_deep_left_chain_does_not_recurse(self):
-        # structural == on dataclasses recurses, so compare canonical strings
-        tree: rst_data.RstTree = Leaf("x0")
+        text = edu_text("x0")
         for k in range(1, 3000):
-            tree = Internal(tree, Leaf(f"x{k}"),
-                            make_label("Joint", "N"), make_label("Joint", "S"))
-        text = serialize_tree(tree)
-        assert serialize_tree(parse_tree(text)) == text
+            text = rel_text(text, edu_text(f"x{k}"), make_label("Joint", "N"),
+                            make_label("Joint", "S"))
+        shape = parse_tree(text)
+        assert shape.leaves == [f"x{k}" for k in range(3000)]
+        assert shape.nodes[:, 0].tolist() == list(range(1, 2999))
+        assert shape.root == (2998, 0, 0, 2999)
 
 
 LABEL_ST = st.builds(
@@ -114,12 +125,17 @@ TREE_ST = st.recursive(
 class TestProperties:
     @given(TREE_ST)
     def test_parse_serialize_identity(self, tree):
-        assert parse_tree(serialize_tree(tree)) == tree
+        assert comparable(parse_tree(text_of(tree))) == \
+            comparable(oracles.reference_flatten(tree))
 
     @given(TREE_ST)
     def test_serialize_parse_fixpoint_on_canonical_strings(self, tree):
-        text = serialize_tree(tree)
-        assert serialize_tree(parse_tree(text)) == text
+        text = written(tree)
+        assert text_of(oracles.reference_parse_tree(text)) == text
+
+    @given(TREE_ST)
+    def test_writers_compose_to_the_canonical_text(self, tree):
+        assert written(tree) == text_of(tree)
 
     @given(LABEL_ST)
     def test_parse_label_reads_what_combined_writes(self, label):
@@ -129,23 +145,29 @@ class TestProperties:
     def test_vocab_is_order_invariant(self, order):
         trees = [
             two_edu_tree(),
-            Internal(Leaf("a"), Leaf("b"), make_label("Cause", "N"),
-                     make_label("Cause", "S")),
-            Internal(Leaf("c"), Leaf("d"), make_label("Joint", "N"),
-                     make_label("Joint", "N")),
-            Internal(Leaf("e"), Leaf("f"), make_label("Contrast", "S"),
-                     make_label("Evidence", "S")),
+            text_of(Internal(Leaf("a"), Leaf("b"), make_label("Cause", "N"),
+                             make_label("Cause", "S"))),
+            text_of(Internal(Leaf("c"), Leaf("d"), make_label("Joint", "N"),
+                             make_label("Joint", "N"))),
+            text_of(Internal(Leaf("e"), Leaf("f"), make_label("Contrast", "S"),
+                             make_label("Evidence", "S"))),
         ]
-        base = build_relation_vocab(map(flatten, trees))
-        shuffled = build_relation_vocab([flatten(trees[i]) for i in order])
+        base = build_relation_vocab(map(parse_tree, trees))
+        shuffled = build_relation_vocab([parse_tree(trees[i]) for i in order])
         assert shuffled == base
 
 
+def reference_shape(text):
+    """The flat form of ``text`` from the token-by-token parser and the
+    object-tree walk."""
+    return oracles.reference_flatten(oracles.reference_parse_tree(text))
+
+
 def _outcome(parse, text):
-    """The tree ``parse`` builds from ``text``, or its error's message and
+    """The flat form ``parse`` makes of ``text``, or its error's message and
     byte offset."""
     try:
-        return parse(text)
+        return comparable(parse(text))
     except ParseError as exc:
         return ("ParseError", str(exc), exc.offset)
 
@@ -216,28 +238,30 @@ ERROR_CASES = (
 
 class TestAgainstReference:
     """``parse_tree`` against ``oracles.reference_parse_tree``, the
-    token-by-token parser it replaced: equal trees, and the same error
-    message and byte offset."""
+    token-by-token parser it replaced, with ``oracles.reference_flatten``
+    after it: equal flat forms, and the same error message and byte offset."""
 
     def test_random_round_trip_trees(self):
         rng = np.random.default_rng(88)
         for k in range(1000):
-            text = serialize_tree(_random_tree(rng))
-            assert parse_tree(text) == oracles.reference_parse_tree(text), f"tree {k}"
+            text = text_of(_random_tree(rng))
+            assert _outcome(parse_tree, text) == _outcome(reference_shape, text), \
+                f"tree {k}"
 
     @pytest.mark.parametrize("text", WHITESPACE_VARIANTS.values(),
                              ids=WHITESPACE_VARIANTS.keys())
     def test_whitespace_variants(self, text):
-        tree = parse_tree(text)
-        assert tree == oracles.reference_parse_tree(text)
-        assert tree == Internal(Leaf("a"), Leaf("b"), make_label("A", "N"),
-                                make_label("B", "S"))
+        shape = _outcome(parse_tree, text)
+        assert shape == _outcome(reference_shape, text)
+        assert shape == comparable(shape_of(Internal(Leaf("a"), Leaf("b"),
+                                                     make_label("A", "N"),
+                                                     make_label("B", "S"))))
 
     @pytest.mark.parametrize("text,message", [case[1:] for case in ERROR_CASES],
                              ids=[case[0] for case in ERROR_CASES])
     def test_error_message_and_offset(self, text, message):
         ours = _outcome(parse_tree, text)
-        assert ours == _outcome(oracles.reference_parse_tree, text)
+        assert ours == _outcome(reference_shape, text)
         assert ours[0] == "ParseError" and message in ours[1]
 
     def test_offset_counts_the_bytes_of_multi_byte_characters(self):
@@ -257,7 +281,7 @@ EDIT_ST = st.tuples(st.sampled_from(("insert", "delete", "replace")),
 class TestFuzzAgainstReference:
     @given(TREE_ST, st.lists(EDIT_ST, min_size=1, max_size=4))
     def test_mutated_trees_parse_as_the_reference_does(self, tree, edits):
-        text = serialize_tree(tree)
+        text = text_of(tree)
         for op, at, char in edits:
             i = at % (len(text) + 1)
             if op == "insert":
@@ -266,29 +290,29 @@ class TestFuzzAgainstReference:
                 text = text[:i] + text[i + 1:]
             else:
                 text = text[:i] + char + text[i + 1:]
-        assert _outcome(parse_tree, text) == _outcome(oracles.reference_parse_tree, text)
+        assert _outcome(parse_tree, text) == _outcome(reference_shape, text)
 
 
 class TestFlatten:
     @given(TREE_ST)
     def test_leaves_and_labels_match_the_tree_and_its_reparse(self, tree):
         want = oracles.reference_leaves_and_labels(tree)
-        for t in (tree, parse_tree(serialize_tree(tree))):
-            shape = flatten(t)
-            assert (shape.leaves, shape.labels) == want
-            assert count_leaves(t) == len(want[0])
+        text = text_of(tree)
+        shape = parse_tree(text)
+        assert (shape.leaves, shape.labels) == want
+        assert count_leaves(text) == len(want[0])
 
     def test_synthesized_trees(self, tiny_split):
         for doc in tiny_split.train + tiny_split.test:
-            shape = flatten(doc.tree)
+            shape = parse_tree(doc.tree)
             assert (shape.leaves, shape.labels) == \
-                oracles.reference_leaves_and_labels(doc.tree)
+                oracles.reference_leaves_and_labels(oracles.reference_parse_tree(doc.tree))
             assert len(shape.nodes) == len(shape.leaves) - 2
 
     def test_heights_and_positions(self):
         # the inner node (height 1) joins leaves 0 and 1; the root, its
         # first node of height 1 and leaf 2
-        shape = flatten(three_edu_tree())
+        shape = parse_tree(three_edu_tree())
         assert shape.nodes.dtype == np.intp
         assert shape.nodes.tolist() == [[1, 0, 0, 0, 1]]
         assert shape.root == (1, 0, 0, 2)
@@ -296,71 +320,135 @@ class TestFlatten:
                                      make_label("Evidence", "S")]
 
     def test_single_leaf(self):
-        shape = flatten(Leaf("x"))
+        shape = parse_tree('(edu "x")')
         assert (shape.leaves, shape.labels, shape.root) == (["x"], [], None)
         assert shape.nodes.shape == (0, 5)
-        assert count_leaves(Leaf("x")) == 1
+        assert count_leaves('(edu "x")') == 1
 
     def test_deep_right_chain_does_not_recurse(self):
-        tree: rst_data.RstTree = Leaf("x2999")
+        tree = Leaf("x2999")
         for k in range(2998, -1, -1):
             tree = Internal(Leaf(f"x{k}"), tree,
                             make_label("Joint", "N"), make_label("Joint", "S"))
-        shape = flatten(tree)
+        shape = shape_of(tree)
         assert shape.leaves == [f"x{k}" for k in range(3000)]
         assert shape.nodes[:, 0].tolist() == list(range(1, 2999))
         assert shape.root == (0, 2998, 0, 0)
 
 
-# Trees that may break the rules: blank leaf texts and empty relations.
-RULE_LABEL_ST = st.one_of(LABEL_ST, st.builds(NodeLabel, st.just(""),
-                                              st.sampled_from(["N", "S"])))
+# Leaf texts for the differential: blank ones, "" (which the grammar has no
+# leaf for), quotes and backslashes, and any other text.
+ODD_TEXT_ST = st.one_of(st.sampled_from(["", " ", "\t", '"', "\\", '\\"', 'a "b" \\ c']),
+                        TEXT_ST)
+ODD_TREE_ST = st.recursive(
+    st.builds(Leaf, ODD_TEXT_ST),
+    lambda children: st.builds(Internal, children, children, LABEL_ST, LABEL_ST),
+    max_leaves=12)
+
+
+def assert_parses_as_the_reference_walk(tree):
+    """``parse_tree`` of ``tree``'s text is ``oracles.reference_flatten`` of
+    ``tree``, or, when a leaf text is "", the parse error for it."""
+    want = oracles.reference_flatten(tree)
+    text = text_of(tree)
+    if "" in want.leaves:
+        with pytest.raises(ParseError, match="empty EDU string"):
+            parse_tree(text)
+        return
+    shape = parse_tree(text)
+    assert shape.nodes.dtype == np.intp
+    assert comparable(shape) == comparable(want)
+
+
+def chain(n, side):
+    """An object tree of ``n`` leaves whose internal nodes each have the next
+    internal node as their ``side`` child."""
+    tree = Leaf(f"x{n - 1}")
+    for k in range(n - 2, -1, -1):
+        pair = (tree, Leaf(f"x{k}")) if side == "left" else (Leaf(f"x{k}"), tree)
+        tree = Internal(*pair, make_label("Joint", "N"), make_label("Cause", "S"))
+    return tree
+
+
+class TestAgainstReferenceFlatten:
+    """The flat form from ``parse_tree``'s one pass against
+    ``oracles.reference_flatten``, the walk of an object tree that made it
+    before."""
+
+    @given(ODD_TREE_ST)
+    def test_trees(self, tree):
+        assert_parses_as_the_reference_walk(tree)
+
+    @pytest.mark.parametrize("text", ["x", "", " ", "\t", '"', "\\"])
+    def test_lone_leaf(self, text):
+        assert_parses_as_the_reference_walk(Leaf(text))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_5000_deep_chain(self, side):
+        assert_parses_as_the_reference_walk(chain(5000, side))
+
+
+# Trees that may break the rules: blank leaf texts.
 RULE_TREE_ST = st.recursive(
     st.builds(Leaf, st.one_of(st.sampled_from(["", " ", "\t"]), TEXT_ST)),
-    lambda children: st.builds(Internal, children, children, RULE_LABEL_ST,
-                               RULE_LABEL_ST),
+    lambda children: st.builds(Internal, children, children, LABEL_ST, LABEL_ST),
     max_leaves=12)
+
+
+def assert_violations_as_the_reference_walk(tree):
+    """``parse_tree``'s violations of ``tree``'s text are
+    ``oracles.reference_validate_tree``'s; where a leaf text is "", which the
+    grammar has no leaf for, it raises the reference parser's error."""
+    text = text_of(tree)
+    ours = _outcome(parse_tree, text)
+    if isinstance(ours, rst_data.TreeShape):
+        assert ours.violations == oracles.reference_validate_tree(tree)
+    else:
+        assert ours == _outcome(reference_shape, text) and "empty EDU string" in ours[1]
 
 
 class TestValidate:
     @given(RULE_TREE_ST)
     def test_violations_match_the_reference_walk(self, tree):
-        assert flatten(tree).violations == oracles.reference_validate_tree(tree)
+        assert_violations_as_the_reference_walk(tree)
 
     @pytest.mark.parametrize("text", ["x", "", " ", "\t"])
     def test_lone_leaf(self, text):
-        assert flatten(Leaf(text)).violations == oracles.reference_validate_tree(Leaf(text))
+        assert_violations_as_the_reference_walk(Leaf(text))
 
     def test_paths_are_l_r_steps_from_the_root(self):
-        inner = Internal(Leaf("a"), Leaf("\t"), make_label("", "N"), make_label("", "S"))
-        tree = Internal(Leaf("b"), inner, make_label("Joint", "N"), make_label("", "S"))
-        assert flatten(tree).violations == [
-            rst_data.Violation("EmptyEduText", "RR"),
-            rst_data.Violation("EmptyRelation", ""),
-            rst_data.Violation("EmptyRelation", "R"),
-            rst_data.Violation("EmptyRelation", "R")]
+        inner = Internal(Internal(Leaf("\t"), Leaf("b"), make_label("Joint", "N"),
+                                  make_label("Joint", "S")),
+                         Leaf("\u2003"), make_label("Cause", "N"), make_label("Cause", "S"))
+        tree = Internal(Leaf(" "), inner, make_label("Joint", "N"), make_label("Joint", "S"))
+        assert shape_of(tree).violations == [
+            rst_data.Violation("EmptyEduText", "L"),
+            rst_data.Violation("EmptyEduText", "RLL"),
+            rst_data.Violation("EmptyEduText", "RR")]
 
     def test_valid_two_edu(self):
-        assert flatten(two_edu_tree()).violations == []
+        assert parse_tree(two_edu_tree()).violations == []
 
     def test_empty_relation(self):
+        # the label grammar has no empty relation, so no text makes that violation
         tree = Internal(Leaf("a"), Leaf("b"), make_label("", "N"),
                         make_label("Evidence", "S"))
-        assert [v.code for v in flatten(tree).violations] == ["EmptyRelation"]
+        with pytest.raises(ParseError, match="expected relation label"):
+            shape_of(tree)
 
     def test_empty_edu_text(self):
         tree = Internal(Leaf("a"), Leaf("   "), make_label("Joint", "N"),
                         make_label("Joint", "S"))
-        assert [v.code for v in flatten(tree).violations] == ["EmptyEduText"]
+        assert [v.code for v in shape_of(tree).violations] == ["EmptyEduText"]
 
 
 class TestVocabulary:
     def test_build_from_one_tree(self):
-        vocab = build_relation_vocab([flatten(two_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(two_edu_tree())])
         assert vocab.labels == ("UNK", "Elaboration_N", "Evidence_S")
 
     def test_unseen_label_maps_to_unk(self):
-        vocab = build_relation_vocab([flatten(two_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(two_edu_tree())])
         rows = vocab.rows
         assert rows.get(make_label("Nonexistent", "N"), 0) == 0
         assert rows[make_label("Evidence", "S")] == 2

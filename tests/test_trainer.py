@@ -350,12 +350,12 @@ def test_training_and_evaluation_never_tokenize(kind, features, tiny_split, tiny
         def findall(self, text):
             raise AssertionError(f"tokenized {text!r} after ingest")
 
-    def refuse_to_walk(tree):
+    def refuse_to_walk(text):
         raise AssertionError("walked a tree after ingest")
 
     # every call of corpus.tokenize, however it was imported, runs this pattern
     monkeypatch.setattr(corpus, "_TOKEN_RE", Refuse())
-    monkeypatch.setattr(rst_data, "flatten", refuse_to_walk)
+    monkeypatch.setattr(rst_data, "parse_tree", refuse_to_walk)
     model = random_model(kind, features, split, tiny_wv, seed=4)
     trainer.run_epoch(model, split.train[:2], tiny_wv, nc.AdamState(model.bundle),
                       1e-3, np.random.default_rng(0), False, 0)

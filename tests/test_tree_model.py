@@ -11,13 +11,15 @@ from rstcoh import numcore as nc
 from rstcoh.corpus import (Document, GeneratorConfig, WordVectors, synthesize_corpus,
                            tokenize)
 from rstcoh.errors import ConfigError, DataError
-from rstcoh.rst_data import (Internal, Leaf, NodeLabel, RelationVocabulary,
-                             build_relation_vocab, count_leaves, flatten)
+from rstcoh.rst_data import (NodeLabel, RelationVocabulary, build_relation_vocab,
+                             count_leaves, parse_tree)
 from rstcoh.trainer import TrainConfig, build_model, cross_entropy
 from rstcoh.tree_model import FEATURE_ROWS, encode_trees, tree_schedule
 
 import oracles
-from conftest import count_nodes, make_label, three_edu_tree, two_edu_tree
+from conftest import (count_nodes, make_label, shape_of, text_of, three_edu_tree,
+                      two_edu_tree)
+from oracles import Internal, Leaf
 
 FULL = "t,ns,r,e"
 TNSR = "t,ns,r"
@@ -42,9 +44,20 @@ def build(features, vocab=None, hidden=4, rel_dim=3, wv_dim=2, seed=0, randomize
     return model, model.tree
 
 
+def two_edu(*texts):
+    """conftest's two-EDU tree as an object tree."""
+    return oracles.reference_parse_tree(two_edu_tree(*texts))
+
+
+def three_edu(*texts):
+    """conftest's three-EDU tree as an object tree."""
+    return oracles.reference_parse_tree(three_edu_tree(*texts))
+
+
 def documents(trees):
-    """One document around each tree, for the calls that take documents."""
-    return [Document(f"d{k}", 1, "", [[["x"]]], tree) for k, tree in enumerate(trees)]
+    """One document around each object tree, for the calls that take documents."""
+    return [Document(f"d{k}", 1, "", [[["x"]]], text_of(tree))
+            for k, tree in enumerate(trees)]
 
 
 def classify(model, tree, wv=None):
@@ -141,7 +154,7 @@ class TestLabelEmbedding:
         assert not np.array_equal(a, c)
 
     def test_unseen_label_falls_back_to_unk_row(self):
-        vocab = build_relation_vocab([flatten(two_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(two_edu_tree())])
         _, params = build(TNSR, vocab)
         unseen = label_vector(make_label("Never", "N"), params)
         assert np.array_equal(unseen, params.table.data[0])
@@ -153,25 +166,25 @@ class TestEncodeSubtree:
             model, params = build(features, randomize=False)
             for _, t in model.bundle.items():
                 t.data[:] = 0.0
-            h, c = encode_subtree(three_edu_tree(), params, None)
+            h, c = encode_subtree(three_edu(), params, None)
             assert np.array_equal(h, np.zeros(4))
             assert np.array_equal(c, np.zeros(4))
 
     def test_e_off_is_text_invariant(self):
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         _, params = build(TNSR, vocab, seed=3)
-        a = three_edu_tree(("one one.", "two two.", "three three."))
-        b = three_edu_tree(("completely different.", "words here.", "indeed so."))
+        a = three_edu(("one one.", "two two.", "three three."))
+        b = three_edu(("completely different.", "words here.", "indeed so."))
         ha, ca = encode_subtree(a, params, None)
         hb, cb = encode_subtree(b, params, None)
         assert np.array_equal(ha, hb)
         assert np.array_equal(ca, cb)
 
     def test_matches_scalar_oracle_on_three_edu_tree(self):
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         _, params = build(FULL, vocab, hidden=1, rel_dim=1, wv_dim=1, seed=5)
         wv = toy_wv(dim=1, seed=6)
-        tree = three_edu_tree(("alpha beta.", "gamma.", "delta epsilon."))
+        tree = three_edu(("alpha beta.", "gamma.", "delta epsilon."))
 
         cell = params.edu
         w_seq = oracles.scalar_gates(cell)
@@ -203,12 +216,12 @@ class TestEncodeSubtree:
         assert abs(got_c[0] - want_c) < 1e-12
 
     def test_every_node_visited_exactly_once(self):
-        trees = [two_edu_tree(), three_edu_tree(), left_chain(6), right_chain(5),
-                 Internal(three_edu_tree(), right_chain(4),
+        trees = [two_edu(), three_edu(), left_chain(6), right_chain(5),
+                 Internal(three_edu(), right_chain(4),
                           make_label("Joint", "N"), make_label("Joint", "N"))]
         for batch_trees in [[t] for t in trees] + [trees]:
-            sched = tree_schedule(list(map(flatten, batch_trees)), t_label_rows)
-            n_leaves = sum(count_leaves(t) for t in batch_trees)
+            sched = tree_schedule(list(map(shape_of, batch_trees)), t_label_rows)
+            n_leaves = sum(count_leaves(text_of(t)) for t in batch_trees)
             assert sched.leaves == n_leaves
             # each leaf once, left to right and tree after tree: following
             # the schedule down from the roots, leaf row i holds the i-th
@@ -227,7 +240,8 @@ class TestEncodeSubtree:
             assert found == list(enumerate(edus))
             # each internal node below a root in exactly one level: every
             # row of the state table is the child of exactly one node or root
-            inner = sum(count_nodes(t) - count_leaves(t) - 1 for t in batch_trees)
+            inner = sum(count_nodes(text_of(t)) - count_leaves(text_of(t)) - 1
+                        for t in batch_trees)
             assert sum(sched.level_sizes) == len(sched.children) == inner
             assert sched.labels.shape == (inner, 2)
             rows = np.concatenate((sched.roots.ravel(), sched.children.ravel()))
@@ -281,7 +295,7 @@ class TestScheduleMatchesReference:
         _, params = build(features, vocab, randomize=False)
         trees = [random_tree(np.random.default_rng(seed), n, shape)
                  for n, shape, seed in batch]
-        got = tree_schedule(list(map(flatten, trees)), params.label_rows)
+        got = tree_schedule(list(map(shape_of, trees)), params.label_rows)
         want = oracles.reference_tree_schedule(
             trees, oracles.reference_label_row(features, vocab))
         assert got.leaves == want.leaves
@@ -304,12 +318,12 @@ class TestRunTree:
 
     @staticmethod
     def run_both(trees, features, seed=0, hidden=3, rel_dim=2):
-        vocab = (build_relation_vocab(map(flatten, trees)) if "r" in features.split(",")
+        vocab = (build_relation_vocab(map(shape_of, trees)) if "r" in features.split(",")
                  else None)
         model, params = build(features, vocab, hidden=hidden, rel_dim=rel_dim, seed=seed)
         bundle = model.bundle
         rng = np.random.default_rng(seed + 100)
-        n_leaves = sum(count_leaves(t) for t in trees)
+        n_leaves = sum(count_leaves(text_of(t)) for t in trees)
         leaf_h = bundle.add("leaf_h", rng.uniform(-1, 1, size=(n_leaves, hidden)))
         leaf_c = bundle.add("leaf_c", rng.uniform(-1, 1, size=(n_leaves, hidden)))
         table = params.table
@@ -320,7 +334,7 @@ class TestRunTree:
             return {name: t.grad.copy() for name, t in bundle.items()}
 
         with nc.record():
-            sched = tree_schedule(list(map(flatten, trees)), params.label_rows)
+            sched = tree_schedule(list(map(shape_of, trees)), params.label_rows)
             h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
                                sched.level_sizes, sched.roots, table, params.cell)
             assert len(nc._tape) == 1
@@ -359,27 +373,27 @@ class TestRunTree:
 
     @pytest.mark.parametrize("features", [TONLY, TNS, TNSR], ids=["t", "t,ns", "t,ns,r"])
     def test_mixed_batch_matches_per_node_walk(self, features):
-        trees = [three_edu_tree(), two_edu_tree(),
+        trees = [three_edu(), two_edu(),
                  Internal(left_chain(4), right_chain(3, ("Contrast", "S")),
                           make_label("Joint", "N"), make_label("Cause", "S")),
-                 Internal(right_chain(2), three_edu_tree(),
+                 Internal(right_chain(2), three_edu(),
                           make_label("Summary", "S"), make_label("Joint", "N"))]
         self.assert_match(trees, features, seed=3)
 
     def test_root_with_a_leaf_child(self):
         # three_edu_tree's right root child is a leaf: its state passes through
-        self.assert_match([three_edu_tree()], TNSR, seed=4)
+        self.assert_match([three_edu()], TNSR, seed=4)
 
     @pytest.mark.parametrize("chain", [left_chain, right_chain])
     def test_300_edu_chain(self, chain):
         trees = [chain(300)]
-        sched = tree_schedule(list(map(flatten, trees)), t_label_rows)
+        sched = tree_schedule(list(map(shape_of, trees)), t_label_rows)
         assert sched.level_sizes == [1] * 298
         self.assert_match(trees, TNS, seed=5)
 
     def test_batched_trees_equal_one_tree_batches(self):
-        trees = [three_edu_tree(), left_chain(5), right_chain(4), two_edu_tree()]
-        vocab = build_relation_vocab(map(flatten, trees))
+        trees = [three_edu(), left_chain(5), right_chain(4), two_edu()]
+        vocab = build_relation_vocab(map(shape_of, trees))
         _, params = build(TNSR, vocab, seed=6)
         h, c = encode_trees(documents(trees), params, None)
         for k, tree in enumerate(trees):
@@ -389,7 +403,7 @@ class TestRunTree:
 
     def test_single_leaf_tree_rejected(self):
         with pytest.raises(DataError, match="document tree has a single EDU"):
-            tree_schedule([flatten(two_edu_tree()), flatten(Leaf("only"))], t_label_rows)
+            tree_schedule([parse_tree(two_edu_tree()), shape_of(Leaf("only"))], t_label_rows)
 
 
 class TestClassify:
@@ -397,20 +411,20 @@ class TestClassify:
         model, _ = build(TONLY, randomize=False)
         for _, t in model.bundle.items():
             t.data[:] = 0.0
-        dist = classify(model, two_edu_tree())
+        dist = classify(model, two_edu())
         assert dist == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_distribution_sums_to_one(self):
-        vocab = build_relation_vocab([flatten(three_edu_tree())])
+        vocab = build_relation_vocab([parse_tree(three_edu_tree())])
         for seed in range(5):
             model, _ = build(TNSR, vocab, seed=seed)
-            dist = classify(model, three_edu_tree())
+            dist = classify(model, three_edu())
             assert abs(dist.sum() - 1.0) <= 1e-12
             assert (dist >= 0).all()
 
     def test_t_only_depends_on_shape_alone(self):
         model, _ = build(TONLY, seed=8)
-        a = three_edu_tree(("red red.", "blue.", "green green."))
+        a = three_edu(("red red.", "blue.", "green green."))
         b = Internal(
             Internal(Leaf("entirely other."), Leaf("unrelated words."),
                      make_label("Summary", "S"), make_label("Cause", "N")),
@@ -429,7 +443,7 @@ class TestClassify:
         hits = 0
         for seed in range(100):
             model, _ = build(TONLY, seed=seed)
-            base = three_edu_tree()
+            base = three_edu()
             swapped = Internal(base.right, base.left, base.right_label,
                                base.left_label)
             da = classify(model, base)
@@ -478,6 +492,6 @@ class TestCounts:
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
     def test_word_vectors_never_counted(self):
-        model, _ = build(FULL, build_relation_vocab([flatten(two_edu_tree())]),
+        model, _ = build(FULL, build_relation_vocab([parse_tree(two_edu_tree())]),
                          hidden=4, rel_dim=3, wv_dim=7)
         assert all("wv" not in name for name, _ in model.bundle.items())
