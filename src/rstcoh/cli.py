@@ -298,7 +298,11 @@ def cmd_evaluate(config: dict, checkpoint: str) -> int:
             raise DataError(f"checkpoint {checkpoint} needs {wv_dim}-d word vectors, "
                             f"but {source} gives {wv.dimension}-d vectors")
     out_dir = _make_out_dir(config)
-    rep = trainer.evaluate_model(model, split.test, wv)
+    try:
+        rep = trainer.evaluate_model(model, split.test, wv)
+    except TrainingDiverged as exc:
+        raise DataError(f"checkpoint {checkpoint}: non-finite class distribution "
+                        f"on document {exc.doc_id!r}") from None
     _write_json(out_dir / "report.json", {"config": config, "report": rep.to_dict()})
     with atomic_write(out_dir / "report.csv") as fh:
         fh.write(metrics.CSV_HEADER + "\n")

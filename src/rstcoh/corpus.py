@@ -348,11 +348,11 @@ class GeneratorConfig:
     """Planted-signal corpus: relation labels (and optionally tokens) are
     drawn from class-conditional distributions.
 
-    Coherent documents (class 3) draw each child label from
-    ``coherent_labels`` with probability ``signal_strength`` and uniformly
-    otherwise; neutral documents (class 2) do the same with
-    ``neutral_labels``; incoherent documents (class 1) always draw
-    uniformly. ``token_signal`` applies the same scheme to EDU tokens.
+    Coherent documents (class 3) draw each child label from the first third
+    of ``labels`` with probability ``signal_strength`` and uniformly
+    otherwise; neutral documents (class 2) do the same with the second
+    third; incoherent documents (class 1) always draw uniformly.
+    ``token_signal`` applies the same scheme to EDU tokens and ``token_pool``.
 
     ``edu_range`` and ``tokens_per_edu`` are (lo, hi) pairs, both ends
     included. The constructor raises :class:`ConfigError` for an illegal value.
@@ -361,16 +361,12 @@ class GeneratorConfig:
     n_train: int = 300
     n_test: int = 150
     labels: tuple[str, ...] = DEFAULT_LABELS
-    coherent_labels: tuple[str, ...] | None = None
-    neutral_labels: tuple[str, ...] | None = None
     signal_strength: float = 0.9
     class_probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     edu_range: tuple[int, int] = (4, 16)
     tokens_per_edu: tuple[int, int] = (3, 7)
     max_paragraphs: int = 3
     token_pool: tuple[str, ...] = DEFAULT_TOKEN_POOL
-    coherent_tokens: tuple[str, ...] | None = None
-    neutral_tokens: tuple[str, ...] | None = None
     token_signal: float = 0.0
     wv_dim: int = 16
 
@@ -417,36 +413,13 @@ class GeneratorConfig:
             raise ConfigError(f"bad edu_range {self.edu_range}")
         if self.tokens_per_edu[0] < 1 or self.tokens_per_edu[1] < self.tokens_per_edu[0]:
             raise ConfigError(f"bad tokens_per_edu {self.tokens_per_edu}")
-        for name, subset, pool_name, pool in (
-                ("coherent_labels", self.coherent_labels, "labels", self.labels),
-                ("neutral_labels", self.neutral_labels, "labels", self.labels),
-                ("coherent_tokens", self.coherent_tokens, "token_pool", self.token_pool),
-                ("neutral_tokens", self.neutral_tokens, "token_pool", self.token_pool)):
-            if subset is None:
-                continue
-            if not isinstance(subset, (list, tuple)) or not subset \
-                    or not all(isinstance(x, str) for x in subset):
-                raise ConfigError(
-                    f"{name} must be a non-empty list of strings, got {subset!r}")
-            outside = sorted(set(subset) - set(pool))
-            if outside:
-                raise ConfigError(f"{name} not a subset of {pool_name}: {outside}")
 
-    def feature_subset(self, klass: int) -> tuple[str, ...]:
-        third = max(1, len(self.labels) // 3)
-        if klass == 3:
-            return self.coherent_labels or self.labels[:third]
-        if klass == 2:
-            return self.neutral_labels or self.labels[third:2 * third]
-        return self.labels
 
-    def token_subset(self, klass: int) -> tuple[str, ...]:
-        third = max(1, len(self.token_pool) // 3)
-        if klass == 3:
-            return self.coherent_tokens or self.token_pool[:third]
-        if klass == 2:
-            return self.neutral_tokens or self.token_pool[third:2 * third]
-        return self.token_pool
+def _class_subset(pool: Sequence[str], klass: int) -> Sequence[str]:
+    """The labels or tokens class ``klass`` (2 or 3) favours: the first
+    third of ``pool`` for class 3, the second third for class 2."""
+    third = max(1, len(pool) // 3)
+    return pool[:third] if klass == 3 else pool[third:2 * third]
 
 
 def _draw(rng: np.random.Generator, items: Sequence[str]) -> str:
@@ -455,7 +428,7 @@ def _draw(rng: np.random.Generator, items: Sequence[str]) -> str:
 
 def _sample_label(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) -> rst_data.NodeLabel:
     if klass in (2, 3) and rng.random() < cfg.signal_strength:
-        combined = _draw(rng, cfg.feature_subset(klass))
+        combined = _draw(rng, _class_subset(cfg.labels, klass))
     else:
         combined = _draw(rng, cfg.labels)
     return rst_data.parse_label(combined)
@@ -463,7 +436,7 @@ def _sample_label(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) ->
 
 def _sample_token(rng: np.random.Generator, cfg: GeneratorConfig, klass: int) -> str:
     if klass in (2, 3) and cfg.token_signal > 0 and rng.random() < cfg.token_signal:
-        return _draw(rng, cfg.token_subset(klass))
+        return _draw(rng, _class_subset(cfg.token_pool, klass))
     return _draw(rng, cfg.token_pool)
 
 

@@ -60,7 +60,8 @@ def allocating(what: str) -> Iterator[None]:
 
 
 class TrainingDiverged(RstcohError):
-    """Loss became non-finite during training."""
+    """A document's loss in training, or its class distribution in
+    evaluation, became non-finite."""
 
     exit_code = 3
 

@@ -1,8 +1,10 @@
 """Confusion-matrix metrics, majority baselines, and confidence intervals.
 
-Both macro F1 (unweighted class mean) and weighted F1 (support-weighted
-class mean) are always computed and emitted, so the choice of averaging is
-visible in every report.
+``report(true_labels, predicted)`` is the one entry point for a model's or
+a baseline's figures; it counts the confusion matrix itself. Both macro F1
+(unweighted class mean) and weighted F1 (support-weighted class mean) are
+always computed and emitted, so the choice of averaging is visible in every
+report.
 """
 
 from __future__ import annotations
@@ -19,33 +21,6 @@ from .errors import ConfigError, DataError
 CLASSES = (1, 2, 3)  # coherence classes: 1 = incoherent, 2 = neutral, 3 = coherent
 
 Z_95 = 1.96  # two-sided normal 95% quantile
-
-
-@dataclass
-class ConfusionMatrix:
-    """3x3 counts; rows are true classes, columns predicted classes."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.shape != (3, 3) or (arr < 0).any():
-            raise DataError(f"bad confusion matrix shape/values")
-        self.counts = arr
-
-    @classmethod
-    def from_pairs(cls, true_labels: Sequence[int], predicted: Sequence[int]) -> "ConfusionMatrix":
-        arr = np.zeros((3, 3), dtype=np.int64)
-        for t, p in zip(true_labels, predicted, strict=True):
-            if t not in CLASSES or p not in CLASSES:
-                raise DataError(
-                    f"label outside 1..3: true {t!r}, predicted {p!r}")
-            arr[t - 1, p - 1] += 1
-        return cls(arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -87,29 +62,39 @@ def csv_row(rep: EvaluationReport) -> str:
     return ",".join(cells)
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
-
-
-def report(cm: ConfusionMatrix) -> EvaluationReport:
-    """Accuracy, per-class P/R/F1 (0/0 := 0), macro and weighted F1."""
-    total = cm.total
-    if total == 0:
-        raise DataError("confusion matrix is empty")
-    counts = cm.counts
-    precision, recall, f1, support = {}, {}, {}, {}
-    for c in CLASSES:
-        i = c - 1
-        tp = float(counts[i, i])
-        precision[c] = _safe_div(tp, float(counts[:, i].sum()))
-        recall[c] = _safe_div(tp, float(counts[i, :].sum()))
-        f1[c] = _safe_div(2 * precision[c] * recall[c], precision[c] + recall[c])
-        support[c] = int(counts[i, :].sum())
-    accuracy = float(np.trace(counts)) / total
-    macro_f1 = sum(f1[c] for c in CLASSES) / len(CLASSES)
-    weighted_f1 = sum(support[c] * f1[c] for c in CLASSES) / total
-    return EvaluationReport(accuracy, precision, recall, f1, macro_f1,
-                            weighted_f1, support, counts.tolist())
+def report(true_labels: Sequence[int], predicted: Sequence[int]) -> EvaluationReport:
+    """Accuracy, per-class P/R/F1 (0/0 := 0), macro and weighted F1 of
+    ``predicted`` against ``true_labels``, from their 3x3 confusion matrix
+    (rows true classes, columns predicted classes)."""
+    true, pred = np.asarray(true_labels), np.asarray(predicted)
+    if true.shape != pred.shape:
+        raise DataError(f"{len(true_labels)} true labels against "
+                        f"{len(predicted)} predicted labels")
+    if not len(true):
+        raise DataError("no labels to evaluate")
+    outside = ~(np.isin(true, CLASSES) & np.isin(pred, CLASSES))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise DataError(f"label outside 1..3: true {true_labels[k]!r}, "
+                        f"predicted {predicted[k]!r}")
+    counts = np.bincount(3 * true.astype(np.intp) + pred.astype(np.intp) - 4,
+                         minlength=9).reshape(3, 3)
+    tp = np.diag(counts).astype(float)
+    support, n_predicted = counts.sum(axis=1), counts.sum(axis=0)
+    precision = np.divide(tp, n_predicted, out=np.zeros(3), where=n_predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(3), where=support > 0)
+    pr_sum = precision + recall
+    f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros(3), where=pr_sum > 0)
+    total = len(true)
+    accuracy = float(tp.sum()) / total
+    # Python's sum adds the classes in order, the order the figures' bits are
+    # pinned to (tests/oracles.reference_report)
+    macro_f1 = sum(f1.tolist()) / len(CLASSES)
+    weighted_f1 = sum((support * f1).tolist()) / total
+    return EvaluationReport(accuracy, dict(zip(CLASSES, precision.tolist())),
+                            dict(zip(CLASSES, recall.tolist())),
+                            dict(zip(CLASSES, f1.tolist())), macro_f1, weighted_f1,
+                            dict(zip(CLASSES, support.tolist())), counts.tolist())
 
 
 def majority_baseline(policy: str, train_labels: Sequence[int],
@@ -137,8 +122,7 @@ def majority_baseline(policy: str, train_labels: Sequence[int],
         klass = max(CLASSES, key=lambda c: (counts[c], -c))
     else:
         raise ConfigError(f"unknown majority policy {policy!r}")
-    cm = ConfusionMatrix.from_pairs(test_labels, [klass] * len(test_labels))
-    return report(cm)
+    return report(test_labels, [klass] * len(test_labels))
 
 
 def confidence_interval(values: Sequence[float]) -> tuple[float, float]:

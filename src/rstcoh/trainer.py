@@ -176,13 +176,20 @@ def cross_entropy(dist: nc.Tensor, labels: Sequence[int]) -> nc.Tensor:
 
 def evaluate_model(model: Model, docs: list[Document],
                    wv: WordVectors | None) -> metrics.EvaluationReport:
-    """Classify ``docs`` in chunks of EVAL_CHUNK, one forward pass each."""
+    """Classify ``docs`` in chunks of EVAL_CHUNK, one forward pass each.
+    Raises :class:`TrainingDiverged` naming the first document whose class
+    distribution is not finite."""
     predicted: list[int] = []
-    for start in range(0, len(docs), EVAL_CHUNK):
-        dist = model.classify(docs[start:start + EVAL_CHUNK], wv)
-        predicted.extend((np.argmax(dist.data, axis=1) + 1).tolist())
-    true_labels = [doc.label for doc in docs]
-    return metrics.report(metrics.ConfusionMatrix.from_pairs(true_labels, predicted))
+    # Huge weights overflow on their way to a non-finite distribution, which
+    # is caught below; numpy's warnings on the way would only add stderr lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(docs), EVAL_CHUNK):
+            dist = model.classify(docs[start:start + EVAL_CHUNK], wv).data
+            bad = ~np.isfinite(dist).all(axis=1)
+            if bad.any():
+                raise TrainingDiverged(docs[start + int(np.argmax(bad))].id)
+            predicted.extend((np.argmax(dist, axis=1) + 1).tolist())
+    return metrics.report([doc.label for doc in docs], predicted)
 
 
 def run_epoch(model: Model, docs: list[Document], wv: WordVectors | None,
@@ -240,7 +247,7 @@ def train(cfg: TrainConfig, split: CorpusSplit,
             mean_loss, step = run_epoch(model, split.train, wv, state,
                                         cfg.learning_rate, rng, cfg.shuffle, step)
             epoch_losses.append(mean_loss)
-        rep = evaluate_model(model, split.test, wv)
+    rep = evaluate_model(model, split.test, wv)
     return model, RunRecord(cfg.seed, rep, epoch_losses)
 
 

@@ -22,7 +22,10 @@ the reference for the flat form; ``reference_leaves_and_labels`` reads a
 tree's leaf texts and post-order child labels by recursion, and
 ``reference_validate_tree`` is the separate walk that found a tree's
 violations before the flat form reported them, the reference for
-``TreeShape.violations``. ``class_label_distribution`` (the
+``TreeShape.violations``. ``reference_report`` is the one-class-at-a-time
+loop that computed a report from its confusion matrix before
+``metrics.report`` did, kept as the reference for its exact figures.
+``class_label_distribution`` (the
 generator's exact label distribution) and ``count_parameters`` (parameter
 counts from tensor shapes) are computed from the config and the bundle for
 the tests that check those.
@@ -39,6 +42,7 @@ import numpy as np
 
 from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
+from rstcoh.metrics import CLASSES, EvaluationReport
 from rstcoh.rst_data import NodeLabel, TreeShape, Violation
 from rstcoh.tree_model import TreeSchedule
 
@@ -503,12 +507,37 @@ def class_label_distribution(cfg, klass):
     n = len(cfg.labels)
     probs = {lab: (1.0 - cfg.signal_strength) / n for lab in cfg.labels}
     if klass in (2, 3):
-        subset = cfg.feature_subset(klass)
+        third = max(1, n // 3)  # class 3 favours the first third, class 2 the second
+        subset = cfg.labels[:third] if klass == 3 else cfg.labels[third:2 * third]
         for lab in subset:
             probs[lab] += cfg.signal_strength / len(subset)
     else:
         probs = {lab: 1.0 / n for lab in cfg.labels}
     return probs
+
+
+def reference_report(counts):
+    """The report of a 3x3 confusion matrix (rows true classes, columns
+    predicted), one class at a time with 0/0 := 0: the per-class loop that
+    ``metrics.report`` replaced with array operations."""
+    def safe_div(num, den):
+        return num / den if den > 0 else 0.0
+
+    counts = np.asarray(counts)
+    total = int(counts.sum())
+    precision, recall, f1, support = {}, {}, {}, {}
+    for c in CLASSES:
+        i = c - 1
+        tp = float(counts[i, i])
+        precision[c] = safe_div(tp, float(counts[:, i].sum()))
+        recall[c] = safe_div(tp, float(counts[i, :].sum()))
+        f1[c] = safe_div(2 * precision[c] * recall[c], precision[c] + recall[c])
+        support[c] = int(counts[i, :].sum())
+    accuracy = float(np.trace(counts)) / total
+    macro_f1 = sum(f1[c] for c in CLASSES) / len(CLASSES)
+    weighted_f1 = sum(support[c] * f1[c] for c in CLASSES) / total
+    return EvaluationReport(accuracy, precision, recall, f1, macro_f1,
+                            weighted_f1, support, counts.tolist())
 
 
 def count_parameters(bundle):

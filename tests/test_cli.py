@@ -304,11 +304,11 @@ MALFORMED_INPUTS = (
     ("NaN in generator.class_probs",
      lambda c: c["generator"].update(class_probs=[0.5, 0.5, math.nan]), None,
      EXIT_CONFIG),
-    ("integer generator.coherent_tokens",
-     lambda c: c["generator"].update(coherent_tokens=[1, 2]), None, EXIT_CONFIG),
-    ("generator.coherent_tokens outside token_pool",
-     lambda c: c["generator"].update(coherent_tokens=["not-in-the-pool"]), None,
-     EXIT_CONFIG),
+    # the class subsets are thirds of labels and token_pool, not settings
+    ("unknown generator key coherent_tokens",
+     lambda c: c["generator"].update(coherent_tokens=["alder"]), None, EXIT_CONFIG),
+    ("unknown generator key neutral_labels",
+     lambda c: c["generator"].update(neutral_labels=["Cause_N"]), None, EXIT_CONFIG),
     ("truncated checkpoint", None, lambda t: t[:len(t) // 2], EXIT_DATA),
     ("checkpoint without meta.wv_dim", None, lambda t: _edit_meta(t, "wv_dim"),
      EXIT_DATA),
@@ -399,6 +399,32 @@ def test_malformed_input_ends_in_one_json_line(tmp_path, capsys, checkpoint_text
     assert set(json.loads(err[0])) == {"error", "message"}
     if edit_checkpoint is not None:  # every checkpoint error names the file
         assert str(checkpoint) in json.loads(err[0])["message"]
+
+
+def test_checkpoint_of_huge_weights_is_a_data_error_without_warnings(tmp_path, capsys):
+    # Finite weights of +-1e308 overflow to NaN class distributions, whose
+    # argmax would otherwise be scored.
+    cfg_path, config = write_config(tmp_path, n_runs=1)
+    config["train"]["hidden_size"] = 4
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(cfg_path)]) == EXIT_OK
+    doc = json.loads((Path(config["out_dir"]) / "checkpoint.json").read_text())
+    for tensor in doc["tensors"].values():
+        tensor["values"] = [math.copysign(1e308, v) for v in tensor["values"]]
+    checkpoint = tmp_path / "huge.json"
+    checkpoint.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--checkpoint", str(checkpoint)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "DataError"
+    assert error["message"].startswith(f"checkpoint {checkpoint}: non-finite class "
+                                       "distribution on document 'synth-test-")
 
 
 @pytest.mark.parametrize("from_file", [False, True], ids=["generator", "file"])
@@ -698,19 +724,28 @@ class TestValidateTrees:
         assert "1/3 valid" in out
 
 
-# bytes the fuzz inserts, deletes and replaces: the tree grammar's
-# punctuation, the line format's tab and newline, other whitespace, a
-# nuclearity letter, a NUL, a byte that is never UTF-8 and a UTF-8 lead byte
-MUTATION_BYTES = (b"(", b")", b"/", b'"', b"\\", b" ", b"\t", b"\n", b"\r", b"N", b"\x00",
-                  b"\xff", b"\xc3")
-BYTE_EDIT_ST = st.tuples(st.sampled_from(("insert", "delete", "replace")),
-                         st.integers(min_value=0), st.sampled_from(MUTATION_BYTES))
+# bytes the trees-file fuzz inserts, deletes and replaces: the tree
+# grammar's punctuation, the line format's tab and newline, other
+# whitespace, a nuclearity letter, a NUL, a byte that is never UTF-8 and a
+# UTF-8 lead byte
+TREE_BYTES = (b"(", b")", b"/", b'"', b"\\", b" ", b"\t", b"\n", b"\r", b"N", b"\x00",
+              b"\xff", b"\xc3")
+# and the documents-file fuzz's: JSON punctuation, a literal, digits, line
+# ends, a NUL and a byte that is never UTF-8
+DOCUMENT_BYTES = (b'"', b"\\", b"{", b"}", b"[", b"]", b",", b":", b"true", b"0", b"3",
+                  b"-", b"\r", b"\n", b"\x00", b"\xff")
+
+
+def byte_edits(pool):
+    return st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                              st.integers(min_value=0), st.sampled_from(pool)),
+                    min_size=1, max_size=4)
 
 
 @pytest.fixture(scope="module")
 def six_documents(tmp_path_factory):
     """A generated 6-document corpus in files, a train config reading them,
-    and the trees file's bytes."""
+    and the corpus files' bytes by name."""
     data = tmp_path_factory.mktemp("six_documents")
     gen = corpus.GeneratorConfig(n_train=4, n_test=2, edu_range=(2, 4),
                                  tokens_per_edu=(1, 3), wv_dim=2)
@@ -725,19 +760,21 @@ def six_documents(tmp_path_factory):
                         "trees": str(data / "trees.txt"),
                         "word_vectors": str(data / "vectors.txt")}}
     (data / "config.json").write_text(json.dumps(config))
-    return data, (data / "trees.txt").read_bytes()
+    return data, {name: (data / name).read_bytes() for name in ("documents.jsonl", "trees.txt")}
 
 
-@given(edits=st.lists(BYTE_EDIT_ST, min_size=1, max_size=4))
-def test_mutated_trees_file_ends_in_an_exit_code_and_at_most_one_json_line(
-        six_documents, edits):
-    data, raw = six_documents
+def run_on_mutated_file(six_documents, name, edits, commands):
+    """Apply the byte ``edits`` to the corpus file ``name``, restore the
+    other, and run each (argv, allowed exit codes) of ``commands``: each
+    ends in an allowed code and at most one JSON error line."""
+    data, files = six_documents
+    raw = files[name]
     for op, at, byte in edits:
         i = at % (len(raw) + 1)
         raw = raw[:i] + (b"" if op == "delete" else byte) + raw[i + (op != "insert"):]
-    (data / "trees.txt").write_bytes(raw)
-    for argv, codes in ((["validate-trees", "--trees", str(data / "trees.txt")], {0, 2}),
-                        (["train", "--config", str(data / "config.json")], {0, 1, 2, 3})):
+    for file_name, content in dict(files, **{name: raw}).items():
+        (data / file_name).write_bytes(content)
+    for argv, codes in commands:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -746,6 +783,23 @@ def test_mutated_trees_file_ends_in_an_exit_code_and_at_most_one_json_line(
         assert len(lines) <= 1, argv[0]
         if lines:
             assert set(json.loads(lines[0])) == {"error", "message"}, argv[0]
+
+
+@given(edits=byte_edits(TREE_BYTES))
+def test_mutated_trees_file_ends_in_an_exit_code_and_at_most_one_json_line(
+        six_documents, edits):
+    data = six_documents[0]
+    run_on_mutated_file(six_documents, "trees.txt", edits, (
+        (["validate-trees", "--trees", str(data / "trees.txt")], {0, 2}),
+        (["train", "--config", str(data / "config.json")], {0, 1, 2, 3})))
+
+
+@given(edits=byte_edits(DOCUMENT_BYTES))
+def test_mutated_documents_file_ends_in_an_exit_code_and_at_most_one_json_line(
+        six_documents, edits):
+    run_on_mutated_file(six_documents, "documents.jsonl", edits, (
+        (["train", "--config", str(six_documents[0] / "config.json"), "--features", "t"],
+         {0, 1, 2, 3}),))
 
 
 class TestAtomicWrites:

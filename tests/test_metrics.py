@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import oracles
 from rstcoh.errors import ConfigError, DataError
-from rstcoh.metrics import (CSV_HEADER, ConfusionMatrix, confidence_interval,
-                            csv_row, majority_baseline, report)
+from rstcoh.metrics import (CSV_HEADER, confidence_interval, csv_row, majority_baseline,
+                            report)
 
 # test-set class supports (incoherent, neutral, coherent) of the three
 # email/answer benchmark subsets whose published majority-baseline rows the
@@ -27,23 +28,29 @@ MAJORITY_ROWS = {
 }
 
 
-def all_class3_matrix(supports):
-    cm = np.zeros((3, 3), dtype=int)
-    for klass, count in zip((1, 2, 3), supports):
-        cm[klass - 1, 2] = count
-    return ConfusionMatrix(cm)
+def labels_of(supports):
+    """The test labels of a subset with these class supports."""
+    return [klass for klass, n in zip((1, 2, 3), supports) for _ in range(n)]
+
+
+def all_class3_report(supports):
+    labels = labels_of(supports)
+    return report(labels, [3] * len(labels))
+
+
+PAIRS_ST = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=60)
 
 
 class TestMajorityRowReproduction:
     @pytest.mark.parametrize("name", sorted(SUPPORTS))
     def test_accuracy_and_weighted_f1(self, name):
-        rep = report(all_class3_matrix(SUPPORTS[name]))
+        rep = all_class3_report(SUPPORTS[name])
         want_acc, want_wf1 = MAJORITY_ROWS[name]
         assert rep.accuracy * 100 == pytest.approx(want_acc, abs=0.01)
         assert rep.weighted_f1 * 100 == pytest.approx(want_wf1, abs=0.01)
 
     def test_clinton_class3_f1_and_weighted_identity(self):
-        rep = report(all_class3_matrix(SUPPORTS["clinton"]))
+        rep = all_class3_report(SUPPORTS["clinton"])
         rate = 109 / 197
         assert rep.f1[3] == pytest.approx(2 * rate / (1 + rate), abs=1e-12)
         assert rep.f1[3] == pytest.approx(0.7124, abs=5e-5)
@@ -53,60 +60,72 @@ class TestMajorityRowReproduction:
 
 class TestReport:
     def test_perfect_diagonal(self):
-        rep = report(ConfusionMatrix(np.diag([5, 7, 11])))
+        labels = labels_of((5, 7, 11))
+        rep = report(labels, labels)
         assert rep.accuracy == 1.0
         assert rep.macro_f1 == 1.0
         assert rep.weighted_f1 == 1.0
 
     def test_zero_division_defined_as_zero(self):
-        cm = ConfusionMatrix(np.array([[0, 0, 3], [0, 0, 2], [0, 0, 5]]))
-        rep = report(cm)
+        rep = all_class3_report((3, 2, 5))
         assert rep.precision[1] == rep.recall[1] == rep.f1[1] == 0.0
         assert rep.precision[2] == rep.recall[2] == rep.f1[2] == 0.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError):
-            report(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
+            report([], [])
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(DataError):
-            ConfusionMatrix(np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    def test_labels_of_different_lengths_rejected(self):
+        for true_labels, predicted in (([1, 2], [1]), ([1], [1, 2]), ([], [3])):
+            with pytest.raises(DataError):
+                report(true_labels, predicted)
 
-    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                    min_size=1, max_size=60))
+    @given(PAIRS_ST)
+    # class 2 has no support, class 1 is never predicted, one class only
+    @example([(1, 3), (3, 3), (3, 2)])
+    @example([(2, 2)] * 4)
+    def test_figures_equal_the_per_class_formulas(self, pairs):
+        true_labels = [t for t, _ in pairs]
+        predicted = [p for _, p in pairs]
+        counts = np.zeros((3, 3), dtype=np.int64)
+        for t, p in pairs:
+            counts[t - 1, p - 1] += 1
+        rep = report(true_labels, predicted).to_dict()
+        assert rep == oracles.reference_report(counts).to_dict()
+        assert all(type(v) is float for key in ("precision", "recall", "f1")
+                   for v in rep[key].values())
+
+    @given(PAIRS_ST)
     def test_accuracy_equals_support_weighted_recall(self, pairs):
         true_labels = [t for t, _ in pairs]
         predicted = [p for _, p in pairs]
-        rep = report(ConfusionMatrix.from_pairs(true_labels, predicted))
+        rep = report(true_labels, predicted)
         weighted_recall = sum(rep.support[c] * rep.recall[c] for c in (1, 2, 3))
         assert rep.accuracy == pytest.approx(weighted_recall / len(pairs), abs=1e-12)
 
-    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                    min_size=1, max_size=60),
-           st.randoms(use_true_random=False))
+    @given(PAIRS_ST, st.randoms(use_true_random=False))
     def test_evaluation_order_is_irrelevant(self, pairs, rnd):
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
-        a = report(ConfusionMatrix.from_pairs([t for t, _ in pairs],
-                                              [p for _, p in pairs]))
-        b = report(ConfusionMatrix.from_pairs([t for t, _ in shuffled],
-                                              [p for _, p in shuffled]))
+        a = report([t for t, _ in pairs], [p for _, p in pairs])
+        b = report([t for t, _ in shuffled], [p for _, p in shuffled])
         assert a == b
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=60),
            st.integers(1, 3))
     def test_single_class_predictor_weighted_f1_identity(self, labels, klass):
-        rep = report(ConfusionMatrix.from_pairs(labels, [klass] * len(labels)))
+        rep = report(labels, [klass] * len(labels))
         rate = labels.count(klass) / len(labels)
         assert rep.weighted_f1 == pytest.approx(rate * rep.f1[klass], abs=1e-12)
 
-    def test_from_pairs_rejects_labels_outside_1_to_3(self):
-        for true_labels, predicted in (([0, 1], [1, 0]), ([1], [4]), ([4], [1])):
-            with pytest.raises(DataError):
-                ConfusionMatrix.from_pairs(true_labels, predicted)
+    def test_labels_outside_1_to_3_rejected(self):
+        for true_labels, predicted in (([0, 1], [1, 0]), ([1], [4]), ([4], [1]),
+                                       (["1"], [1]), ([1], [None])):
+            with pytest.raises(DataError, match="label outside 1..3"):
+                report(true_labels, predicted)
 
     def test_round_trips(self):
-        rep = report(all_class3_matrix(SUPPORTS["enron"]))
+        rep = all_class3_report(SUPPORTS["enron"])
         assert len(csv_row(rep).split(",")) == len(CSV_HEADER.split(","))
 
 

@@ -158,6 +158,22 @@ class TestTrain:
                               cfg.learning_rate, rng, False, 0)
         assert exc.value.doc_id == tiny_split.train[0].id
 
+    def test_non_finite_evaluation_records_the_run_as_diverged(self, tiny_split, tiny_wv,
+                                                               monkeypatch):
+        # finite weights of +-1e308 overflow to NaN class distributions
+        real_run_epoch = trainer.run_epoch
+
+        def blow_up(model, *args):
+            out = real_run_epoch(model, *args)
+            model.bundle.data[:] = np.copysign(1e308, model.bundle.data)
+            return out
+
+        monkeypatch.setattr(trainer, "run_epoch", blow_up)
+        result = run_multi_seed(small_cfg(), tiny_split, tiny_wv, n_runs=1)
+        rec = result.records[0]
+        assert rec.diverged_on in {doc.id for doc in tiny_split.test}
+        assert rec.report is None and result.aggregate is None
+
 
 class TestRunMultiSeed:
     def test_single_run_aggregate_is_the_run(self, tiny_split, tiny_wv):
@@ -218,8 +234,8 @@ class TestRunMultiSeed:
         def canned(cfg, split, wv):
             if cfg.seed not in predicted:
                 raise TrainingDiverged("doc")
-            cm = metrics.ConfusionMatrix.from_pairs([1, 1, 1, 1], predicted[cfg.seed])
-            return models[cfg.seed], RunRecord(cfg.seed, metrics.report(cm), [1.0])
+            rep = metrics.report([1, 1, 1, 1], predicted[cfg.seed])
+            return models[cfg.seed], RunRecord(cfg.seed, rep, [1.0])
 
         monkeypatch.setattr(trainer, "train", canned)
         result = run_multi_seed(small_cfg(), tiny_split, tiny_wv, n_runs=4)
@@ -278,8 +294,7 @@ def test_chunked_evaluation_equals_one_document_classify(kind, features, chunk_c
     np.testing.assert_allclose(chunked, single, rtol=0.0, atol=1e-12)
     assert np.array_equal(np.argmax(chunked, axis=1), np.argmax(single, axis=1))
     predicted = (np.argmax(single, axis=1) + 1).tolist()
-    want = metrics.ConfusionMatrix.from_pairs([d.label for d in docs], predicted)
-    assert rep.to_dict() == metrics.report(want).to_dict()
+    assert rep.to_dict() == metrics.report([d.label for d in docs], predicted).to_dict()
 
     # Tape-free kernel calls carve their temporaries from one reused
     # workspace, so nothing they return may alias it: each chunk gives the
