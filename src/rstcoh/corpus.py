@@ -116,6 +116,7 @@ class CorpusSplit:
 _PARA_RE = re.compile(r"\n\s*\n")
 _SENT_RE = re.compile(r"(?<=[.?!])\s+(?=[A-Z])")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_POOL_TOKEN_RE = re.compile(r"[a-z][a-z0-9]*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -404,11 +405,12 @@ class GeneratorConfig:
         if not isinstance(self.token_pool, (list, tuple)) or not self.token_pool \
                 or not all(isinstance(tok, str) for tok in self.token_pool):
             raise ConfigError("token_pool must be a non-empty list of strings")
-        # tokenize(tok) == [tok] exactly when the token pattern matches all of tok
-        bad = [tok for tok in self.token_pool if not _TOKEN_RE.fullmatch(tok)]
+        # one token (tokenize(tok) == [tok]) led by a letter, so that a sentence
+        # it starts is capitalized by join_paragraphs and segment splits there
+        bad = [tok for tok in self.token_pool if not _POOL_TOKEN_RE.fullmatch(tok)]
         if bad:
-            raise ConfigError("token_pool entries must each be one token "
-                              f"(ASCII lowercase letters and digits), got {bad}")
+            raise ConfigError("token_pool entries must each be one token: an ASCII "
+                              f"lowercase letter, then letters and digits, got {bad}")
         if self.edu_range[0] < 2 or self.edu_range[1] < self.edu_range[0]:
             raise ConfigError(f"bad edu_range {self.edu_range}")
         if self.tokens_per_edu[0] < 1 or self.tokens_per_edu[1] < self.tokens_per_edu[0]:

@@ -19,9 +19,9 @@ both. Each call of any of the four is one tape entry, whatever the number
 of rows: one packed pass over all the EDUs (or sentences) of a batch of
 documents, one level-by-level pass over all their trees. The ops take
 whole arrays and index arrays, never per-node tensors; a tree reaches
-:func:`run_tree` as a level schedule (dynamic batching, Looks et al. 2017).
-A cell's parameters are one weight and one bias tensor whose row blocks are
-its gates, the layout the kernel computes with.
+:func:`run_tree` as a :class:`TreeSchedule` (dynamic batching, Looks et
+al. 2017). A cell's parameters are one weight and one bias tensor whose row
+blocks are its gates, the layout the kernel computes with.
 
 A :class:`ParameterBundle` keeps all of a model's parameters in one flat
 ``data`` vector and their gradients in one flat ``grad`` vector, in
@@ -58,7 +58,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -498,31 +498,47 @@ def run_lstms(x: Tensor, lengths: Sequence[int],
     return outs
 
 
-def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
-             level_sizes: Sequence[int], roots: Array, table: Tensor | None,
+class TreeSchedule(NamedTuple):
+    """A batch of binary trees as the index arrays :func:`run_tree` reads.
+
+    Every node below the roots owns one row of a state table. Rows
+    0..leaves-1 are the leaves, left to right and tree after tree; the
+    internal nodes follow, level by level (a node's level is its height;
+    leaves have height 0), with ``level_sizes[k]`` nodes of height k+1. Row
+    i of ``children`` holds the state-table rows of the i-th internal node's
+    left and right children, and row i of ``labels`` the label-table rows of
+    those children's labels. ``roots`` holds the rows of each tree's two
+    root children. The root itself is not computed: its children's states
+    are the document representation.
+    """
+
+    leaves: int
+    children: Array  # (N, 2)
+    labels: Array  # (N, 2)
+    level_sizes: list[int]
+    roots: Array  # (B, 2)
+
+
+def run_tree(leaf_h: Tensor, leaf_c: Tensor, sched: TreeSchedule, table: Tensor | None,
              p: CellParams) -> tuple[Tensor, Tensor]:
-    """Run the 2-ary cell over a batch of binary trees, one level at a time.
+    """Run the 2-ary cell over the batch of binary trees ``sched``, one level
+    at a time.
 
-    Every node owns one row of a state table: the L leaves come first, with
-    the states ``leaf_h``/``leaf_c`` (L, H), then the N internal nodes,
-    level by level, ``level_sizes[k]`` of them in level k. Row i of
-    ``children`` (N, 2) holds the state-table rows of internal node i's
-    left and right children, and row i of ``labels`` (N, 2) the ``table``
-    rows of those children's labels. The cell input of a node is
-    [h_l; h_r; table[left label]; table[right label]], with zeros for the
-    labels when ``table`` is None. ``roots`` is (B, 2): the rows of each
-    tree's two root children. Return h and c as two (B, 2H) tensors, row b
-    holding [left; right] of tree b.
+    ``leaf_h``/``leaf_c`` (L, H) are the states of the schedule's leaf rows.
+    The cell input of a node is [h_l; h_r; table[left label];
+    table[right label]], with zeros for the labels when ``table`` is None.
+    Return h and c as two (B, 2H) tensors, row b holding [left; right] of
+    tree b's root children.
 
-    The label embeddings are gathered with one ``take`` and each level is
-    one call of the gate kernel. The backward pass replays the levels in
-    reverse and scatters the table gradient with ``np.add.at``. One tape
-    entry.
+    The label embeddings are gathered with one ``take``, and each level
+    gathers both children's h and c with one ``take`` each and is one call
+    of the gate kernel. The backward pass replays the levels in reverse and
+    scatters the table gradient with ``np.add.at``. One tape entry.
     """
     if p.children != 2:
         raise DataError(f"run_tree needs a 2-ary cell, got {p.children} children")
     n = p.hidden_size
-    n_leaves = leaf_h.data.shape[0]
+    n_leaves, children, labels, level_sizes, roots = sched
     if leaf_h.data.shape != (n_leaves, n) or leaf_c.data.shape != (n_leaves, n):
         raise DataError(f"leaf state shapes {leaf_h.data.shape}/{leaf_c.data.shape} "
                         f"!= ({n_leaves}, {n})")
@@ -551,14 +567,13 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
     z[n_leaves:, 2 * n:] = 0.0 if table is None else \
         table.data.take(labels, axis=0).reshape(inner, label_cols)
     caches = []
-    for k in range(len(level_sizes)):
-        lo, hi = ends[k], ends[k + 1]
-        left, right = children[lo - n_leaves:hi - n_leaves].T
-        z[lo:hi, :n] = hs.take(left, axis=0)
-        z[lo:hi, n:2 * n] = hs.take(right, axis=0)
-        pre = np.matmul(z[lo:hi], w.T, pre_rows[:hi - lo])
+    for lo, hi in zip(ends, ends[1:]):
+        m = hi - lo
+        pair = children[lo - n_leaves:hi - n_leaves]
+        z[lo:hi, :2 * n] = hs.take(pair.ravel(), axis=0).reshape(m, 2 * n)
+        pre = np.matmul(z[lo:hi], w.T, pre_rows[:m])
         pre += p.b.data
-        h, c, cache = _gates_forward(pre, (cs.take(left, axis=0), cs.take(right, axis=0)),
+        h, c, cache = _gates_forward(pre, cs.take(pair.T.ravel(), axis=0).reshape(2, m, n),
                                      None if keep else (cs[lo:hi], hs[lo:hi]))
         if keep:
             hs[lo:hi], cs[lo:hi] = h, c
@@ -577,13 +592,11 @@ def run_tree(leaf_h: Tensor, leaf_c: Tensor, children: Array, labels: Array,
         dz = np.empty((ends[-1], p.cols))
         for k in reversed(range(len(level_sizes))):
             lo, hi = ends[k], ends[k + 1]
-            left, right = children[lo - n_leaves:hi - n_leaves].T
-            dpre[lo:hi], (dc_l, dc_r) = _gates_backward(caches[k], dh[lo:hi], dc[lo:hi])
+            pair = children[lo - n_leaves:hi - n_leaves]
+            dpre[lo:hi], d_children = _gates_backward(caches[k], dh[lo:hi], dc[lo:hi])
             dz[lo:hi] = dpre[lo:hi] @ w
-            dh[left] = dz[lo:hi, :n]
-            dh[right] = dz[lo:hi, n:2 * n]
-            dc[left] = dc_l
-            dc[right] = dc_r
+            dh[pair] = dz[lo:hi, :2 * n].reshape(hi - lo, 2, n)
+            dc[pair.T] = d_children
         _accumulate(p.w, dpre.T @ z)
         _accumulate(p.b, dpre.sum(axis=0))
         if table is not None:

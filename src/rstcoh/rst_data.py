@@ -69,9 +69,6 @@ class Violation(NamedTuple):
     path: str  # "" = root, else a string of L/R steps
 
 
-_EMPTY_EDU = (Violation("EmptyEduText", ""),)
-
-
 class TreeShape(NamedTuple):
     """A tree in flat form. A node's height is 0 for a leaf, else one more
     than its taller child's; its position counts the nodes of its height
@@ -203,11 +200,10 @@ def parse_tree(text: str) -> TreeShape:
     closes each node as its ``)`` is read (post-order; iterative, for the
     deep trees of real parsers). Raises :class:`ParseError` with byte offset."""
     # (left label, right label, len(done) when it opened) of each open internal
-    # node; (height, position, violations with paths from it) of each subtree
-    # awaiting a parent
+    # node; (height, position) of each subtree awaiting a parent
     frames: list[tuple[NodeLabel, NodeLabel, int]] = []
-    done: list[tuple[int, int, tuple[Violation, ...]]] = []
-    leaves, labels, nodes = [], [], []
+    done: list[tuple[int, int]] = []
+    leaves, labels, nodes, bad = [], [], [], []
     counts = [0]  # the internal nodes of each height so far
     pos = 0
     while True:
@@ -221,7 +217,13 @@ def parse_tree(text: str) -> TreeShape:
             continue
         if "\\" in leaf:
             leaf = _UNESCAPE_RE.sub(r"\1", leaf)
-        done.append((0, len(leaves), () if leaf.strip() else _EMPTY_EDU))
+        if not leaf.strip():
+            # an open node holds the leaf on its left when its child on the
+            # path (the next frame, or the leaf) came while done was as it opened
+            opened = [frame[2] for frame in frames] + [len(done)]
+            bad.append(Violation("EmptyEduText", "".join(
+                "L" if here == below else "R" for here, below in zip(opened, opened[1:]))))
+        done.append((0, len(leaves)))
         leaves.append(leaf)
         while frames and len(done) - frames[-1][2] == 2:
             m = _CLOSE_RE.match(text, pos)
@@ -229,24 +231,21 @@ def parse_tree(text: str) -> TreeShape:
                 _raise_at(text, pos, ")")
             pos = m.end()
             left_label, right_label, _ = frames.pop()
-            right_height, right_position, right_bad = done.pop()
-            left_height, left_position, left_bad = done.pop()
+            right_height, right_position = done.pop()
+            left_height, left_position = done.pop()
             height = max(left_height, right_height) + 1
             nodes.append((height, left_height, right_height, left_position, right_position))
             labels += (left_label, right_label)
-            bad = ()
-            if left_bad or right_bad:
-                bad = (*(Violation(code, "L" + path) for code, path in left_bad),
-                       *(Violation(code, "R" + path) for code, path in right_bad))
             if height == len(counts):
                 counts.append(0)
-            done.append((height, counts[height], bad))
+            done.append((height, counts[height]))
             counts[height] += 1
         if not frames:
             break
     if text[pos:].strip():
         _raise_at(text, pos, "end")
-    bad = done[0][2] + ((Violation("DegenerateTree", ""),) if len(leaves) < 2 else ())
+    if len(leaves) < 2:
+        bad.append(Violation("DegenerateTree", ""))
     root = nodes.pop()[1:] if nodes else None
     return TreeShape(leaves, labels, np.array(nodes, dtype=np.intp).reshape(-1, 5), root,
                      sorted(bad))

@@ -28,9 +28,9 @@ encoder is there or not, so :func:`encode_trees` decides nothing per call.
 A batch of documents takes at most two recording calls, whatever its size.
 :func:`encode_trees` joins the documents' flat trees (``Document.shape``,
 which ``rst_data.parse_tree`` makes from the tree text ``Document.tree``
-in the one walk of a tree) into a level schedule (a level is the set of
-internal nodes of equal height), runs all the batch's EDUs through one
-packed LSTM pass when E is on (their word vectors are one gather), and
+in the one walk of a tree) into one ``numcore.TreeSchedule``, whose
+docstring gives the state-table layout, runs all the batch's EDUs through
+one packed LSTM pass when E is on (their word vectors are one gather), and
 hands the schedule to ``numcore.run_tree``, which applies the cell once
 per level (dynamic batching, Looks et al. 2017; a tree as a flat
 schedule, as in SPINN, Bowman et al. 2016). This module owns the join of
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,29 +99,8 @@ def init_tree_model(bundle: nc.ParameterBundle, rng: np.random.Generator,
     return TreeModelParams(cell, None, lambda labels: [0] * len(labels))
 
 
-class TreeSchedule(NamedTuple):
-    """A batch of trees as the index arrays :func:`numcore.run_tree` reads.
-
-    Rows 0..leaves-1 of the state table are the leaves, left to right
-    and tree after tree; the internal nodes below the roots follow, level
-    by level (a node's level is its height; leaves have height 0), with
-    ``level_sizes[k]`` nodes of height k+1. Row i of ``children`` holds the
-    state-table rows of the i-th internal node's left and right children,
-    and row i of ``labels`` the label-table rows of those children's
-    labels. ``roots`` holds the rows of each tree's two root children. The
-    root itself is not computed: its children's states are the document
-    representation.
-    """
-
-    leaves: int
-    children: np.ndarray  # (N, 2)
-    labels: np.ndarray  # (N, 2)
-    level_sizes: list[int]
-    roots: np.ndarray  # (B, 2)
-
-
 def tree_schedule(shapes: Sequence[TreeShape],
-                  label_rows: Callable[[list[NodeLabel]], list[int]]) -> TreeSchedule:
+                  label_rows: Callable[[list[NodeLabel]], list[int]]) -> nc.TreeSchedule:
     """Level schedule of the n trees whose flat forms are ``shapes``, joined
     with no walk: tree t's node of height h and position p takes row
     ``start[h * n + t] + p``, after all lower nodes and the height-h nodes
@@ -140,11 +119,11 @@ def tree_schedule(shapes: Sequence[TreeShape],
     order = np.argsort(nodes[:, 0], kind="stable")  # by level, by position within one
     nodes, tree = nodes[order], tree[order]
     rows = label_rows(list(chain.from_iterable(shape.labels[:-2] for shape in shapes)))
-    return TreeSchedule(int(totals[0]),
-                        start[nodes[:, 1:3] * n + tree[:, None]] + nodes[:, 3:],
-                        np.array(rows, dtype=np.intp).reshape(-1, 2)[order],
-                        totals[1:].tolist(),
-                        start[keys[:, :2] * n + np.arange(n)[:, None]] + keys[:, 2:])
+    return nc.TreeSchedule(int(totals[0]),
+                           start[nodes[:, 1:3] * n + tree[:, None]] + nodes[:, 3:],
+                           np.array(rows, dtype=np.intp).reshape(-1, 2)[order],
+                           totals[1:].tolist(),
+                           start[keys[:, :2] * n + np.arange(n)[:, None]] + keys[:, 2:])
 
 
 def encode_trees(docs: Sequence[Document], params: TreeModelParams,
@@ -165,5 +144,4 @@ def encode_trees(docs: Sequence[Document], params: TreeModelParams,
         leaf_h, leaf_c = nc.run_lstms(x, list(map(len, edus)), params.edu)
     else:
         leaf_h = leaf_c = nc.zeros(sched.leaves, params.cell.hidden_size)
-    return nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels, sched.level_sizes,
-                       sched.roots, params.table, params.cell)
+    return nc.run_tree(leaf_h, leaf_c, sched, params.table, params.cell)

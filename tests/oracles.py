@@ -44,7 +44,6 @@ from rstcoh import numcore as nc
 from rstcoh.errors import DataError, ParseError
 from rstcoh.metrics import CLASSES, EvaluationReport
 from rstcoh.rst_data import NodeLabel, TreeShape, Violation
-from rstcoh.tree_model import TreeSchedule
 
 
 def sig(x: float) -> float:
@@ -456,8 +455,8 @@ def reference_tree_schedule(trees, label_row):
     a = np.array(nodes, dtype=np.intp).reshape(-1, 7)
     a = a[np.argsort(a[:, 0], kind="stable")]  # by level, by position within one
     keys = np.array(root_keys, dtype=np.intp).reshape(-1, 2, 2)
-    return TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
-                        level_sizes, base[keys[..., 0]] + keys[..., 1])
+    return nc.TreeSchedule(n_leaves, base[a[:, [1, 3]]] + a[:, [2, 4]], a[:, 5:],
+                           level_sizes, base[keys[..., 0]] + keys[..., 1])
 
 
 def reference_leaves_and_labels(tree):

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import runpy
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -292,6 +294,10 @@ MALFORMED_INPUTS = (
      EXIT_CONFIG),
     ("generator.token_pool entry with no token",
      lambda c: c["generator"].update(token_pool=["alder", "...", "cedar"]), None,
+     EXIT_CONFIG),
+    # join_paragraphs cannot capitalize a sentence that starts with a digit
+    ("digit-initial generator.token_pool entry",
+     lambda c: c["generator"].update(token_pool=["alder", "3d", "cedar"]), None,
      EXIT_CONFIG),
     ("generator.edu_range of three values",
      lambda c: c["generator"].update(edu_range=[3, 5, 9]), None, EXIT_CONFIG),
@@ -734,6 +740,13 @@ TREE_BYTES = (b"(", b")", b"/", b'"', b"\\", b" ", b"\t", b"\n", b"\r", b"N", b"
 # ends, a NUL and a byte that is never UTF-8
 DOCUMENT_BYTES = (b'"', b"\\", b"{", b"}", b"[", b"]", b",", b":", b"true", b"0", b"3",
                   b"-", b"\r", b"\n", b"\x00", b"\xff")
+DIGITS = tuple(bytes([digit]) for digit in b"0123456789")
+# the word-vector fuzz's: what numbers are written with, the non-finite
+# spellings, the field and line separators, a NUL and a byte that is never UTF-8
+VECTOR_BYTES = (*DIGITS, b".", b"e", b"-", b"nan", b"inf", b" ", b"\t", b"\r", b"\n",
+                b"\x00", b"\xff")
+# and the checkpoint fuzz's: JSON punctuation and what numbers are written with
+CHECKPOINT_BYTES = (b"{", b"}", b"[", b"]", b",", b":", *DIGITS, b"e", b"-", b'"')
 
 
 def byte_edits(pool):
@@ -760,13 +773,27 @@ def six_documents(tmp_path_factory):
                         "trees": str(data / "trees.txt"),
                         "word_vectors": str(data / "vectors.txt")}}
     (data / "config.json").write_text(json.dumps(config))
-    return data, {name: (data / name).read_bytes() for name in ("documents.jsonl", "trees.txt")}
+    return data, {name: (data / name).read_bytes()
+                  for name in ("documents.jsonl", "trees.txt", "vectors.txt")}
+
+
+@pytest.fixture(scope="module")
+def six_documents_checkpoint(six_documents):
+    """The six documents with the bytes of a checkpoint trained on them
+    added to their files, as ``checkpoint.json``."""
+    data, files = six_documents
+    for name, content in files.items():  # undo what an earlier fuzz left
+        (data / name).write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", str(data / "config.json")]) == EXIT_OK
+    checkpoint = (data / "out" / "checkpoint.json").read_bytes()
+    return data, dict(files, **{"checkpoint.json": checkpoint})
 
 
 def run_on_mutated_file(six_documents, name, edits, commands):
-    """Apply the byte ``edits`` to the corpus file ``name``, restore the
-    other, and run each (argv, allowed exit codes) of ``commands``: each
-    ends in an allowed code and at most one JSON error line."""
+    """Apply the byte ``edits`` to the file ``name``, restore the others,
+    and run each (argv, allowed exit codes) of ``commands``: each ends in an
+    allowed code and at most one JSON error line."""
     data, files = six_documents
     raw = files[name]
     for op, at, byte in edits:
@@ -800,6 +827,32 @@ def test_mutated_documents_file_ends_in_an_exit_code_and_at_most_one_json_line(
     run_on_mutated_file(six_documents, "documents.jsonl", edits, (
         (["train", "--config", str(six_documents[0] / "config.json"), "--features", "t"],
          {0, 1, 2, 3}),))
+
+
+@given(edits=byte_edits(VECTOR_BYTES))
+def test_mutated_word_vector_file_ends_in_an_exit_code_and_at_most_one_json_line(
+        six_documents, edits):
+    run_on_mutated_file(six_documents, "vectors.txt", edits, (
+        (["train", "--config", str(six_documents[0] / "config.json")], {0, 1, 2, 3}),))
+
+
+@given(edits=byte_edits(CHECKPOINT_BYTES))
+def test_mutated_checkpoint_ends_in_an_exit_code_and_at_most_one_json_line(
+        six_documents_checkpoint, edits):
+    data = six_documents_checkpoint[0]
+    run_on_mutated_file(six_documents_checkpoint, "checkpoint.json", edits, (
+        (["evaluate", "--config", str(data / "config.json"), "--checkpoint",
+          str(data / "checkpoint.json"), "--out", str(data / "eval")], {0, 1, 2}),))
+
+
+def test_artifact_digest_is_the_committed_one():
+    # The "same config, same bytes" check across a refactor. A change that
+    # means to move an artifact's bytes edits tests/artifact_digest.txt.
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, str(root / "scripts" / "artifact_digest.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (root / "tests" / "artifact_digest.txt").read_text()
 
 
 class TestAtomicWrites:

@@ -328,12 +328,18 @@ class TestGenerator:
             assert result.pvalue > 1e-3
 
     def test_round_trip_through_files(self, tmp_path, tiny_split):
-        corpus.write_documents(tmp_path / "documents.jsonl", tiny_split)
-        corpus.write_trees(tmp_path / "trees.txt", tiny_split)
-        back = load_corpus(tmp_path / "documents.jsonl", tmp_path / "trees.txt")
-        assert [d.id for d in back.train] == [d.id for d in tiny_split.train]
-        assert [d.id for d in back.test] == [d.id for d in tiny_split.test]
-        assert not back.exclusion_log
-        for a, b in zip(back.train, tiny_split.train):
-            assert a.label == b.label and a.text == b.text
-            assert a.tree == b.tree and a.paragraphs == b.paragraphs
+        # every document reads back as it was made, with its paragraphs,
+        # EDUs and tree, also from a pool with digits after the first letter
+        digits = synthesize_corpus(GeneratorConfig(
+            n_train=30, n_test=10, tokens_per_edu=(1, 3), token_signal=0.5,
+            token_pool=("alder", "b2", "c3po", "elm", "x9", "fig")), seed=7)
+        for split in (tiny_split, digits):
+            corpus.write_documents(tmp_path / "documents.jsonl", split)
+            corpus.write_trees(tmp_path / "trees.txt", split)
+            back = load_corpus(tmp_path / "documents.jsonl", tmp_path / "trees.txt")
+            assert [d.id for d in back.train] == [d.id for d in split.train]
+            assert [d.id for d in back.test] == [d.id for d in split.test]
+            assert not back.exclusion_log
+            for a, b in zip(back.train + back.test, split.train + split.test):
+                assert a.label == b.label and a.text == b.text and a.tree == b.tree
+                assert a.paragraphs == b.paragraphs and a.edus == b.edus

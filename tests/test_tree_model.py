@@ -335,8 +335,7 @@ class TestRunTree:
 
         with nc.record():
             sched = tree_schedule(list(map(shape_of, trees)), params.label_rows)
-            h, c = nc.run_tree(leaf_h, leaf_c, sched.children, sched.labels,
-                               sched.level_sizes, sched.roots, table, params.cell)
+            h, c = nc.run_tree(leaf_h, leaf_c, sched, table, params.cell)
             assert len(nc._tape) == 1
             nc.backward(oracles.add(oracles.vsum(oracles.mul(h, nc.constant(wh))),
                                     oracles.vsum(oracles.mul(c, nc.constant(wc)))),
